@@ -105,7 +105,16 @@ examples:
 	go run ./examples/hpc
 	go run ./examples/realtime
 
-# Short fuzz passes over the serialization surfaces.
+# Short fuzz passes over the serialization surfaces, including the
+# recovery codec's differential targets (fast decoders against
+# encoding/json, interned against per-job replay decode, the WAL scanner
+# against arbitrary bytes). Their inputs are whole records and files, so
+# minimizing each new input is capped at 100 runs: left at its 60-second
+# default it takes most of a 10-second pass.
 fuzz:
 	go test -fuzz=FuzzDAGUnmarshal -fuzztime=10s ./internal/dag/
 	go test -fuzz=FuzzInstanceUnmarshal -fuzztime=10s ./internal/workload/
+	go test -run XXX -fuzz='^FuzzDecodeWALJob$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/serve/
+	go test -run XXX -fuzz='^FuzzDecodeCheckpoint$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/serve/
+	go test -run XXX -fuzz='^FuzzJobDecoderInterned$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/serve/
+	go test -run XXX -fuzz='^FuzzScanWAL$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/serve/

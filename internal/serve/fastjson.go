@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"hash/crc32"
 	"io"
 	"math"
@@ -402,4 +403,640 @@ func appendFrame(b, payload []byte) []byte {
 	b = append(b, payload...)
 	b = append(b, '\n')
 	return b
+}
+
+// The recovery codec. A restart decodes every record of the checkpoint and
+// the WAL suffix, and every checkpoint re-encodes the whole history, so the
+// durable record shapes get the same treatment as the request path: a
+// one-pass scanner for the exact shape the server writes, and encoding/json
+// for everything else. The decoders accept only the canonical key order
+// (type, key, reqId, resp, job; the Checkpoint field order), plain strings,
+// and numbers whose value is decided exactly; any other input — reordered
+// or case-folded keys, escapes, null for an object, a value the scanner
+// cannot vouch for — makes the caller decode that record with
+// json.Unmarshal instead, so what recovery reads never depends on which path
+// read it. The encoder writes the jobs array with appendWALJob and hands the
+// header, idempotency table and telemetry summary to json.Marshal.
+
+// maxSkipDepth bounds skipJSONValue's nesting; deeper values (which the
+// server never writes) fall back to encoding/json and its own limit.
+const maxSkipDepth = 64
+
+// skipJSONValue scans one JSON value starting exactly at data[i] and returns
+// the index after it. It accepts only valid JSON, so a span it returns is a
+// value json.Unmarshal would accept; ok=false means invalid or merely
+// unvouched (too deep).
+func skipJSONValue(data []byte, i, depth int) (int, bool) {
+	if i >= len(data) {
+		return i, false
+	}
+	var ok bool
+	switch data[i] {
+	case '{', '[':
+		if depth >= maxSkipDepth {
+			return i, false
+		}
+		open := data[i]
+		end := byte('}')
+		if open == '[' {
+			end = ']'
+		}
+		i = skipJSONSpace(data, i+1)
+		if i < len(data) && data[i] == end {
+			return i + 1, true
+		}
+		for {
+			if open == '{' {
+				if i, ok = skipJSONString(data, i); !ok {
+					return i, false
+				}
+				i = skipJSONSpace(data, i)
+				if i >= len(data) || data[i] != ':' {
+					return i, false
+				}
+				i = skipJSONSpace(data, i+1)
+			}
+			if i, ok = skipJSONValue(data, i, depth+1); !ok {
+				return i, false
+			}
+			i = skipJSONSpace(data, i)
+			if i >= len(data) {
+				return i, false
+			}
+			switch data[i] {
+			case ',':
+				i = skipJSONSpace(data, i+1)
+			case end:
+				return i + 1, true
+			default:
+				return i, false
+			}
+		}
+	case '"':
+		return skipJSONString(data, i)
+	case 't':
+		return skipJSONLiteral(data, i, "true")
+	case 'f':
+		return skipJSONLiteral(data, i, "false")
+	case 'n':
+		return skipJSONLiteral(data, i, "null")
+	}
+	return skipJSONNumber(data, i)
+}
+
+func skipJSONLiteral(data []byte, i int, lit string) (int, bool) {
+	if len(data)-i < len(lit) || string(data[i:i+len(lit)]) != lit {
+		return i, false
+	}
+	return i + len(lit), true
+}
+
+// skipJSONString scans a string literal with any valid escapes. Bytes at or
+// above 0x20 pass unexamined, as in encoding/json's scanner.
+func skipJSONString(data []byte, i int) (int, bool) {
+	if i >= len(data) || data[i] != '"' {
+		return i, false
+	}
+	for i++; i < len(data); i++ {
+		switch c := data[i]; {
+		case c == '"':
+			return i + 1, true
+		case c < 0x20:
+			return i, false
+		case c == '\\':
+			i++
+			if i >= len(data) {
+				return i, false
+			}
+			switch data[i] {
+			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+			case 'u':
+				if len(data)-i < 5 {
+					return i, false
+				}
+				for _, h := range data[i+1 : i+5] {
+					if !('0' <= h && h <= '9' || 'a' <= h && h <= 'f' || 'A' <= h && h <= 'F') {
+						return i, false
+					}
+				}
+				i += 4
+			default:
+				return i, false
+			}
+		}
+	}
+	return i, false
+}
+
+// skipJSONNumber scans a number in JSON's grammar:
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+func skipJSONNumber(data []byte, i int) (int, bool) {
+	digits := func(i int) (int, bool) {
+		start := i
+		for i < len(data) && data[i] >= '0' && data[i] <= '9' {
+			i++
+		}
+		return i, i > start
+	}
+	if i < len(data) && data[i] == '-' {
+		i++
+	}
+	if i >= len(data) {
+		return i, false
+	}
+	var ok bool
+	if data[i] == '0' {
+		i++
+	} else if i, ok = digits(i); !ok {
+		return i, false
+	}
+	if i < len(data) && data[i] == '.' {
+		if i, ok = digits(i + 1); !ok {
+			return i, false
+		}
+	}
+	if i < len(data) && (data[i] == 'e' || data[i] == 'E') {
+		i++
+		if i < len(data) && (data[i] == '+' || data[i] == '-') {
+			i++
+		}
+		if i, ok = digits(i); !ok {
+			return i, false
+		}
+	}
+	return i, true
+}
+
+// parseJSONFloat64 is parseJSONFloat for any JSON number: past 15
+// significant digits or in exponent form it hands the validated span to
+// strconv.ParseFloat, which is what encoding/json does, so the bits agree.
+// Shortest-form float64s run to 17 digits, which is why plan densities need
+// this. Out-of-range values (json.Unmarshal rejects them) report ok=false.
+func parseJSONFloat64(data []byte, i int) (float64, int, bool) {
+	if v, next, ok := parseJSONFloat(data, i); ok {
+		return v, next, true
+	}
+	end, ok := skipJSONNumber(data, i)
+	if !ok {
+		return 0, i, false
+	}
+	v, err := strconv.ParseFloat(string(data[i:end]), 64)
+	if err != nil {
+		return 0, i, false
+	}
+	return v, end, true
+}
+
+// parseJSONUint scans a plain non-negative integer up to math.MaxUint64 (the
+// checkpoint fingerprint), with parseJSONInt's rules otherwise.
+func parseJSONUint(data []byte, i int) (uint64, int, bool) {
+	start := i
+	var v uint64
+	for i < len(data) && data[i] >= '0' && data[i] <= '9' {
+		d := uint64(data[i] - '0')
+		if v > (math.MaxUint64-d)/10 {
+			return 0, i, false // overflows uint64: json.Unmarshal rejects it
+		}
+		v = v*10 + d
+		i++
+	}
+	if i == start || (i-start > 1 && data[start] == '0') {
+		return 0, i, false
+	}
+	if i < len(data) && (data[i] == '.' || data[i] == 'e' || data[i] == 'E') {
+		return 0, i, false
+	}
+	return v, i, true
+}
+
+func parseJSONBool(data []byte, i int) (bool, int, bool) {
+	if next, ok := skipJSONLiteral(data, i, "true"); ok {
+		return true, next, true
+	}
+	next, ok := skipJSONLiteral(data, i, "false")
+	return false, next, ok
+}
+
+// hasLit reports whether data continues with lit at i, returning the index
+// after it.
+func hasLit(data []byte, i int, lit string) (int, bool) {
+	if len(data)-i >= len(lit) && string(data[i:i+len(lit)]) == lit {
+		return i + len(lit), true
+	}
+	return i, false
+}
+
+// wireString converts a decoded string, sharing the constant for the values
+// nearly every record repeats, so a recovered history does not hold one
+// copy of "admitted" per job.
+func wireString(b []byte) string {
+	switch string(b) {
+	case "job":
+		return "job"
+	case string(DecisionAdmitted):
+		return string(DecisionAdmitted)
+	case string(DecisionParked):
+		return string(DecisionParked)
+	case string(DecisionRejected):
+		return string(DecisionRejected)
+	case string(DecisionAccepted):
+		return string(DecisionAccepted)
+	case CommitmentOnAdmission:
+		return CommitmentOnAdmission
+	case CommitmentNone:
+		return CommitmentNone
+	case CommitmentDelta:
+		return CommitmentDelta
+	case CommitmentOnArrival:
+		return CommitmentOnArrival
+	case "band-full":
+		return "band-full"
+	case "not-delta-good":
+		return "not-delta-good"
+	}
+	return string(b)
+}
+
+// parseJobResponseFast decodes a JobResponse in appendJobResponse's field
+// order starting at data[i].
+func parseJobResponseFast(data []byte, i int, r *JobResponse) (int, bool) {
+	var ok bool
+	var s []byte
+	if i, ok = hasLit(data, i, `{`); !ok {
+		return i, false
+	}
+	if next, has := hasLit(data, i, `"id":`); has {
+		v, n, vok := parseJSONInt(data, next)
+		if !vok {
+			return n, false
+		}
+		r.ID = int(v)
+		if i, ok = hasLit(data, n, `,`); !ok {
+			return i, false
+		}
+	}
+	if i, ok = hasLit(data, i, `"release":`); !ok {
+		return i, false
+	}
+	if r.Release, i, ok = parseJSONInt(data, i); !ok {
+		return i, false
+	}
+	if i, ok = hasLit(data, i, `,"decision":`); !ok {
+		return i, false
+	}
+	if s, i, ok = parseJSONString(data, i); !ok {
+		return i, false
+	}
+	r.Decision = DecisionString(wireString(s))
+	if next, has := hasLit(data, i, `,"reason":`); has {
+		if s, i, ok = parseJSONString(data, next); !ok {
+			return i, false
+		}
+		r.Reason = wireString(s)
+	}
+	if next, has := hasLit(data, i, `,"commitment":`); has {
+		if s, i, ok = parseJSONString(data, next); !ok {
+			return i, false
+		}
+		r.Commitment = wireString(s)
+	}
+	if next, has := hasLit(data, i, `,"replayed":`); has {
+		if r.Replayed, i, ok = parseJSONBool(data, next); !ok {
+			return i, false
+		}
+	}
+	if next, has := hasLit(data, i, `,"plan":{"alloc":`); has {
+		p := &PlanInfo{}
+		v, n, vok := parseJSONInt(data, next)
+		if !vok {
+			return n, false
+		}
+		p.Alloc = int(v)
+		if i, ok = hasLit(data, n, `,"x":`); !ok {
+			return i, false
+		}
+		if p.X, i, ok = parseJSONFloat64(data, i); !ok {
+			return i, false
+		}
+		if i, ok = hasLit(data, i, `,"density":`); !ok {
+			return i, false
+		}
+		if p.Density, i, ok = parseJSONFloat64(data, i); !ok {
+			return i, false
+		}
+		if i, ok = hasLit(data, i, `,"good":`); !ok {
+			return i, false
+		}
+		if p.Good, i, ok = parseJSONBool(data, i); !ok {
+			return i, false
+		}
+		if i, ok = hasLit(data, i, `}`); !ok {
+			return i, false
+		}
+		r.Plan = p
+	}
+	return hasLit(data, i, `}`)
+}
+
+// parseWALJobFast decodes a WALJob record in appendWALJob's field order
+// starting at data[i]. The job's raw bytes are validated and copied out of
+// data, as json.RawMessage does, so the decoded history does not pin the
+// file buffer it was read from.
+func parseWALJobFast(data []byte, i int, rec *WALJob) (int, bool) {
+	var ok bool
+	var s []byte
+	if i, ok = hasLit(data, i, `{"type":`); !ok {
+		return i, false
+	}
+	if s, i, ok = parseJSONString(data, i); !ok {
+		return i, false
+	}
+	rec.Type = wireString(s)
+	if next, has := hasLit(data, i, `,"key":`); has {
+		if s, i, ok = parseJSONString(data, next); !ok {
+			return i, false
+		}
+		rec.Key = string(s)
+	}
+	if next, has := hasLit(data, i, `,"reqId":`); has {
+		if s, i, ok = parseJSONString(data, next); !ok {
+			return i, false
+		}
+		rec.ReqID = string(s)
+	}
+	if i, ok = hasLit(data, i, `,"resp":`); !ok {
+		return i, false
+	}
+	if i, ok = parseJobResponseFast(data, i, &rec.Resp); !ok {
+		return i, false
+	}
+	if i, ok = hasLit(data, i, `,"job":`); !ok {
+		return i, false
+	}
+	end, ok := skipJSONValue(data, i, 0)
+	if !ok {
+		return end, false
+	}
+	rec.Job = append(json.RawMessage(nil), data[i:end]...)
+	return hasLit(data, end, `}`)
+}
+
+// decodeWALJob decodes one WAL job record: the fast path for the shape the
+// server writes, json.Unmarshal for anything else (including every
+// malformed record, so the error is encoding/json's).
+func decodeWALJob(data []byte, rec *WALJob) error {
+	if end, ok := parseWALJobFast(data, 0, rec); ok && skipJSONSpace(data, end) == len(data) {
+		return nil
+	}
+	*rec = WALJob{}
+	return json.Unmarshal(data, rec)
+}
+
+// parseCheckpointFast decodes a Checkpoint in its struct field order. The
+// header, idempotency table and summary spans go to json.Unmarshal (small,
+// and maps); the jobs array — nearly all of the bytes — is scanned record
+// by record.
+func parseCheckpointFast(data []byte, cp *Checkpoint) bool {
+	var ok bool
+	var s []byte
+	var v int64
+	i := 0
+	if i, ok = hasLit(data, i, `{"type":`); !ok {
+		return false
+	}
+	if s, i, ok = parseJSONString(data, i); !ok {
+		return false
+	}
+	cp.Type = string(s)
+	if i, ok = hasLit(data, i, `,"header":`); !ok {
+		return false
+	}
+	if i, ok = unmarshalSpan(data, i, &cp.Header); !ok {
+		return false
+	}
+	if i, ok = hasLit(data, i, `,"clock":`); !ok {
+		return false
+	}
+	if cp.Clock, i, ok = parseJSONInt(data, i); !ok {
+		return false
+	}
+	if i, ok = hasLit(data, i, `,"nextId":`); !ok {
+		return false
+	}
+	if v, i, ok = parseJSONInt(data, i); !ok {
+		return false
+	}
+	cp.NextID = int(v)
+	if next, has := hasLit(data, i, `,"jobs":[`); has {
+		i = next
+		cp.Jobs = []WALJob{}
+		if next, has := hasLit(data, i, `]`); has {
+			i = next
+		} else {
+			for {
+				cp.Jobs = append(cp.Jobs, WALJob{})
+				if i, ok = parseWALJobFast(data, i, &cp.Jobs[len(cp.Jobs)-1]); !ok {
+					return false
+				}
+				if next, has := hasLit(data, i, `,`); has {
+					i = next
+					continue
+				}
+				if i, ok = hasLit(data, i, `]`); !ok {
+					return false
+				}
+				break
+			}
+		}
+	}
+	if next, has := hasLit(data, i, `,"idem":`); has {
+		if i, ok = unmarshalSpan(data, next, &cp.Idem); !ok {
+			return false
+		}
+	}
+	if i, ok = hasLit(data, i, `,"summary":`); !ok {
+		return false
+	}
+	if i, ok = unmarshalSpan(data, i, &cp.Summary); !ok {
+		return false
+	}
+	if i, ok = hasLit(data, i, `,"fingerprint":`); !ok {
+		return false
+	}
+	if cp.Fingerprint, i, ok = parseJSONUint(data, i); !ok {
+		return false
+	}
+	if i, ok = hasLit(data, i, `,"checkpoints":`); !ok {
+		return false
+	}
+	if cp.Checkpoints, i, ok = parseJSONInt(data, i); !ok {
+		return false
+	}
+	if i, ok = hasLit(data, i, `}`); !ok {
+		return false
+	}
+	return skipJSONSpace(data, i) == len(data)
+}
+
+// unmarshalSpan decodes the JSON value at data[i] into v with
+// json.Unmarshal, returning the index after it.
+func unmarshalSpan(data []byte, i int, v any) (int, bool) {
+	end, ok := skipJSONValue(data, i, 0)
+	if !ok || json.Unmarshal(data[i:end], v) != nil {
+		return end, false
+	}
+	return end, true
+}
+
+// decodeCheckpoint decodes a checkpoint payload: the fast path for the shape
+// the server writes, json.Unmarshal for anything else.
+func decodeCheckpoint(data []byte, cp *Checkpoint) error {
+	if parseCheckpointFast(data, cp) {
+		return nil
+	}
+	*cp = Checkpoint{}
+	return json.Unmarshal(data, cp)
+}
+
+// checkpointHeaderPrefix reads the serving header from the start of a
+// framed checkpoint file without decoding (or checksumming) the rest. The
+// caller must not trust it further than choosing the configuration to load
+// the directory under: loadState verifies the frame and compares the full
+// checkpoint's header against it. ok=false when the prefix is off the
+// canonical shape or too short to hold the header.
+func checkpointHeaderPrefix(data []byte) (ReplayHeader, bool) {
+	var h ReplayHeader
+	if len(data) < 9 || data[8] != ' ' {
+		return h, false
+	}
+	i, ok := hasLit(data, 9, `{"type":"checkpoint","header":`)
+	if !ok {
+		return h, false
+	}
+	if _, ok = unmarshalSpan(data, i, &h); !ok {
+		return ReplayHeader{}, false
+	}
+	return h, true
+}
+
+// appendCheckpoint appends cp marshaled byte-identically to
+// json.Marshal(cp) (pinned by TestAppendCheckpointMatchesMarshal). A job
+// record appendWALJob declines is marshaled on its own, which yields the
+// same bytes encoding/json writes for it inside the array.
+func appendCheckpoint(b []byte, cp *Checkpoint) ([]byte, error) {
+	if !jsonPlain(cp.Type) {
+		payload, err := json.Marshal(cp)
+		return append(b, payload...), err
+	}
+	b = append(b, `{"type":"`...)
+	b = append(b, cp.Type...)
+	b = append(b, `","header":`...)
+	b, err := appendMarshal(b, cp.Header)
+	if err != nil {
+		return b, err
+	}
+	b = append(b, `,"clock":`...)
+	b = strconv.AppendInt(b, cp.Clock, 10)
+	b = append(b, `,"nextId":`...)
+	b = strconv.AppendInt(b, int64(cp.NextID), 10)
+	if len(cp.Jobs) > 0 {
+		b = append(b, `,"jobs":[`...)
+		for k := range cp.Jobs {
+			if k > 0 {
+				b = append(b, ',')
+			}
+			mark := len(b)
+			var ok bool
+			if b, ok = appendWALJob(b, &cp.Jobs[k]); !ok {
+				if b, err = appendMarshal(b[:mark], &cp.Jobs[k]); err != nil {
+					return b, err
+				}
+			}
+		}
+		b = append(b, ']')
+	}
+	if len(cp.Idem) > 0 {
+		b = append(b, `,"idem":`...)
+		if b, err = appendMarshal(b, cp.Idem); err != nil {
+			return b, err
+		}
+	}
+	b = append(b, `,"summary":`...)
+	if b, err = appendMarshal(b, cp.Summary); err != nil {
+		return b, err
+	}
+	b = append(b, `,"fingerprint":`...)
+	b = strconv.AppendUint(b, cp.Fingerprint, 10)
+	b = append(b, `,"checkpoints":`...)
+	b = strconv.AppendInt(b, cp.Checkpoints, 10)
+	return append(b, '}'), nil
+}
+
+// encodeCheckpointFrame renders cp as its checkpoint.json line, the
+// frameRecord of json.Marshal(cp): the payload is encoded in place behind
+// room for the checksum, so the bytes are built once. sizeHint (the last
+// checkpoint's size) presizes the buffer for a history that only grows.
+func encodeCheckpointFrame(cp *Checkpoint, sizeHint int) ([]byte, error) {
+	b := make([]byte, 9, sizeHint+sizeHint/4+4096)
+	b, err := appendCheckpoint(b, cp)
+	if err != nil {
+		return nil, err
+	}
+	crc := crc32.Checksum(b[9:], walCRC)
+	for k := 0; k < 8; k++ {
+		b[k] = hexDigits[(crc>>(28-4*k))&0xf]
+	}
+	b[8] = ' '
+	return append(b, '\n'), nil
+}
+
+func appendMarshal(b []byte, v any) ([]byte, error) {
+	payload, err := json.Marshal(v)
+	return append(b, payload...), err
+}
+
+// splitJobWire splits an instance-wire job record `{"id":N,"release":R…`
+// into its id, its release, and the tail from the next byte to the end of
+// the record, which is all of it that is not per-job. ok=false (any other
+// prefix) sends the caller to workload.UnmarshalJob.
+func splitJobWire(raw []byte) (id, release int64, tail []byte, ok bool) {
+	i, ok := hasLit(raw, 0, `{"id":`)
+	if !ok {
+		return 0, 0, nil, false
+	}
+	if id, i, ok = parseJSONInt(raw, i); !ok {
+		return 0, 0, nil, false
+	}
+	if i, ok = hasLit(raw, i, `,"release":`); !ok {
+		return 0, 0, nil, false
+	}
+	if release, i, ok = parseJSONInt(raw, i); !ok {
+		return 0, 0, nil, false
+	}
+	return id, release, raw[i:], true
+}
+
+// internableTail reports whether a job tail is graph, profit and an
+// optional commitment member with valid values, then the closing brace and
+// nothing after it. Such a tail has no member that could override the id or
+// release (encoding/json lets a later duplicate, or a case-folded "ID", win),
+// so two records with equal tails decode to jobs that differ only in those
+// two fields.
+func internableTail(tail []byte) bool {
+	i := 0
+	for _, member := range [...]string{`,"graph":`, `,"profit":`, `,"commitment":`} {
+		next, has := hasLit(tail, i, member)
+		if !has {
+			if member == `,"commitment":` {
+				break
+			}
+			return false
+		}
+		var ok bool
+		if i, ok = skipJSONValue(tail, next, 0); !ok {
+			return false
+		}
+	}
+	i, ok := hasLit(tail, i, `}`)
+	return ok && i == len(tail)
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -179,7 +180,7 @@ func loadState(dir string, want ReplayHeader, baseID int) (*recoveredState, erro
 			return nil, fmt.Errorf("serve: checkpoint corrupt: %w", err)
 		}
 		var cp Checkpoint
-		if err := json.Unmarshal(payload, &cp); err != nil {
+		if err := decodeCheckpoint(payload, &cp); err != nil {
 			return nil, fmt.Errorf("serve: checkpoint: %w", err)
 		}
 		if cp.Type != "checkpoint" {
@@ -209,13 +210,14 @@ func loadState(dir string, want ReplayHeader, baseID int) (*recoveredState, erro
 	}
 	rs.tornBytes = torn
 	for n, payload := range payloads {
-		var tag struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal(payload, &tag); err != nil {
+		// Every record decodes as a WALJob: job records, nearly every line,
+		// through the fast decoder; a reject record carries the same key,
+		// reqId and resp fields; the header is re-read as a ReplayHeader.
+		var wj WALJob
+		if err := decodeWALJob(payload, &wj); err != nil {
 			return nil, fmt.Errorf("serve: wal record %d: %w", n+1, err)
 		}
-		switch tag.Type {
+		switch wj.Type {
 		case "header":
 			var h ReplayHeader
 			if err := json.Unmarshal(payload, &h); err != nil {
@@ -225,10 +227,6 @@ func loadState(dir string, want ReplayHeader, baseID int) (*recoveredState, erro
 				return nil, err
 			}
 		case "job":
-			var wj WALJob
-			if err := json.Unmarshal(payload, &wj); err != nil {
-				return nil, fmt.Errorf("serve: wal job record %d: %w", n+1, err)
-			}
 			if wj.Resp.ID <= rs.nextID {
 				continue // covered by the checkpoint (crash between rename and reset)
 			}
@@ -238,17 +236,13 @@ func loadState(dir string, want ReplayHeader, baseID int) (*recoveredState, erro
 				rs.idem[wj.Key] = StoredResponse{Status: 200, Resp: wj.Resp}
 			}
 		case "reject":
-			var wr WALReject
-			if err := json.Unmarshal(payload, &wr); err != nil {
-				return nil, fmt.Errorf("serve: wal reject record %d: %w", n+1, err)
-			}
-			if _, ok := rs.idem[wr.Key]; ok {
+			if _, ok := rs.idem[wj.Key]; ok {
 				continue // covered by the checkpoint
 			}
-			rs.idem[wr.Key] = StoredResponse{Status: 200, Resp: wr.Resp}
+			rs.idem[wj.Key] = StoredResponse{Status: 200, Resp: wj.Resp}
 			rs.suffixRejects++
 		default:
-			return nil, fmt.Errorf("serve: wal record %d has unknown type %q", n+1, tag.Type)
+			return nil, fmt.Errorf("serve: wal record %d has unknown type %q", n+1, wj.Type)
 		}
 	}
 	if !rs.hasCheckpoint && len(payloads) == 0 {
@@ -270,15 +264,11 @@ func loadState(dir string, want ReplayHeader, baseID int) (*recoveredState, erro
 // recomputed session fingerprint must equal the stored one bit for bit.
 func (rs *recoveredState) replayInto(sess *sim.Session, adm admitter, reg *telemetry.Registry, policy sim.Commitment) error {
 	restoreSummary(reg, rs.summary)
-	for n, wj := range rs.jobs {
+	err := rs.eachJob(func(n int, wj *WALJob, job *sim.Job) error {
 		if n == rs.checkpointJobs && rs.hasCheckpoint {
 			if err := rs.checkBoundary(sess); err != nil {
 				return err
 			}
-		}
-		job, err := workload.UnmarshalJob(wj.Job)
-		if err != nil {
-			return fmt.Errorf("serve: recovery job %d: %w", n+1, err)
 		}
 		if err := sess.AdvanceTo(job.Release); err != nil {
 			return fmt.Errorf("serve: recovery replay: %w", err)
@@ -301,6 +291,10 @@ func (rs *recoveredState) replayInto(sess *sim.Session, adm admitter, reg *telem
 			reg.Inc("serve.accepted", 1)
 			reg.Inc("serve."+string(decision), 1)
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	if len(rs.jobs) == rs.checkpointJobs && rs.hasCheckpoint {
 		if err := rs.checkBoundary(sess); err != nil {
@@ -311,6 +305,24 @@ func (rs *recoveredState) replayInto(sess *sim.Session, adm admitter, reg *telem
 		return fmt.Errorf("serve: recovery replay: %w", err)
 	}
 	reg.Inc("serve.rejected", int64(rs.suffixRejects))
+	return nil
+}
+
+// eachJob decodes the durable history in order through one jobDecoder and
+// hands each record with its job to fn: the one replay decode path, shared
+// by crash recovery and ReplayDir. Jobs are decoded as they are replayed,
+// so a finished job's graph is garbage before the history ends.
+func (rs *recoveredState) eachJob(fn func(n int, wj *WALJob, job *sim.Job) error) error {
+	var dec jobDecoder
+	for n := range rs.jobs {
+		job, err := dec.decode(rs.jobs[n].Job)
+		if err != nil {
+			return fmt.Errorf("serve: recovery job %d: %w", n+1, err)
+		}
+		if err := fn(n, &rs.jobs[n], job); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -415,12 +427,11 @@ func replayOneDir(dir string, stride, idx int) (*sim.Result, error) {
 		return nil, fmt.Errorf("serve: %s holds no durable state", dir)
 	}
 	jobs := make([]*sim.Job, 0, len(rs.jobs))
-	for n, wj := range rs.jobs {
-		j, err := workload.UnmarshalJob(wj.Job)
-		if err != nil {
-			return nil, fmt.Errorf("serve: job record %d: %w", n+1, err)
-		}
+	if err := rs.eachJob(func(_ int, _ *WALJob, j *sim.Job) error {
 		jobs = append(jobs, j)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	sched, err := cliflags.MakeScheduler(hdr.Sched, hdr.Eps, false)
 	if err != nil {
@@ -433,10 +444,24 @@ func replayOneDir(dir string, stride, idx int) (*sim.Result, error) {
 }
 
 // readAnyHeader extracts the serving header from the checkpoint or, failing
-// that, the WAL's first record.
+// that, the WAL's first record. The checkpoint's header is read from the
+// file's first bytes without decoding the rest; loadState later verifies
+// the whole frame and refuses a header that disagrees with this one.
 func readAnyHeader(dir string) (ReplayHeader, error) {
 	var zero ReplayHeader
-	if data, err := os.ReadFile(filepath.Join(dir, checkpointFileName)); err == nil {
+	if f, err := os.Open(filepath.Join(dir, checkpointFileName)); err == nil {
+		prefix := make([]byte, 4096)
+		n, _ := io.ReadFull(f, prefix)
+		f.Close()
+		if h, ok := checkpointHeaderPrefix(prefix[:n]); ok {
+			return h, nil
+		}
+		// Off the canonical shape (or a header past the prefix): verify and
+		// decode the whole checkpoint.
+		data, err := os.ReadFile(filepath.Join(dir, checkpointFileName))
+		if err != nil {
+			return zero, err
+		}
 		line := data
 		if n := len(line); n > 0 && line[n-1] == '\n' {
 			line = line[:n-1]
@@ -446,7 +471,7 @@ func readAnyHeader(dir string) (ReplayHeader, error) {
 			return zero, fmt.Errorf("serve: checkpoint corrupt: %w", err)
 		}
 		var cp Checkpoint
-		if err := json.Unmarshal(payload, &cp); err != nil {
+		if err := decodeCheckpoint(payload, &cp); err != nil {
 			return zero, err
 		}
 		return cp.Header, nil
@@ -466,4 +491,40 @@ func readAnyHeader(dir string) (ReplayHeader, error) {
 		return zero, fmt.Errorf("serve: wal starts with type %q, want header", h.Type)
 	}
 	return h, nil
+}
+
+// jobDecoder decodes the instance-wire job records of a recovered history
+// for replay, interning job shapes. Every record the server writes is
+// `{"id":N,"release":R` plus a tail, and equal scalar specs write the same
+// tail byte for byte (marshalJobWire), so a history of a million jobs holds
+// a handful of distinct tails. The first record with a given tail goes
+// through workload.UnmarshalJob with its full validation; later records
+// with the same tail reuse that job's immutable *dag.DAG and profit.Fn —
+// the sharing the live scalar-spec cache already relies on — and differ
+// only in ID and release. Only tails internableTail admits (none can
+// override the id or release) enter the map, so a hit needs no further
+// check; anything else, and any negative release (so the error is
+// UnmarshalJob's), decodes on its own. The map is bounded like the live
+// cache: past wireCacheMax shapes, new ones just decode.
+type jobDecoder struct {
+	shapes map[string]*sim.Job // tail → first job decoded with it
+}
+
+func (d *jobDecoder) decode(raw []byte) (*sim.Job, error) {
+	id, release, tail, ok := splitJobWire(raw)
+	ok = ok && release >= 0 && int64(int(id)) == id
+	if ok {
+		if first, hit := d.shapes[string(tail)]; hit {
+			return &sim.Job{ID: int(id), Release: release, Graph: first.Graph, Profit: first.Profit, Commitment: first.Commitment}, nil
+		}
+	}
+	j, err := workload.UnmarshalJob(raw)
+	if err != nil || !ok || len(d.shapes) >= wireCacheMax || j.ID != int(id) || j.Release != release || !internableTail(tail) {
+		return j, err
+	}
+	if d.shapes == nil {
+		d.shapes = make(map[string]*sim.Job)
+	}
+	d.shapes[string(tail)] = j
+	return j, nil
 }

@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -409,6 +411,82 @@ func TestRecoveredDrainMatchesOfflineReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !bytes.Equal(aj, bj) {
+		t.Fatalf("recovered drain diverges from offline replay:\nrecovered: %s\nreplayed:  %s", aj, bj)
+	}
+}
+
+// postLocal sends one request straight into the daemon's handler.
+func postLocal(t *testing.T, srv *Server, path, body string) []byte {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("POST %s: status %d: %s", path, rec.Code, rec.Body.Bytes())
+	}
+	return rec.Body.Bytes()
+}
+
+// TestRestartAfterExpiriesEmptyLiveSet: nine jobs on M=4 where the last
+// live jobs expire rather than complete. Draining consumes the expiry tick;
+// a restart over the drained directory must reach the checkpointed
+// fingerprint at the checkpointed clock and drain to the same Result.
+func TestRestartAfterExpiriesEmptyLiveSet(t *testing.T) {
+	dir := t.TempDir()
+	cfg := func(c *Config) { c.Fsync = FsyncInterval }
+	srv, _ := newDurableServer(t, dir, cfg)
+	for i := 0; i < 9; i++ {
+		postLocal(t, srv, "/v1/jobs", `{"w":16,"l":2,"deadline":40}`)
+	}
+	res := srv.Drain()
+	if res.Expired == 0 {
+		t.Fatalf("history has no expiries (%+v); the regression needs one", res)
+	}
+
+	srv2, _ := newDurableServer(t, dir, cfg)
+	if rec := srv2.Recovery(); rec == nil || rec.Jobs != 9 {
+		t.Fatalf("recovery info = %+v, want 9 jobs", rec)
+	}
+	res2 := srv2.Drain()
+	aj, _ := json.Marshal(res)
+	bj, _ := json.Marshal(res2)
+	if !bytes.Equal(aj, bj) {
+		t.Fatalf("drained-twice results diverge:\nfirst:  %s\nsecond: %s", aj, bj)
+	}
+}
+
+// TestRecoverSparseBatchesAfterIdleShards: four 64-item batches, 120 ticks
+// apart, on two M=16 shards. Every batch is long done before the next one,
+// so each lands on a shard whose live set was emptied by expiries. The crash
+// image must recover with every acknowledged verdict re-asserted, and the
+// recovered drain must match the offline replay of the directory.
+func TestRecoverSparseBatchesAfterIdleShards(t *testing.T) {
+	dir := t.TempDir()
+	cfg := func(c *Config) { c.M, c.Shards, c.Fsync = 16, 2, FsyncInterval }
+	srv, _ := newDurableServer(t, dir, cfg)
+	item := `{"w":16,"l":2,"deadline":40,"profit":3}`
+	body := "[" + strings.TrimSuffix(strings.Repeat(item+",", 64), ",") + "]"
+	for i := 0; i < 4; i++ {
+		srv.Advance(int64(i) * 120)
+		postLocal(t, srv, "/v1/jobs:batch", body)
+	}
+	snap := snapshotDir(t, dir)
+	srv.Drain()
+
+	srv2, _ := newDurableServer(t, snap, cfg)
+	rec := srv2.Recovery()
+	if rec == nil || rec.Jobs == 0 {
+		t.Fatalf("recovery info = %+v", rec)
+	}
+	res := srv2.Drain()
+	replayed, err := ReplayDir(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := *res, *replayed
+	a.Engine, b.Engine = "", ""
+	aj, _ := json.Marshal(&a)
+	bj, _ := json.Marshal(&b)
 	if !bytes.Equal(aj, bj) {
 		t.Fatalf("recovered drain diverges from offline replay:\nrecovered: %s\nreplayed:  %s", aj, bj)
 	}

@@ -79,6 +79,7 @@ type shard struct {
 	lastCheckpoint time.Time
 	lastCkptClock  int64
 	ckptDirty      bool // records appended since the last checkpoint
+	ckptBytes      int  // size of the last checkpoint written (buffer presize)
 
 	// wireCache memoizes everything a scalar spec derives: the synthesized
 	// DAG and profit function (shared across jobs — the DAG is immutable
@@ -628,13 +629,14 @@ func (sh *shard) checkpointNow() error {
 		Fingerprint: sh.sess.Fingerprint(),
 		Checkpoints: sh.checkpoints,
 	}
-	payload, err := json.Marshal(cp)
+	line, err := encodeCheckpointFrame(&cp, sh.ckptBytes)
 	if err != nil {
 		return err
 	}
-	if err := writeFileAtomic(sh.walDir, checkpointFileName, frameRecord(payload)); err != nil {
+	if err := writeFileAtomic(sh.walDir, checkpointFileName, line); err != nil {
 		return err
 	}
+	sh.ckptBytes = len(line)
 	if err := sh.wal.reset(cp.Header); err != nil {
 		return err
 	}

@@ -52,6 +52,7 @@ func RunEvented(cfg Config, jobs []*Job, sched Scheduler) (*Result, error) {
 		// Expiries.
 		e.expire(t, res, rec, sched)
 		if len(e.live) == 0 {
+			t++ // tick t is consumed, exactly as Session.step consumes it
 			continue
 		}
 

@@ -240,8 +240,11 @@ func (s *Session) Finish() *Result {
 // step simulates one tick: due arrivals, expiries, the fault prologue, the
 // scheduler's allocation, execution, probe sampling, preemption accounting,
 // and completions. When the live set is empty after expiries the tick is
-// not consumed — the caller's loop jumps the clock instead, mirroring Run's
-// original control flow.
+// still consumed (the clock moves to t+1) but nothing is allocated: tick t's
+// arrivals and expiries are done, so a job submitted online afterwards must
+// be stamped t+1 — stamping it t would commit it after t's expiries, while
+// any replay of the same history (AdvanceTo(t), then Arrive) commits it
+// before them.
 func (s *Session) step() error {
 	t := s.t
 	e, res, rec, sched, cfg := s.e, s.res, s.rec, s.sched, s.cfg
@@ -257,6 +260,7 @@ func (s *Session) step() error {
 	e.expire(t, res, rec, sched)
 	if len(e.live) == 0 {
 		s.indexDone(mark)
+		s.t = t + 1
 		return nil
 	}
 

@@ -206,6 +206,62 @@ func TestSessionExpiredLookup(t *testing.T) {
 	}
 }
 
+// TestSessionExpiryConsumesTick: when tick t's expiries empty the live set
+// the tick is consumed, so a job submitted online afterwards is stamped t+1
+// and a replay of the same history (AdvanceTo the release, then Arrive)
+// reaches the same state. Both batch engines end such a run at the same
+// clock.
+func TestSessionExpiryConsumesTick(t *testing.T) {
+	first := func() *Job { return &Job{ID: 1, Graph: dag.Chain(10, 1), Release: 0, Profit: step(t, 5, 3)} }
+	online, err := NewSession(Config{M: 1}, nil, &fifoSched{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := online.Arrive(first()); err != nil {
+		t.Fatal(err)
+	}
+	if err := online.AdvanceTo(100); err != nil {
+		t.Fatal(err)
+	}
+	if _, st := online.Lookup(1); st != JobStateExpired {
+		t.Fatalf("job 1 state %q, want expired", st)
+	}
+	second := &Job{ID: 2, Graph: dag.Chain(2, 1), Release: online.Now(), Profit: step(t, 1, 5)}
+	if err := online.Arrive(second); err != nil {
+		t.Fatal(err)
+	}
+
+	replay, err := NewSession(Config{M: 1}, nil, &fifoSched{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := replay.Arrive(first()); err != nil {
+		t.Fatal(err)
+	}
+	if err := replay.AdvanceTo(second.Release); err != nil {
+		t.Fatal(err)
+	}
+	if err := replay.Arrive(&Job{ID: 2, Graph: second.Graph, Release: second.Release, Profit: second.Profit}); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := online.Fingerprint(), replay.Fingerprint(); a != b {
+		t.Fatalf("online fingerprint %016x, replay %016x at clock %d", a, b, second.Release)
+	}
+
+	tick, err := Run(Config{M: 1}, []*Job{first()}, &fifoSched{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evented, err := RunEvented(Config{M: 1}, []*Job{first()}, &fifoSched{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tick.Ticks != second.Release || evented.Ticks != tick.Ticks {
+		t.Fatalf("run ending on an expiry: tick engine %d ticks, evented %d, session clock %d",
+			tick.Ticks, evented.Ticks, second.Release)
+	}
+}
+
 // TestSessionArriveRejections exercises Arrive's error paths: duplicates,
 // stale releases, skipping ahead with live work, use after Finish, and
 // mixing with scheduled arrivals.
