@@ -106,14 +106,23 @@ examples:
 	go run ./examples/realtime
 
 # Short fuzz passes over the serialization surfaces, including the
-# recovery codec's differential targets (fast decoders against
-# encoding/json, interned against per-job replay decode, the WAL scanner
-# against arbitrary bytes). Their inputs are whole records and files, so
-# minimizing each new input is capped at 100 runs: left at its 60-second
-# default it takes most of a 10-second pass.
+# differential targets of every reflection-free codec (the scanner
+# primitives, the graph and job-record codecs, the request parser, batch
+# splitter and verdict encoder, and the recovery codec, each against the
+# encoding/json code it stands in for; interned against per-job replay
+# decode; the WAL scanner against arbitrary bytes). Their inputs are whole
+# records and files, so minimizing each new input is capped at 100 runs:
+# left at its 60-second default it takes most of a 10-second pass.
 fuzz:
 	go test -fuzz=FuzzDAGUnmarshal -fuzztime=10s ./internal/dag/
 	go test -fuzz=FuzzInstanceUnmarshal -fuzztime=10s ./internal/workload/
+	go test -run XXX -fuzz='^FuzzScan$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/fastjson/
+	go test -run XXX -fuzz='^FuzzDAGCodec$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/dag/
+	go test -run XXX -fuzz='^FuzzJobCodec$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/workload/
+	go test -run XXX -fuzz='^FuzzMarshalJob$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/workload/
+	go test -run XXX -fuzz='^FuzzParseJobSpecFast$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/serve/
+	go test -run XXX -fuzz='^FuzzSplitJSONArray$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/serve/
+	go test -run XXX -fuzz='^FuzzAppendJobResponse$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/serve/
 	go test -run XXX -fuzz='^FuzzDecodeWALJob$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/serve/
 	go test -run XXX -fuzz='^FuzzDecodeCheckpoint$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/serve/
 	go test -run XXX -fuzz='^FuzzJobDecoderInterned$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/serve/

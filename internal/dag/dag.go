@@ -110,24 +110,22 @@ func (b *Builder) Build() (*DAG, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	n := len(b.work)
-	if n == 0 {
+	if len(b.work) == 0 {
 		return nil, ErrEmpty
 	}
+	return build(append([]int64(nil), b.work...), b.edges)
+}
+
+// build is Build over validated nodes and in-range edges without
+// self-loops. The DAG takes ownership of work; edges is only read.
+func build(work []int64, edges [][2]NodeID) (*DAG, error) {
+	n := len(work)
 	g := &DAG{
-		work:  append([]int64(nil), b.work...),
+		work:  work,
 		succs: make([][]NodeID, n),
 		preds: make([][]NodeID, n),
 	}
-	seen := make(map[[2]NodeID]bool, len(b.edges))
-	for _, e := range b.edges {
-		if seen[e] {
-			continue
-		}
-		seen[e] = true
-		g.succs[e[0]] = append(g.succs[e[0]], e[1])
-		g.preds[e[1]] = append(g.preds[e[1]], e[0])
-	}
+	g.link(edges)
 	order, ok := g.topoOrder()
 	if !ok {
 		return nil, ErrCycle
@@ -154,6 +152,71 @@ func (b *Builder) Build() (*DAG, error) {
 	return g, nil
 }
 
+// link fills succs and preds from edges with repeats dropped: every list
+// holds first occurrences in input order, and a node without edges keeps a
+// nil list. A stable counting sort buckets the edges by source; walking one
+// source's bucket, a per-target stamp recognizes a repeat. All lists share
+// two backing arrays sized from the kept degrees, so linking costs a fixed
+// number of allocations whatever the graph's size.
+func (g *DAG) link(edges [][2]NodeID) {
+	if len(edges) == 0 {
+		return
+	}
+	n := len(g.work)
+	scratch := make([]int32, 4*n+1+len(edges))
+	start := scratch[:n+1]        // start[u]: u's first slot in bySrc
+	stamp := scratch[n+1 : 2*n+1] // stamp[v] = u+1 once (u,v) is kept
+	outDeg := scratch[2*n+1 : 3*n+1]
+	inDeg := scratch[3*n+1 : 4*n+1]
+	bySrc := scratch[4*n+1:] // edge indexes grouped by source, in input order
+	for _, e := range edges {
+		start[e[0]+1]++
+	}
+	for u := 0; u < n; u++ {
+		start[u+1] += start[u]
+	}
+	for k, e := range edges {
+		u := e[0]
+		bySrc[start[u]] = int32(k)
+		start[u]++
+	}
+	// start[u] now ends u's bucket, which begins where u-1's ends.
+	repeat := make([]bool, len(edges))
+	kept := 0
+	from := int32(0)
+	for u := 0; u < n; u++ {
+		mark := int32(u) + 1
+		for _, k := range bySrc[from:start[u]] {
+			v := edges[k][1]
+			if stamp[v] == mark {
+				repeat[k] = true
+				continue
+			}
+			stamp[v] = mark
+			outDeg[u]++
+			inDeg[v]++
+			kept++
+		}
+		from = start[u]
+	}
+	buf := make([]NodeID, 2*kept)
+	succBuf, predBuf := buf[:kept], buf[kept:]
+	for v := 0; v < n; v++ {
+		if d := outDeg[v]; d > 0 {
+			g.succs[v], succBuf = succBuf[:0:d], succBuf[d:]
+		}
+		if d := inDeg[v]; d > 0 {
+			g.preds[v], predBuf = predBuf[:0:d], predBuf[d:]
+		}
+	}
+	for k, e := range edges {
+		if !repeat[k] {
+			g.succs[e[0]] = append(g.succs[e[0]], e[1])
+			g.preds[e[1]] = append(g.preds[e[1]], e[0])
+		}
+	}
+}
+
 // MustBuild is Build that panics on error, for statically-correct shapes.
 func (b *Builder) MustBuild() *DAG {
 	g, err := b.Build()
@@ -175,9 +238,7 @@ func (g *DAG) topoOrder() ([]NodeID, bool) {
 	n := len(g.work)
 	indeg := make([]int32, n)
 	for v := 0; v < n; v++ {
-		for range g.preds[v] {
-			indeg[v]++
-		}
+		indeg[v] = int32(len(g.preds[v]))
 	}
 	queue := make([]NodeID, 0, n)
 	for v := 0; v < n; v++ {

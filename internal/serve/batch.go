@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"time"
 
+	"dagsched/internal/fastjson"
 	"dagsched/internal/obs"
 )
 
@@ -55,11 +56,11 @@ type BatchResponse struct {
 // fast-path parser independently. Only the array structure is validated
 // here; element-level garbage surfaces as that item's parse error.
 func splitJSONArray(data []byte) ([][]byte, error) {
-	i := skipJSONSpace(data, 0)
+	i := fastjson.SkipSpace(data, 0)
 	if i >= len(data) || data[i] != '[' {
 		return nil, fmt.Errorf("batch body must be a JSON array of job specs")
 	}
-	i = skipJSONSpace(data, i+1)
+	i = fastjson.SkipSpace(data, i+1)
 	if i < len(data) && data[i] == ']' {
 		return nil, nil
 	}
@@ -109,7 +110,7 @@ func splitJSONArray(data []byte) ([][]byte, error) {
 		elems = append(elems, elem)
 		switch data[i] {
 		case ',':
-			i = skipJSONSpace(data, i+1)
+			i = fastjson.SkipSpace(data, i+1)
 		case ']':
 			return elems, nil
 		default:
@@ -300,7 +301,7 @@ func writeBatchResponse(w http.ResponseWriter, items []BatchItemResult) {
 			}
 		}
 		if it.Error != "" {
-			if !jsonPlain(it.Error) {
+			if !fastjson.Plain(it.Error) {
 				ok = false
 				break
 			}
@@ -309,7 +310,7 @@ func writeBatchResponse(w http.ResponseWriter, items []BatchItemResult) {
 			b = append(b, '"')
 		}
 		if it.Reason != "" {
-			if !jsonPlain(it.Reason) {
+			if !fastjson.Plain(it.Reason) {
 				ok = false
 				break
 			}

@@ -7,6 +7,8 @@ import (
 	"math"
 	"strconv"
 	"sync"
+
+	"dagsched/internal/fastjson"
 )
 
 // The wire fast path. BENCH_PR8 put the HTTP+JSON submission route at ~15×
@@ -58,128 +60,6 @@ func readAllInto(dst []byte, r io.Reader) ([]byte, error) {
 	}
 }
 
-func skipJSONSpace(data []byte, i int) int {
-	for i < len(data) {
-		switch data[i] {
-		case ' ', '\t', '\n', '\r':
-			i++
-		default:
-			return i
-		}
-	}
-	return i
-}
-
-// parseJSONInt scans a plain integer — optional sign, up to 18 digits, no
-// leading zeros, no fraction or exponent — returning the index after it.
-// ok=false means the number is off the fast path.
-func parseJSONInt(data []byte, i int) (v int64, next int, ok bool) {
-	neg := false
-	if i < len(data) && data[i] == '-' {
-		neg = true
-		i++
-	}
-	start := i
-	for i < len(data) && data[i] >= '0' && data[i] <= '9' {
-		v = v*10 + int64(data[i]-'0')
-		i++
-	}
-	n := i - start
-	if n == 0 || n > 18 {
-		return 0, i, false
-	}
-	if n > 1 && data[start] == '0' {
-		return 0, i, false // leading zero: encoding/json rejects it
-	}
-	if i < len(data) {
-		switch data[i] {
-		case '.', 'e', 'E':
-			return 0, i, false // not an integer (or exponent form)
-		}
-	}
-	if neg {
-		v = -v
-	}
-	return v, i, true
-}
-
-// pow10 holds exact float64 powers of ten for the fraction scaling below.
-var pow10 = [16]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
-
-// parseJSONFloat scans a decimal number without an exponent and with at
-// most 15 significant digits: mantissa and fraction length are exact in
-// int64/float64, so mant / 10^frac is the correctly rounded value — the
-// same bits strconv.ParseFloat produces. Anything longer or in exponent
-// form falls back.
-func parseJSONFloat(data []byte, i int) (v float64, next int, ok bool) {
-	neg := false
-	if i < len(data) && data[i] == '-' {
-		neg = true
-		i++
-	}
-	var mant int64
-	digits := 0
-	start := i
-	for i < len(data) && data[i] >= '0' && data[i] <= '9' {
-		mant = mant*10 + int64(data[i]-'0')
-		digits++
-		i++
-	}
-	intDigits := i - start
-	if intDigits == 0 {
-		return 0, i, false
-	}
-	if intDigits > 1 && data[start] == '0' {
-		return 0, i, false
-	}
-	frac := 0
-	if i < len(data) && data[i] == '.' {
-		i++
-		fs := i
-		for i < len(data) && data[i] >= '0' && data[i] <= '9' {
-			mant = mant*10 + int64(data[i]-'0')
-			digits++
-			i++
-		}
-		frac = i - fs
-		if frac == 0 {
-			return 0, i, false
-		}
-	}
-	if digits > 15 || frac > 15 {
-		return 0, i, false
-	}
-	if i < len(data) && (data[i] == 'e' || data[i] == 'E') {
-		return 0, i, false
-	}
-	v = float64(mant) / pow10[frac]
-	if neg {
-		v = -v
-	}
-	return v, i, true
-}
-
-// parseJSONString scans a plain string — printable ASCII, no escapes —
-// returning a view into data. Escapes and non-ASCII fall back.
-func parseJSONString(data []byte, i int) (s []byte, next int, ok bool) {
-	if i >= len(data) || data[i] != '"' {
-		return nil, i, false
-	}
-	i++
-	start := i
-	for i < len(data) {
-		c := data[i]
-		if c == '"' {
-			return data[start:i], i + 1, true
-		}
-		if c == '\\' || c < 0x20 || c > 0x7e {
-			return nil, i, false
-		}
-		i++
-	}
-	return nil, i, false
-}
-
 // parseJobSpecFast decodes a scalar job spec — an object whose keys are
 // drawn from w, l, deadline, profit (plus key when allowKey, for batch
 // items) with plain numeric or string values. ok=false means the bytes are
@@ -188,52 +68,52 @@ func parseJSONString(data []byte, i int) (s []byte, next int, ok bool) {
 // bytes after the object are ignored, matching json.Decoder.Decode's
 // one-value read on the sequential endpoint.
 func parseJobSpecFast(data []byte, allowKey bool) (spec JobSpec, key []byte, ok bool) {
-	i := skipJSONSpace(data, 0)
+	i := fastjson.SkipSpace(data, 0)
 	if i >= len(data) || data[i] != '{' {
 		return JobSpec{}, nil, false
 	}
-	i = skipJSONSpace(data, i+1)
+	i = fastjson.SkipSpace(data, i+1)
 	if i < len(data) && data[i] == '}' {
 		return spec, nil, true // {}: build() rejects it exactly like the slow path
 	}
 	for {
-		name, n, sok := parseJSONString(data, i)
+		name, n, sok := fastjson.ParseString(data, i)
 		if !sok {
 			return JobSpec{}, nil, false
 		}
-		i = skipJSONSpace(data, n)
+		i = fastjson.SkipSpace(data, n)
 		if i >= len(data) || data[i] != ':' {
 			return JobSpec{}, nil, false
 		}
-		i = skipJSONSpace(data, i+1)
+		i = fastjson.SkipSpace(data, i+1)
 		switch {
 		case string(name) == "w":
-			v, n, vok := parseJSONInt(data, i)
+			v, n, vok := fastjson.ParseInt(data, i)
 			if !vok {
 				return JobSpec{}, nil, false
 			}
 			spec.W, i = v, n
 		case string(name) == "l":
-			v, n, vok := parseJSONInt(data, i)
+			v, n, vok := fastjson.ParseInt(data, i)
 			if !vok {
 				return JobSpec{}, nil, false
 			}
 			spec.L, i = v, n
 		case string(name) == "deadline":
-			v, n, vok := parseJSONInt(data, i)
+			v, n, vok := fastjson.ParseInt(data, i)
 			if !vok {
 				return JobSpec{}, nil, false
 			}
 			spec.Deadline, i = v, n
 		case string(name) == "profit":
 			// A '{' here is a structured profit object: off the fast path.
-			v, n, vok := parseJSONFloat(data, i)
+			v, n, vok := fastjson.ParseDecimal(data, i)
 			if !vok {
 				return JobSpec{}, nil, false
 			}
 			spec.Profit, i = ScalarProfit(v), n
 		case allowKey && string(name) == "key":
-			s, n, vok := parseJSONString(data, i)
+			s, n, vok := fastjson.ParseString(data, i)
 			if !vok {
 				return JobSpec{}, nil, false
 			}
@@ -243,13 +123,13 @@ func parseJobSpecFast(data []byte, allowKey bool) (spec JobSpec, key []byte, ok 
 			// decoder owns it (and owns rejecting it).
 			return JobSpec{}, nil, false
 		}
-		i = skipJSONSpace(data, i)
+		i = fastjson.SkipSpace(data, i)
 		if i >= len(data) {
 			return JobSpec{}, nil, false
 		}
 		switch data[i] {
 		case ',':
-			i = skipJSONSpace(data, i+1)
+			i = fastjson.SkipSpace(data, i+1)
 		case '}':
 			return spec, key, true
 		default:
@@ -258,45 +138,12 @@ func parseJobSpecFast(data []byte, allowKey bool) (spec JobSpec, key []byte, ok 
 	}
 }
 
-// jsonPlain reports whether s renders under encoding/json as itself — no
-// escapes, including the HTML-safe < family. Every string the server
-// itself puts in a JobResponse is plain; a scheduler reason that is not
-// sends the response down the reflection path instead.
-func jsonPlain(s string) bool {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			return false
-		}
-	}
-	return true
-}
-
-// appendJSONFloat appends f exactly as encoding/json renders a float64:
-// 'f' form in [1e-6, 1e21), 'e' form outside it with the two-digit exponent
-// shortened (e-09 → e-9).
-func appendJSONFloat(b []byte, f float64) []byte {
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
-}
-
 // appendJobResponse appends r marshaled byte-identically to
 // json.Marshal(r): same field order, same omitempty behavior, same float
 // formatting. ok=false (non-plain string, non-finite float) means the
 // caller must fall back to encoding/json.
 func appendJobResponse(b []byte, r *JobResponse) ([]byte, bool) {
-	if !jsonPlain(string(r.Decision)) || !jsonPlain(r.Reason) || !jsonPlain(r.Commitment) {
+	if !fastjson.Plain(string(r.Decision)) || !fastjson.Plain(r.Reason) || !fastjson.Plain(r.Commitment) {
 		return b, false
 	}
 	if r.Plan != nil && (math.IsNaN(r.Plan.X) || math.IsInf(r.Plan.X, 0) ||
@@ -331,9 +178,9 @@ func appendJobResponse(b []byte, r *JobResponse) ([]byte, bool) {
 		b = append(b, `,"plan":{"alloc":`...)
 		b = strconv.AppendInt(b, int64(r.Plan.Alloc), 10)
 		b = append(b, `,"x":`...)
-		b = appendJSONFloat(b, r.Plan.X)
+		b = fastjson.AppendFloat(b, r.Plan.X)
 		b = append(b, `,"density":`...)
-		b = appendJSONFloat(b, r.Plan.Density)
+		b = fastjson.AppendFloat(b, r.Plan.Density)
 		b = append(b, `,"good":`...)
 		b = strconv.AppendBool(b, r.Plan.Good)
 		b = append(b, '}')
@@ -342,27 +189,13 @@ func appendJobResponse(b []byte, r *JobResponse) ([]byte, bool) {
 	return b, true
 }
 
-// jsonRawPlain reports whether a raw JSON value can be embedded in a
-// json.Marshal output verbatim: Marshal compacts RawMessage fields (strips
-// insignificant whitespace) and HTML-escapes <, >, and & even inside them,
-// so any byte outside printable ASCII, any whitespace, or any escape-target
-// character forces the encoding/json fallback.
-func jsonRawPlain(raw []byte) bool {
-	for _, c := range raw {
-		if c <= 0x20 || c > 0x7e || c == '<' || c == '>' || c == '&' {
-			return false
-		}
-	}
-	return len(raw) > 0
-}
-
 // appendWALJob renders a WALJob record byte-identically to json.Marshal —
 // the accepted-submission hot path of the durable log. Falls back (ok=false)
 // whenever any string needs escaping or the job wire bytes would not survive
 // Marshal's RawMessage compaction verbatim; the caller then uses
 // encoding/json, so the on-disk format is one encoder's output either way.
 func appendWALJob(b []byte, rec *WALJob) ([]byte, bool) {
-	if !jsonPlain(rec.Type) || !jsonPlain(rec.Key) || !jsonPlain(rec.ReqID) || !jsonRawPlain(rec.Job) {
+	if !fastjson.Plain(rec.Type) || !fastjson.Plain(rec.Key) || !fastjson.Plain(rec.ReqID) || !fastjson.RawPlain(rec.Job) {
 		return b, false
 	}
 	b = append(b, `{"type":"`...)
@@ -418,214 +251,6 @@ func appendFrame(b, payload []byte) []byte {
 // read it. The encoder writes the jobs array with appendWALJob and hands the
 // header, idempotency table and telemetry summary to json.Marshal.
 
-// maxSkipDepth bounds skipJSONValue's nesting; deeper values (which the
-// server never writes) fall back to encoding/json and its own limit.
-const maxSkipDepth = 64
-
-// skipJSONValue scans one JSON value starting exactly at data[i] and returns
-// the index after it. It accepts only valid JSON, so a span it returns is a
-// value json.Unmarshal would accept; ok=false means invalid or merely
-// unvouched (too deep).
-func skipJSONValue(data []byte, i, depth int) (int, bool) {
-	if i >= len(data) {
-		return i, false
-	}
-	var ok bool
-	switch data[i] {
-	case '{', '[':
-		if depth >= maxSkipDepth {
-			return i, false
-		}
-		open := data[i]
-		end := byte('}')
-		if open == '[' {
-			end = ']'
-		}
-		i = skipJSONSpace(data, i+1)
-		if i < len(data) && data[i] == end {
-			return i + 1, true
-		}
-		for {
-			if open == '{' {
-				if i, ok = skipJSONString(data, i); !ok {
-					return i, false
-				}
-				i = skipJSONSpace(data, i)
-				if i >= len(data) || data[i] != ':' {
-					return i, false
-				}
-				i = skipJSONSpace(data, i+1)
-			}
-			if i, ok = skipJSONValue(data, i, depth+1); !ok {
-				return i, false
-			}
-			i = skipJSONSpace(data, i)
-			if i >= len(data) {
-				return i, false
-			}
-			switch data[i] {
-			case ',':
-				i = skipJSONSpace(data, i+1)
-			case end:
-				return i + 1, true
-			default:
-				return i, false
-			}
-		}
-	case '"':
-		return skipJSONString(data, i)
-	case 't':
-		return skipJSONLiteral(data, i, "true")
-	case 'f':
-		return skipJSONLiteral(data, i, "false")
-	case 'n':
-		return skipJSONLiteral(data, i, "null")
-	}
-	return skipJSONNumber(data, i)
-}
-
-func skipJSONLiteral(data []byte, i int, lit string) (int, bool) {
-	if len(data)-i < len(lit) || string(data[i:i+len(lit)]) != lit {
-		return i, false
-	}
-	return i + len(lit), true
-}
-
-// skipJSONString scans a string literal with any valid escapes. Bytes at or
-// above 0x20 pass unexamined, as in encoding/json's scanner.
-func skipJSONString(data []byte, i int) (int, bool) {
-	if i >= len(data) || data[i] != '"' {
-		return i, false
-	}
-	for i++; i < len(data); i++ {
-		switch c := data[i]; {
-		case c == '"':
-			return i + 1, true
-		case c < 0x20:
-			return i, false
-		case c == '\\':
-			i++
-			if i >= len(data) {
-				return i, false
-			}
-			switch data[i] {
-			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-			case 'u':
-				if len(data)-i < 5 {
-					return i, false
-				}
-				for _, h := range data[i+1 : i+5] {
-					if !('0' <= h && h <= '9' || 'a' <= h && h <= 'f' || 'A' <= h && h <= 'F') {
-						return i, false
-					}
-				}
-				i += 4
-			default:
-				return i, false
-			}
-		}
-	}
-	return i, false
-}
-
-// skipJSONNumber scans a number in JSON's grammar:
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
-func skipJSONNumber(data []byte, i int) (int, bool) {
-	digits := func(i int) (int, bool) {
-		start := i
-		for i < len(data) && data[i] >= '0' && data[i] <= '9' {
-			i++
-		}
-		return i, i > start
-	}
-	if i < len(data) && data[i] == '-' {
-		i++
-	}
-	if i >= len(data) {
-		return i, false
-	}
-	var ok bool
-	if data[i] == '0' {
-		i++
-	} else if i, ok = digits(i); !ok {
-		return i, false
-	}
-	if i < len(data) && data[i] == '.' {
-		if i, ok = digits(i + 1); !ok {
-			return i, false
-		}
-	}
-	if i < len(data) && (data[i] == 'e' || data[i] == 'E') {
-		i++
-		if i < len(data) && (data[i] == '+' || data[i] == '-') {
-			i++
-		}
-		if i, ok = digits(i); !ok {
-			return i, false
-		}
-	}
-	return i, true
-}
-
-// parseJSONFloat64 is parseJSONFloat for any JSON number: past 15
-// significant digits or in exponent form it hands the validated span to
-// strconv.ParseFloat, which is what encoding/json does, so the bits agree.
-// Shortest-form float64s run to 17 digits, which is why plan densities need
-// this. Out-of-range values (json.Unmarshal rejects them) report ok=false.
-func parseJSONFloat64(data []byte, i int) (float64, int, bool) {
-	if v, next, ok := parseJSONFloat(data, i); ok {
-		return v, next, true
-	}
-	end, ok := skipJSONNumber(data, i)
-	if !ok {
-		return 0, i, false
-	}
-	v, err := strconv.ParseFloat(string(data[i:end]), 64)
-	if err != nil {
-		return 0, i, false
-	}
-	return v, end, true
-}
-
-// parseJSONUint scans a plain non-negative integer up to math.MaxUint64 (the
-// checkpoint fingerprint), with parseJSONInt's rules otherwise.
-func parseJSONUint(data []byte, i int) (uint64, int, bool) {
-	start := i
-	var v uint64
-	for i < len(data) && data[i] >= '0' && data[i] <= '9' {
-		d := uint64(data[i] - '0')
-		if v > (math.MaxUint64-d)/10 {
-			return 0, i, false // overflows uint64: json.Unmarshal rejects it
-		}
-		v = v*10 + d
-		i++
-	}
-	if i == start || (i-start > 1 && data[start] == '0') {
-		return 0, i, false
-	}
-	if i < len(data) && (data[i] == '.' || data[i] == 'e' || data[i] == 'E') {
-		return 0, i, false
-	}
-	return v, i, true
-}
-
-func parseJSONBool(data []byte, i int) (bool, int, bool) {
-	if next, ok := skipJSONLiteral(data, i, "true"); ok {
-		return true, next, true
-	}
-	next, ok := skipJSONLiteral(data, i, "false")
-	return false, next, ok
-}
-
-// hasLit reports whether data continues with lit at i, returning the index
-// after it.
-func hasLit(data []byte, i int, lit string) (int, bool) {
-	if len(data)-i >= len(lit) && string(data[i:i+len(lit)]) == lit {
-		return i + len(lit), true
-	}
-	return i, false
-}
-
 // wireString converts a decoded string, sharing the constant for the values
 // nearly every record repeats, so a recovered history does not hold one
 // copy of "admitted" per job.
@@ -662,80 +287,80 @@ func wireString(b []byte) string {
 func parseJobResponseFast(data []byte, i int, r *JobResponse) (int, bool) {
 	var ok bool
 	var s []byte
-	if i, ok = hasLit(data, i, `{`); !ok {
+	if i, ok = fastjson.HasLit(data, i, `{`); !ok {
 		return i, false
 	}
-	if next, has := hasLit(data, i, `"id":`); has {
-		v, n, vok := parseJSONInt(data, next)
+	if next, has := fastjson.HasLit(data, i, `"id":`); has {
+		v, n, vok := fastjson.ParseInt(data, next)
 		if !vok {
 			return n, false
 		}
 		r.ID = int(v)
-		if i, ok = hasLit(data, n, `,`); !ok {
+		if i, ok = fastjson.HasLit(data, n, `,`); !ok {
 			return i, false
 		}
 	}
-	if i, ok = hasLit(data, i, `"release":`); !ok {
+	if i, ok = fastjson.HasLit(data, i, `"release":`); !ok {
 		return i, false
 	}
-	if r.Release, i, ok = parseJSONInt(data, i); !ok {
+	if r.Release, i, ok = fastjson.ParseInt(data, i); !ok {
 		return i, false
 	}
-	if i, ok = hasLit(data, i, `,"decision":`); !ok {
+	if i, ok = fastjson.HasLit(data, i, `,"decision":`); !ok {
 		return i, false
 	}
-	if s, i, ok = parseJSONString(data, i); !ok {
+	if s, i, ok = fastjson.ParseString(data, i); !ok {
 		return i, false
 	}
 	r.Decision = DecisionString(wireString(s))
-	if next, has := hasLit(data, i, `,"reason":`); has {
-		if s, i, ok = parseJSONString(data, next); !ok {
+	if next, has := fastjson.HasLit(data, i, `,"reason":`); has {
+		if s, i, ok = fastjson.ParseString(data, next); !ok {
 			return i, false
 		}
 		r.Reason = wireString(s)
 	}
-	if next, has := hasLit(data, i, `,"commitment":`); has {
-		if s, i, ok = parseJSONString(data, next); !ok {
+	if next, has := fastjson.HasLit(data, i, `,"commitment":`); has {
+		if s, i, ok = fastjson.ParseString(data, next); !ok {
 			return i, false
 		}
 		r.Commitment = wireString(s)
 	}
-	if next, has := hasLit(data, i, `,"replayed":`); has {
-		if r.Replayed, i, ok = parseJSONBool(data, next); !ok {
+	if next, has := fastjson.HasLit(data, i, `,"replayed":`); has {
+		if r.Replayed, i, ok = fastjson.ParseBool(data, next); !ok {
 			return i, false
 		}
 	}
-	if next, has := hasLit(data, i, `,"plan":{"alloc":`); has {
+	if next, has := fastjson.HasLit(data, i, `,"plan":{"alloc":`); has {
 		p := &PlanInfo{}
-		v, n, vok := parseJSONInt(data, next)
+		v, n, vok := fastjson.ParseInt(data, next)
 		if !vok {
 			return n, false
 		}
 		p.Alloc = int(v)
-		if i, ok = hasLit(data, n, `,"x":`); !ok {
+		if i, ok = fastjson.HasLit(data, n, `,"x":`); !ok {
 			return i, false
 		}
-		if p.X, i, ok = parseJSONFloat64(data, i); !ok {
+		if p.X, i, ok = fastjson.ParseFloat(data, i); !ok {
 			return i, false
 		}
-		if i, ok = hasLit(data, i, `,"density":`); !ok {
+		if i, ok = fastjson.HasLit(data, i, `,"density":`); !ok {
 			return i, false
 		}
-		if p.Density, i, ok = parseJSONFloat64(data, i); !ok {
+		if p.Density, i, ok = fastjson.ParseFloat(data, i); !ok {
 			return i, false
 		}
-		if i, ok = hasLit(data, i, `,"good":`); !ok {
+		if i, ok = fastjson.HasLit(data, i, `,"good":`); !ok {
 			return i, false
 		}
-		if p.Good, i, ok = parseJSONBool(data, i); !ok {
+		if p.Good, i, ok = fastjson.ParseBool(data, i); !ok {
 			return i, false
 		}
-		if i, ok = hasLit(data, i, `}`); !ok {
+		if i, ok = fastjson.HasLit(data, i, `}`); !ok {
 			return i, false
 		}
 		r.Plan = p
 	}
-	return hasLit(data, i, `}`)
+	return fastjson.HasLit(data, i, `}`)
 }
 
 // parseWALJobFast decodes a WALJob record in appendWALJob's field order
@@ -745,47 +370,47 @@ func parseJobResponseFast(data []byte, i int, r *JobResponse) (int, bool) {
 func parseWALJobFast(data []byte, i int, rec *WALJob) (int, bool) {
 	var ok bool
 	var s []byte
-	if i, ok = hasLit(data, i, `{"type":`); !ok {
+	if i, ok = fastjson.HasLit(data, i, `{"type":`); !ok {
 		return i, false
 	}
-	if s, i, ok = parseJSONString(data, i); !ok {
+	if s, i, ok = fastjson.ParseString(data, i); !ok {
 		return i, false
 	}
 	rec.Type = wireString(s)
-	if next, has := hasLit(data, i, `,"key":`); has {
-		if s, i, ok = parseJSONString(data, next); !ok {
+	if next, has := fastjson.HasLit(data, i, `,"key":`); has {
+		if s, i, ok = fastjson.ParseString(data, next); !ok {
 			return i, false
 		}
 		rec.Key = string(s)
 	}
-	if next, has := hasLit(data, i, `,"reqId":`); has {
-		if s, i, ok = parseJSONString(data, next); !ok {
+	if next, has := fastjson.HasLit(data, i, `,"reqId":`); has {
+		if s, i, ok = fastjson.ParseString(data, next); !ok {
 			return i, false
 		}
 		rec.ReqID = string(s)
 	}
-	if i, ok = hasLit(data, i, `,"resp":`); !ok {
+	if i, ok = fastjson.HasLit(data, i, `,"resp":`); !ok {
 		return i, false
 	}
 	if i, ok = parseJobResponseFast(data, i, &rec.Resp); !ok {
 		return i, false
 	}
-	if i, ok = hasLit(data, i, `,"job":`); !ok {
+	if i, ok = fastjson.HasLit(data, i, `,"job":`); !ok {
 		return i, false
 	}
-	end, ok := skipJSONValue(data, i, 0)
+	end, ok := fastjson.SkipValue(data, i)
 	if !ok {
 		return end, false
 	}
 	rec.Job = append(json.RawMessage(nil), data[i:end]...)
-	return hasLit(data, end, `}`)
+	return fastjson.HasLit(data, end, `}`)
 }
 
 // decodeWALJob decodes one WAL job record: the fast path for the shape the
 // server writes, json.Unmarshal for anything else (including every
 // malformed record, so the error is encoding/json's).
 func decodeWALJob(data []byte, rec *WALJob) error {
-	if end, ok := parseWALJobFast(data, 0, rec); ok && skipJSONSpace(data, end) == len(data) {
+	if end, ok := parseWALJobFast(data, 0, rec); ok && fastjson.SkipSpace(data, end) == len(data) {
 		return nil
 	}
 	*rec = WALJob{}
@@ -801,36 +426,36 @@ func parseCheckpointFast(data []byte, cp *Checkpoint) bool {
 	var s []byte
 	var v int64
 	i := 0
-	if i, ok = hasLit(data, i, `{"type":`); !ok {
+	if i, ok = fastjson.HasLit(data, i, `{"type":`); !ok {
 		return false
 	}
-	if s, i, ok = parseJSONString(data, i); !ok {
+	if s, i, ok = fastjson.ParseString(data, i); !ok {
 		return false
 	}
 	cp.Type = string(s)
-	if i, ok = hasLit(data, i, `,"header":`); !ok {
+	if i, ok = fastjson.HasLit(data, i, `,"header":`); !ok {
 		return false
 	}
 	if i, ok = unmarshalSpan(data, i, &cp.Header); !ok {
 		return false
 	}
-	if i, ok = hasLit(data, i, `,"clock":`); !ok {
+	if i, ok = fastjson.HasLit(data, i, `,"clock":`); !ok {
 		return false
 	}
-	if cp.Clock, i, ok = parseJSONInt(data, i); !ok {
+	if cp.Clock, i, ok = fastjson.ParseInt(data, i); !ok {
 		return false
 	}
-	if i, ok = hasLit(data, i, `,"nextId":`); !ok {
+	if i, ok = fastjson.HasLit(data, i, `,"nextId":`); !ok {
 		return false
 	}
-	if v, i, ok = parseJSONInt(data, i); !ok {
+	if v, i, ok = fastjson.ParseInt(data, i); !ok {
 		return false
 	}
 	cp.NextID = int(v)
-	if next, has := hasLit(data, i, `,"jobs":[`); has {
+	if next, has := fastjson.HasLit(data, i, `,"jobs":[`); has {
 		i = next
 		cp.Jobs = []WALJob{}
-		if next, has := hasLit(data, i, `]`); has {
+		if next, has := fastjson.HasLit(data, i, `]`); has {
 			i = next
 		} else {
 			for {
@@ -838,50 +463,50 @@ func parseCheckpointFast(data []byte, cp *Checkpoint) bool {
 				if i, ok = parseWALJobFast(data, i, &cp.Jobs[len(cp.Jobs)-1]); !ok {
 					return false
 				}
-				if next, has := hasLit(data, i, `,`); has {
+				if next, has := fastjson.HasLit(data, i, `,`); has {
 					i = next
 					continue
 				}
-				if i, ok = hasLit(data, i, `]`); !ok {
+				if i, ok = fastjson.HasLit(data, i, `]`); !ok {
 					return false
 				}
 				break
 			}
 		}
 	}
-	if next, has := hasLit(data, i, `,"idem":`); has {
+	if next, has := fastjson.HasLit(data, i, `,"idem":`); has {
 		if i, ok = unmarshalSpan(data, next, &cp.Idem); !ok {
 			return false
 		}
 	}
-	if i, ok = hasLit(data, i, `,"summary":`); !ok {
+	if i, ok = fastjson.HasLit(data, i, `,"summary":`); !ok {
 		return false
 	}
 	if i, ok = unmarshalSpan(data, i, &cp.Summary); !ok {
 		return false
 	}
-	if i, ok = hasLit(data, i, `,"fingerprint":`); !ok {
+	if i, ok = fastjson.HasLit(data, i, `,"fingerprint":`); !ok {
 		return false
 	}
-	if cp.Fingerprint, i, ok = parseJSONUint(data, i); !ok {
+	if cp.Fingerprint, i, ok = fastjson.ParseUint(data, i); !ok {
 		return false
 	}
-	if i, ok = hasLit(data, i, `,"checkpoints":`); !ok {
+	if i, ok = fastjson.HasLit(data, i, `,"checkpoints":`); !ok {
 		return false
 	}
-	if cp.Checkpoints, i, ok = parseJSONInt(data, i); !ok {
+	if cp.Checkpoints, i, ok = fastjson.ParseInt(data, i); !ok {
 		return false
 	}
-	if i, ok = hasLit(data, i, `}`); !ok {
+	if i, ok = fastjson.HasLit(data, i, `}`); !ok {
 		return false
 	}
-	return skipJSONSpace(data, i) == len(data)
+	return fastjson.SkipSpace(data, i) == len(data)
 }
 
 // unmarshalSpan decodes the JSON value at data[i] into v with
 // json.Unmarshal, returning the index after it.
 func unmarshalSpan(data []byte, i int, v any) (int, bool) {
-	end, ok := skipJSONValue(data, i, 0)
+	end, ok := fastjson.SkipValue(data, i)
 	if !ok || json.Unmarshal(data[i:end], v) != nil {
 		return end, false
 	}
@@ -909,7 +534,7 @@ func checkpointHeaderPrefix(data []byte) (ReplayHeader, bool) {
 	if len(data) < 9 || data[8] != ' ' {
 		return h, false
 	}
-	i, ok := hasLit(data, 9, `{"type":"checkpoint","header":`)
+	i, ok := fastjson.HasLit(data, 9, `{"type":"checkpoint","header":`)
 	if !ok {
 		return h, false
 	}
@@ -924,7 +549,7 @@ func checkpointHeaderPrefix(data []byte) (ReplayHeader, bool) {
 // record appendWALJob declines is marshaled on its own, which yields the
 // same bytes encoding/json writes for it inside the array.
 func appendCheckpoint(b []byte, cp *Checkpoint) ([]byte, error) {
-	if !jsonPlain(cp.Type) {
+	if !fastjson.Plain(cp.Type) {
 		payload, err := json.Marshal(cp)
 		return append(b, payload...), err
 	}
@@ -995,27 +620,6 @@ func appendMarshal(b []byte, v any) ([]byte, error) {
 	return append(b, payload...), err
 }
 
-// splitJobWire splits an instance-wire job record `{"id":N,"release":R…`
-// into its id, its release, and the tail from the next byte to the end of
-// the record, which is all of it that is not per-job. ok=false (any other
-// prefix) sends the caller to workload.UnmarshalJob.
-func splitJobWire(raw []byte) (id, release int64, tail []byte, ok bool) {
-	i, ok := hasLit(raw, 0, `{"id":`)
-	if !ok {
-		return 0, 0, nil, false
-	}
-	if id, i, ok = parseJSONInt(raw, i); !ok {
-		return 0, 0, nil, false
-	}
-	if i, ok = hasLit(raw, i, `,"release":`); !ok {
-		return 0, 0, nil, false
-	}
-	if release, i, ok = parseJSONInt(raw, i); !ok {
-		return 0, 0, nil, false
-	}
-	return id, release, raw[i:], true
-}
-
 // internableTail reports whether a job tail is graph, profit and an
 // optional commitment member with valid values, then the closing brace and
 // nothing after it. Such a tail has no member that could override the id or
@@ -1025,7 +629,7 @@ func splitJobWire(raw []byte) (id, release int64, tail []byte, ok bool) {
 func internableTail(tail []byte) bool {
 	i := 0
 	for _, member := range [...]string{`,"graph":`, `,"profit":`, `,"commitment":`} {
-		next, has := hasLit(tail, i, member)
+		next, has := fastjson.HasLit(tail, i, member)
 		if !has {
 			if member == `,"commitment":` {
 				break
@@ -1033,10 +637,10 @@ func internableTail(tail []byte) bool {
 			return false
 		}
 		var ok bool
-		if i, ok = skipJSONValue(tail, next, 0); !ok {
+		if i, ok = fastjson.SkipValue(tail, next); !ok {
 			return false
 		}
 	}
-	i, ok := hasLit(tail, i, `}`)
+	i, ok := fastjson.HasLit(tail, i, `}`)
 	return ok && i == len(tail)
 }

@@ -162,23 +162,6 @@ func TestAppendJobResponseMatchesMarshal(t *testing.T) {
 	}
 }
 
-// TestAppendJSONFloat pins the float renderer against encoding/json across
-// the f/e format boundary cases.
-func TestAppendJSONFloat(t *testing.T) {
-	for _, f := range []float64{
-		0, 1, -1, 2.5, 0.125, 1e-6, 9.99e-7, 1e-7, 1e20, 1e21, 3e21,
-		-1e-9, 123456.789, 0.1, 1.0 / 3.0, math.MaxFloat64, math.SmallestNonzeroFloat64,
-	} {
-		want, err := json.Marshal(f)
-		if err != nil {
-			t.Fatalf("json.Marshal(%g): %v", f, err)
-		}
-		if got := appendJSONFloat(nil, f); !bytes.Equal(got, want) {
-			t.Errorf("appendJSONFloat(%g) = %s, want %s", f, got, want)
-		}
-	}
-}
-
 // TestSplitJSONArray covers the batch envelope scanner.
 func TestSplitJSONArray(t *testing.T) {
 	elems, err := splitJSONArray([]byte(` [ {"w":1} , {"l":[1,2],"s":"a,]"} , 3 ] `))

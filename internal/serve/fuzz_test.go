@@ -3,12 +3,15 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 
+	"dagsched/internal/fastjson"
 	"dagsched/internal/workload"
 )
 
@@ -55,7 +58,7 @@ func FuzzDecodeWALJob(f *testing.F) {
 		var want WALJob
 		wantErr := json.Unmarshal(data, &want)
 		var fast WALJob
-		if end, ok := parseWALJobFast(data, 0, &fast); ok && skipJSONSpace(data, end) == len(data) {
+		if end, ok := parseWALJobFast(data, 0, &fast); ok && fastjson.SkipSpace(data, end) == len(data) {
 			if wantErr != nil {
 				t.Fatalf("fast path accepted %q; json.Unmarshal: %v", data, wantErr)
 			}
@@ -138,7 +141,7 @@ func FuzzJobDecoderInterned(f *testing.F) {
 		}
 		for _, raw := range bytes.Split(data, []byte("\n")) {
 			check(raw)
-			if id, rel, tail, ok := splitJobWire(raw); ok && id < 1e17 && rel < 1e17 {
+			if id, rel, tail, ok := fastjson.SplitJobWire(raw); ok && id < 1e17 && rel < 1e17 {
 				shifted := []byte(`{"id":`)
 				shifted = strconv.AppendInt(shifted, id+1, 10)
 				shifted = append(shifted, `,"release":`...)
@@ -197,6 +200,123 @@ func FuzzScanWAL(f *testing.F) {
 		}
 		if !bytes.Equal(left, data[:off]) {
 			t.Fatalf("file after scanWAL holds %d bytes, want the %d-byte intact prefix", len(left), off)
+		}
+	})
+}
+
+// The submit-path targets: the request parser, the batch envelope splitter
+// and the verdict encoder against the encoding/json code they stand in for.
+// Their seeds are the schema-compat workload's request bodies and the
+// verdicts its WAL fixtures record.
+
+// schemaCompatSpecs are the request bodies schemaCompatSubmissions sends.
+var schemaCompatSpecs = []string{
+	`{"w":32,"l":4,"deadline":40,"profit":10}`,
+	`{"w":100,"l":2,"deadline":12,"profit":8}`,
+	`{"w":8,"l":2,"deadline":25,"profit":3}`,
+	`{"w":6,"l":2,"deadline":30,"profit":2}`,
+	`{"w":6,"l":3,"deadline":30,"profit":2,"key":"fix-batch"}`,
+}
+
+// FuzzParseJobSpecFast: wherever the scalar-spec parser claims a body, the
+// decoder the handlers fall back to — json.Decoder with unknown fields
+// disallowed, one value read — accepts it with the same spec and key.
+func FuzzParseJobSpecFast(f *testing.F) {
+	for _, s := range schemaCompatSpecs {
+		f.Add([]byte(s), false)
+		f.Add([]byte(s), true)
+	}
+	f.Add([]byte(` {"profit":-0.125,"w":1,"w":2} trailing`), false)
+	f.Fuzz(func(t *testing.T, data []byte, allowKey bool) {
+		spec, key, ok := parseJobSpecFast(data, allowKey)
+		if !ok {
+			return
+		}
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		var want BatchItem
+		var err error
+		if allowKey {
+			err = dec.Decode(&want)
+		} else {
+			err = dec.Decode(&want.JobSpec)
+		}
+		if err != nil {
+			t.Fatalf("parseJobSpecFast(%q, %v) accepted; encoding/json: %v", data, allowKey, err)
+		}
+		if !reflect.DeepEqual(spec, want.JobSpec) || string(key) != want.Key {
+			t.Fatalf("parseJobSpecFast(%q, %v) = %+v, key %q; encoding/json: %+v, key %q",
+				data, allowKey, spec, key, want.JobSpec, want.Key)
+		}
+	})
+}
+
+// FuzzSplitJSONArray: every array json.Unmarshal accepts splits into the
+// elements it decodes, byte for byte, and a body the splitter refuses is
+// one json.Unmarshal refuses too (or null, which no handler takes as an
+// array).
+func FuzzSplitJSONArray(f *testing.F) {
+	f.Add([]byte("[" + strings.Join(schemaCompatSpecs, ",") + "]"))
+	f.Add([]byte(` [ {"w":1,"l":1,"key":"a]\"b"} , [1,{"x":[]}] ,"s",-1.5e3,true,null ] `))
+	f.Add([]byte(`[]`))
+	f.Add([]byte(`[1,]`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		elems, err := splitJSONArray(data)
+		var want []json.RawMessage
+		wantErr := json.Unmarshal(data, &want)
+		if err != nil {
+			if wantErr == nil && want != nil {
+				t.Fatalf("splitJSONArray(%q): %v; json.Unmarshal accepts %d elements", data, err, len(want))
+			}
+			return
+		}
+		if wantErr != nil || want == nil {
+			return // element-level garbage: each element fails on its own
+		}
+		if len(elems) != len(want) {
+			t.Fatalf("splitJSONArray(%q) = %d elements; json.Unmarshal %d", data, len(elems), len(want))
+		}
+		for k := range want {
+			if !bytes.Equal(elems[k], want[k]) {
+				t.Fatalf("splitJSONArray(%q) element %d = %q; json.Unmarshal %q", data, k, elems[k], want[k])
+			}
+		}
+	})
+}
+
+// FuzzAppendJobResponse: the verdict encoder writes json.Marshal's bytes
+// whenever it claims a response, and declines only strings encoding/json
+// would escape and non-finite plan numbers.
+func FuzzAppendJobResponse(f *testing.F) {
+	for _, p := range fixtureFrames(f, "*_wal.log") {
+		var wj WALJob
+		if json.Unmarshal(p, &wj) != nil || wj.Type == "header" {
+			continue
+		}
+		r, plan := wj.Resp, PlanInfo{}
+		if r.Plan != nil {
+			plan = *r.Plan
+		}
+		f.Add(r.ID, r.Release, string(r.Decision), r.Reason, r.Commitment, r.Replayed, r.Plan != nil, plan.Alloc, plan.X, plan.Density, plan.Good)
+	}
+	f.Fuzz(func(t *testing.T, id int, release int64, decision, reason, commitment string, replayed, hasPlan bool,
+		alloc int, x, density float64, good bool) {
+		r := JobResponse{ID: id, Release: release, Decision: DecisionString(decision), Reason: reason, Commitment: commitment, Replayed: replayed}
+		if hasPlan {
+			r.Plan = &PlanInfo{Alloc: alloc, X: x, Density: density, Good: good}
+		}
+		got, ok := appendJobResponse(nil, &r)
+		want, err := json.Marshal(&r)
+		if ok {
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("appendJobResponse(%+v) = %s; json.Marshal %s, %v", r, got, want, err)
+			}
+			return
+		}
+		finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+		if fastjson.Plain(decision) && fastjson.Plain(reason) && fastjson.Plain(commitment) &&
+			(!hasPlan || finite(x) && finite(density)) {
+			t.Fatalf("appendJobResponse(%+v) declined a plain response", r)
 		}
 	})
 }

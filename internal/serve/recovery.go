@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 
 	"dagsched/internal/cliflags"
+	"dagsched/internal/fastjson"
 	"dagsched/internal/rational"
 	"dagsched/internal/sim"
 	"dagsched/internal/telemetry"
@@ -100,6 +101,10 @@ type recoveredState struct {
 	checkpoints    int64
 	tornBytes      int64
 	suffixRejects  int // keyed rejects in the WAL suffix (counter restore)
+	// sealed: the directory is what a start-up checkpoint would leave — a
+	// checkpoint and an intact WAL holding only its header record — so
+	// nothing was replayed from the WAL and a start need not rewrite it.
+	sealed bool
 }
 
 // headerOf renders a serving config as the durable header record: the
@@ -209,6 +214,7 @@ func loadState(dir string, want ReplayHeader, baseID int) (*recoveredState, erro
 		return nil, fmt.Errorf("serve: wal: %w", err)
 	}
 	rs.tornBytes = torn
+	headers := 0
 	for n, payload := range payloads {
 		// Every record decodes as a WALJob: job records, nearly every line,
 		// through the fast decoder; a reject record carries the same key,
@@ -226,6 +232,7 @@ func loadState(dir string, want ReplayHeader, baseID int) (*recoveredState, erro
 			if err := checkHeader(h, want, "wal"); err != nil {
 				return nil, err
 			}
+			headers++
 		case "job":
 			if wj.Resp.ID <= rs.nextID {
 				continue // covered by the checkpoint (crash between rename and reset)
@@ -248,6 +255,7 @@ func loadState(dir string, want ReplayHeader, baseID int) (*recoveredState, erro
 	if !rs.hasCheckpoint && len(payloads) == 0 {
 		return nil, nil // nothing durable yet: fresh start
 	}
+	rs.sealed = rs.hasCheckpoint && torn == 0 && len(payloads) == 1 && headers == 1
 	for _, wj := range rs.jobs[rs.checkpointJobs:] {
 		if wj.Resp.Release > rs.clock {
 			rs.clock = wj.Resp.Release
@@ -511,7 +519,7 @@ type jobDecoder struct {
 }
 
 func (d *jobDecoder) decode(raw []byte) (*sim.Job, error) {
-	id, release, tail, ok := splitJobWire(raw)
+	id, release, tail, ok := fastjson.SplitJobWire(raw)
 	ok = ok && release >= 0 && int64(int(id)) == id
 	if ok {
 		if first, hit := d.shapes[string(tail)]; hit {

@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"dagsched/internal/sim"
 )
 
 // newDurableServer builds a deterministic-clock daemon over dir. Tests drive
@@ -489,5 +491,73 @@ func TestRecoverSparseBatchesAfterIdleShards(t *testing.T) {
 	bj, _ := json.Marshal(&b)
 	if !bytes.Equal(aj, bj) {
 		t.Fatalf("recovered drain diverges from offline replay:\nrecovered: %s\nreplayed:  %s", aj, bj)
+	}
+}
+
+// TestCleanDrainRestartLeavesCheckpoint: a drain seals the directory with a
+// final checkpoint and a header-only WAL, so a start over it replays nothing
+// from the WAL and leaves both files as they are, while a second restart
+// still recovers to the checkpointed fingerprint and drains to the same
+// Result.
+func TestCleanDrainRestartLeavesCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	srv, _ := newDurableServer(t, dir, nil)
+	for i := 0; i < 5; i++ {
+		submitDirect(t, srv, JobSpec{W: 8, L: 2, Deadline: 30, Profit: ScalarProfit(2)}, "")
+	}
+	res := srv.Drain()
+
+	ckptPath, walPath := filepath.Join(dir, checkpointFileName), filepath.Join(dir, walFileName)
+	read := func(path string) (os.FileInfo, []byte) {
+		t.Helper()
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi, data
+	}
+	fingerprint := func(line []byte) uint64 {
+		t.Helper()
+		payload, err := parseFrame(bytes.TrimSuffix(line, []byte("\n")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cp Checkpoint
+		if err := decodeCheckpoint(payload, &cp); err != nil {
+			t.Fatal(err)
+		}
+		return cp.Fingerprint
+	}
+	ckptFI, ckpt := read(ckptPath)
+	_, wal := read(walPath)
+
+	srv2, _ := newDurableServer(t, dir, nil)
+	if rec := srv2.Recovery(); rec == nil || rec.Jobs != 5 || rec.WALJobs != 0 {
+		t.Fatalf("recovery info = %+v, want 5 jobs, none from the WAL", rec)
+	}
+	if fi, data := read(ckptPath); !os.SameFile(ckptFI, fi) || !bytes.Equal(data, ckpt) {
+		t.Fatal("a start over a drained directory rewrote its checkpoint")
+	}
+	if _, data := read(walPath); !bytes.Equal(data, wal) {
+		t.Fatalf("a start over a drained directory rewrote its WAL:\nbefore: %q\nafter:  %q", wal, data)
+	}
+	res2 := srv2.Drain()
+	_, ckpt2 := read(ckptPath)
+	if a, b := fingerprint(ckpt), fingerprint(ckpt2); a != b {
+		t.Fatalf("fingerprint %016x after the restart's drain, %016x before", b, a)
+	}
+
+	srv3, _ := newDurableServer(t, dir, nil)
+	res3 := srv3.Drain()
+	for _, r := range []*sim.Result{res2, res3} {
+		aj, _ := json.Marshal(res)
+		bj, _ := json.Marshal(r)
+		if !bytes.Equal(aj, bj) {
+			t.Fatalf("restarted drain diverges:\nfirst: %s\nlater: %s", aj, bj)
+		}
 	}
 }

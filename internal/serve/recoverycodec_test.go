@@ -7,12 +7,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 
 	"dagsched/internal/cliflags"
 	"dagsched/internal/dag"
+	"dagsched/internal/fastjson"
 	"dagsched/internal/profit"
 	"dagsched/internal/sim"
 	"dagsched/internal/telemetry"
@@ -204,40 +204,18 @@ func TestDecodeWALJobMatchesUnmarshal(t *testing.T) {
 	}
 }
 
-// TestParseJSONFloat64Exact: the recovery float parser returns the bits
-// strconv.ParseFloat returns, for short and 16–17 digit mantissas and
-// exponent forms alike.
-func TestParseJSONFloat64Exact(t *testing.T) {
-	for _, f := range []float64{0, 0.1 + 0.2, 2.0 / 3, 1.0 / 3, 0.07547169811320754, 123456789.12345678,
-		1e21, 1e-7, 5e-324, math.MaxFloat64, 9007199254740993, -1.2345678901234567e-100} {
-		s := string(appendJSONFloat(nil, f))
-		for _, in := range []string{s, strings.ToUpper(s)} {
-			got, end, ok := parseJSONFloat64([]byte(in), 0)
-			want, err := strconv.ParseFloat(in, 64)
-			if err != nil || !ok || end != len(in) || math.Float64bits(got) != math.Float64bits(want) {
-				t.Errorf("parseJSONFloat64(%q) = %v, %d, %v; want %v (%v)", in, got, end, ok, want, err)
-			}
-		}
-	}
-	for _, in := range []string{"1e400", "-", "1.", ".5", "01", "1e", "+1", "Inf", "0x1p3", "1_0"} {
-		if _, end, ok := parseJSONFloat64([]byte(in), 0); ok && end == len(in) {
-			t.Errorf("parseJSONFloat64(%q) accepted", in)
-		}
-	}
-}
-
 // TestSplitJobWire: the id/release prefix is parsed strictly, and only
 // tails holding graph, profit and an optional commitment — nothing that
 // could override id or release — are internable.
 func TestSplitJobWire(t *testing.T) {
 	tail := `,"graph":{"work":[1],"edges":[]},"profit":{"kind":"step","value":1,"deadline":4}}`
-	id, rel, got, ok := splitJobWire([]byte(`{"id":12,"release":34` + tail))
+	id, rel, got, ok := fastjson.SplitJobWire([]byte(`{"id":12,"release":34` + tail))
 	if !ok || id != 12 || rel != 34 || string(got) != tail {
-		t.Fatalf("splitJobWire = %d, %d, %q, %v", id, rel, got, ok)
+		t.Fatalf("fastjson.SplitJobWire = %d, %d, %q, %v", id, rel, got, ok)
 	}
 	for _, rec := range []string{`{"release":2,"id":1` + tail, `{"id":1, "release":2` + tail, `{"id":1.0,"release":2` + tail, `{"id":-`} {
-		if _, _, _, ok := splitJobWire([]byte(rec)); ok {
-			t.Errorf("splitJobWire(%q) accepted", rec)
+		if _, _, _, ok := fastjson.SplitJobWire([]byte(rec)); ok {
+			t.Errorf("fastjson.SplitJobWire(%q) accepted", rec)
 		}
 	}
 	open := strings.TrimSuffix(tail, "}")

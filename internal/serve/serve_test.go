@@ -409,3 +409,33 @@ func TestServeConfigErrors(t *testing.T) {
 		t.Error("negative queue depth accepted")
 	}
 }
+
+// TestIdleShardStampsCurrentClock: a job sent to a shard that has gone idle
+// is released at the clock the shard was advanced to, not at the tick its
+// last job finished, and so cannot complete before it was sent.
+func TestIdleShardStampsCurrentClock(t *testing.T) {
+	var log bytes.Buffer
+	srv, ts := newTestServer(t, Config{M: 4, ReplayLog: &log})
+	if code, first := postJob(t, ts, `{"w":4,"l":1,"deadline":10}`); code != http.StatusOK || first.Release != 0 {
+		t.Fatalf("first job: status %d, %+v", code, first)
+	}
+	srv.Advance(50)
+	code, second := postJob(t, ts, `{"w":40,"l":10,"deadline":30}`)
+	if code != http.StatusOK || second.Release != 50 || second.Decision != DecisionAdmitted {
+		t.Fatalf("job sent at tick 50 to an idle shard: status %d, %+v", code, second)
+	}
+	res := srv.Drain()
+	found := false
+	for _, st := range res.Jobs {
+		if st.ID == second.ID {
+			found = true
+			if !st.Completed || st.CompletedAt < 60 {
+				t.Fatalf("job sent at tick 50 with W=40, L=10 on M=4: %+v", st)
+			}
+		}
+	}
+	if !found {
+		t.Fatalf("job %d missing from the drained Result", second.ID)
+	}
+	assertReplayIdentical(t, &log, res)
+}

@@ -652,7 +652,8 @@ func (sh *shard) checkpointNow() error {
 
 // openDurable recovers any durable state in dir into this shard's fresh
 // session, opens its WAL for appending, and seals the recovered history
-// under a fresh checkpoint so every start leaves a normalized directory.
+// under a fresh checkpoint so every start leaves a normalized directory —
+// unless the directory is already sealed, as a clean drain leaves it.
 // Runs before the engine goroutine starts.
 func (sh *shard) openDurable(dir string) error {
 	sh.walDir = dir
@@ -685,6 +686,15 @@ func (sh *shard) openDurable(dir string) error {
 	}
 	w.obs = sh.obsReg
 	sh.wal = w
+	if rs != nil && rs.sealed {
+		// A clean drain (or a start that found nothing to replay) left
+		// exactly this: re-encoding the whole history would rewrite the
+		// same jobs, idempotency table and fingerprint.
+		sh.lastCheckpoint = time.Now()
+		sh.lastCkptClock = rs.checkpointClk
+		sh.publishPressure()
+		return nil
+	}
 	sh.ckptDirty = true // force the normalizing checkpoint even on a fresh dir
 	if err := sh.checkpointNow(); err != nil {
 		w.close()

@@ -31,6 +31,7 @@ type Session struct {
 	fm     *faults.Model
 
 	t       int64
+	idleGap int64  // ticks the clock has moved idle since the work ran out
 	pending []*Job // scheduled arrivals, (release, ID)-ordered; pending[next:] due
 	next    int
 	seen    map[int]bool // every job ID ever accepted
@@ -179,6 +180,7 @@ func (s *Session) Arrive(j *Job) error {
 	if len(s.e.live) == 0 && j.Release > s.t {
 		s.t = j.Release // the idle-gap jump Run takes
 	}
+	s.idleGap = 0
 	s.seen[j.ID] = true
 	s.res.OfferedProfit += j.Profit.At(1)
 	s.e.arrive(s.t, j, s.rec, s.sched)
@@ -186,11 +188,13 @@ func (s *Session) Arrive(j *Job) error {
 }
 
 // AdvanceTo simulates every tick strictly before now that has work, jumping
-// over idle gaps exactly as Run does. It stops early at Config.Horizon or
-// when no accepted job remains unfinished (the clock then stays put, so a
-// later Arrive restarts it at the next release). Tick t is simulated once
-// the clock passes t, so arrivals for tick t submitted before that keep
-// their place.
+// over idle gaps exactly as Run does. It stops early at Config.Horizon.
+// When no accepted job remains unfinished the clock moves on to now (but
+// not past the horizon), so a job submitted next is stamped with the tick
+// it arrives at, not the tick the session went idle; RunToEnd's
+// open-ended advance leaves the clock where the work ran out. Tick t is
+// simulated once the clock passes t, so arrivals for tick t submitted
+// before that keep their place.
 func (s *Session) AdvanceTo(now int64) error {
 	if s.finished {
 		return fmt.Errorf("sim: AdvanceTo on a finished session")
@@ -208,6 +212,13 @@ func (s *Session) AdvanceTo(now int64) error {
 		if err := s.step(); err != nil {
 			return err
 		}
+	}
+	if s.cfg.Horizon > 0 {
+		now = min(now, s.cfg.Horizon)
+	}
+	if now > s.t && now != math.MaxInt64 {
+		s.idleGap += now - s.t
+		s.t = now
 	}
 	return nil
 }
@@ -227,7 +238,7 @@ func (s *Session) Finish() *Result {
 	for _, lj := range s.e.liveList {
 		s.res.Jobs = append(s.res.Jobs, lj.stat)
 	}
-	s.res.Ticks = s.t
+	s.res.Ticks = s.t - s.idleGap // idle time after the work ran out is not a tick run
 	if s.fs != nil {
 		s.fs.LostWork = s.lostScaled / s.e.scale
 	}

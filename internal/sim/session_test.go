@@ -207,10 +207,12 @@ func TestSessionExpiredLookup(t *testing.T) {
 }
 
 // TestSessionExpiryConsumesTick: when tick t's expiries empty the live set
-// the tick is consumed, so a job submitted online afterwards is stamped t+1
-// and a replay of the same history (AdvanceTo the release, then Arrive)
-// reaches the same state. Both batch engines end such a run at the same
-// clock.
+// the tick is consumed, and the idle session's clock then follows
+// AdvanceTo, so a job submitted online afterwards is stamped with that
+// clock and a replay of the same history (AdvanceTo the release, then
+// Arrive) reaches the same state. Both batch engines end such a run on the
+// tick after the expiry, and so does the Result of a session whose clock
+// moved on idle: Ticks counts the ticks the work ran, not the idle ones.
 func TestSessionExpiryConsumesTick(t *testing.T) {
 	first := func() *Job { return &Job{ID: 1, Graph: dag.Chain(10, 1), Release: 0, Profit: step(t, 5, 3)} }
 	online, err := NewSession(Config{M: 1}, nil, &fifoSched{})
@@ -256,9 +258,20 @@ func TestSessionExpiryConsumesTick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tick.Ticks != second.Release || evented.Ticks != tick.Ticks {
-		t.Fatalf("run ending on an expiry: tick engine %d ticks, evented %d, session clock %d",
-			tick.Ticks, evented.Ticks, second.Release)
+	idle, err := NewSession(Config{M: 1}, nil, &fifoSched{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := idle.Arrive(first()); err != nil {
+		t.Fatal(err)
+	}
+	if err := idle.AdvanceTo(100); err != nil {
+		t.Fatal(err)
+	}
+	const expiry = 3 // job 1's step profit is worth nothing from latency 3 on
+	if second.Release != 100 || tick.Ticks != expiry+1 || evented.Ticks != tick.Ticks || idle.Finish().Ticks != tick.Ticks {
+		t.Fatalf("run ending on an expiry at tick %d: tick engine %d ticks, evented %d, idle session %d (clock %d)",
+			expiry, tick.Ticks, evented.Ticks, idle.Finish().Ticks, second.Release)
 	}
 }
 

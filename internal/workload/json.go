@@ -3,8 +3,11 @@ package workload
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"strconv"
 
 	"dagsched/internal/dag"
+	"dagsched/internal/fastjson"
 	"dagsched/internal/profit"
 	"dagsched/internal/sim"
 )
@@ -126,11 +129,17 @@ func MarshalJob(j *sim.Job) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	if b, ok := encodeJob(j, &pj); ok {
+		return b, nil
+	}
 	return json.Marshal(jobJSON{ID: j.ID, Release: j.Release, Graph: j.Graph, Profit: pj, Commitment: j.Commitment})
 }
 
 // UnmarshalJob parses and validates one job in the instance wire format.
 func UnmarshalJob(data []byte) (*sim.Job, error) {
+	if j, ok := parseJob(data); ok {
+		return j, nil
+	}
 	var jj jobJSON
 	if err := json.Unmarshal(data, &jj); err != nil {
 		return nil, fmt.Errorf("workload: %w", err)
@@ -144,4 +153,153 @@ func UnmarshalJob(data []byte) (*sim.Job, error) {
 		return nil, err
 	}
 	return j, nil
+}
+
+// The job-record codec. MarshalJob writes a job as
+// {"id":N,"release":R,"graph":G,"profit":P} plus ,"commitment":C when the
+// job carries one — the bytes json.Marshal writes for jobJSON — and
+// UnmarshalJob reads that canonical shape in one pass: the graph through
+// dag.ParseJSON, a step profit (nearly every durable record) exactly, any
+// other profit kind with json.Unmarshal on the profit member alone. A record
+// off the canonical shape, or one that fails any check, is decoded by
+// encoding/json from the start, so the job a record decodes to and the
+// error a bad one gets never depend on the path.
+
+// encodeJob renders j's MarshalJob encoding with the already encoded
+// profit pj. ok=false (a string encoding/json would escape, a non-finite
+// profit value) leaves the record to json.Marshal.
+func encodeJob(j *sim.Job, pj *ProfitSpec) ([]byte, bool) {
+	if !fastjson.Plain(string(j.Commitment)) {
+		return nil, false
+	}
+	size := 64
+	if j.Graph != nil {
+		size += 12 * j.Graph.NumNodes()
+	}
+	b := make([]byte, 0, size)
+	b = append(b, `{"id":`...)
+	b = strconv.AppendInt(b, int64(j.ID), 10)
+	b = append(b, `,"release":`...)
+	b = strconv.AppendInt(b, j.Release, 10)
+	b = append(b, `,"graph":`...)
+	if j.Graph == nil {
+		b = append(b, "null"...)
+	} else {
+		b = j.Graph.AppendJSON(b)
+	}
+	b = append(b, `,"profit":`...)
+	if pj.Kind == "step" {
+		if math.IsNaN(pj.Value) || math.IsInf(pj.Value, 0) {
+			return nil, false
+		}
+		b = append(b, `{"kind":"step"`...)
+		if pj.Value != 0 {
+			b = append(b, `,"value":`...)
+			b = fastjson.AppendFloat(b, pj.Value)
+		}
+		if pj.Deadline != 0 {
+			b = append(b, `,"deadline":`...)
+			b = strconv.AppendInt(b, pj.Deadline, 10)
+		}
+		b = append(b, '}')
+	} else {
+		p, err := json.Marshal(pj)
+		if err != nil {
+			return nil, false
+		}
+		b = append(b, p...)
+	}
+	if j.Commitment != "" {
+		b = append(b, `,"commitment":"`...)
+		b = append(b, j.Commitment...)
+		b = append(b, '"')
+	}
+	return append(b, '}'), true
+}
+
+// parseJob decodes and validates a canonical job record. ok=false means
+// the record is off the canonical shape or fails a check; the caller decodes
+// it with encoding/json instead.
+func parseJob(data []byte) (*sim.Job, bool) {
+	id, release, tail, ok := fastjson.SplitJobWire(data)
+	if !ok || int64(int(id)) != id {
+		return nil, false
+	}
+	i, ok := fastjson.HasLit(tail, 0, `,"graph":`)
+	if !ok {
+		return nil, false
+	}
+	g, i, ok := dag.ParseJSON(tail, i)
+	if !ok {
+		return nil, false
+	}
+	if i, ok = fastjson.HasLit(tail, i, `,"profit":`); !ok {
+		return nil, false
+	}
+	fn, i, ok := parseProfit(tail, i)
+	if !ok {
+		return nil, false
+	}
+	var c sim.Commitment
+	if next, has := fastjson.HasLit(tail, i, `,"commitment":`); has {
+		var s []byte
+		if s, i, ok = fastjson.ParseString(tail, next); !ok {
+			return nil, false
+		}
+		c = commitment(s)
+	}
+	if i, ok = fastjson.HasLit(tail, i, `}`); !ok || i != len(tail) {
+		return nil, false
+	}
+	j := &sim.Job{ID: int(id), Release: release, Graph: g, Profit: fn, Commitment: c}
+	if j.Validate() != nil {
+		return nil, false
+	}
+	return j, true
+}
+
+// parseProfit decodes the profit member at data[i]: a canonical step spec
+// {"kind":"step"[,"value":V][,"deadline":D]} directly, any other JSON value
+// with json.Unmarshal into a ProfitSpec. ok=false when either decode or the
+// profit constructor fails.
+func parseProfit(data []byte, i int) (profit.Fn, int, bool) {
+	if next, ok := fastjson.HasLit(data, i, `{"kind":"step"`); ok {
+		var value float64
+		var deadline int64
+		if v, has := fastjson.HasLit(data, next, `,"value":`); has {
+			if value, next, ok = fastjson.ParseFloat(data, v); !ok {
+				return nil, i, false
+			}
+		}
+		if d, has := fastjson.HasLit(data, next, `,"deadline":`); has {
+			if deadline, next, ok = fastjson.ParseInt(data, d); !ok {
+				return nil, i, false
+			}
+		}
+		if next, ok = fastjson.HasLit(data, next, `}`); ok {
+			fn, err := profit.NewStep(value, deadline)
+			return fn, next, err == nil
+		}
+	}
+	end, ok := fastjson.SkipValue(data, i)
+	if !ok {
+		return nil, i, false
+	}
+	var pj ProfitSpec
+	if json.Unmarshal(data[i:end], &pj) != nil {
+		return nil, i, false
+	}
+	fn, err := decodeProfit(pj)
+	return fn, end, err == nil
+}
+
+// commitment converts a decoded commitment level, sharing the constants so
+// a decoded history does not hold one copy of the string per job.
+func commitment(b []byte) sim.Commitment {
+	for _, c := range [...]sim.Commitment{sim.CommitmentNone, sim.CommitmentOnAdmission, sim.CommitmentDelta, sim.CommitmentOnArrival} {
+		if string(b) == string(c) {
+			return c
+		}
+	}
+	return sim.Commitment(b)
 }
