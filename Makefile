@@ -51,15 +51,17 @@ api-update:
 # path per-op cost within 1.6x of single-shard, i.e. aggregate >= 2.5x — see
 # TestShardedEnginePathGuard and BENCH_PR7.json for methodology), plus a
 # short 100-iteration smoke over the engine, queue, and admission
-# micro-benchmarks so a broken benchmark is caught before it hides a perf
-# regression. (The BenchmarkEXP_* table regenerations are excluded: at 100
-# iterations they are a full suite run, not a smoke.)
+# micro-benchmarks and the durable checkpoint (10^3..10^5 jobs of history)
+# so a broken benchmark is caught before it hides a perf regression. (The
+# BenchmarkEXP_* table regenerations are excluded: at 100 iterations they
+# are a full suite run, not a smoke.)
 bench-guard:
 	go vet ./...
 	go test -run TestTelemetryNilPathAllocations .
 	SPAA_BENCH_GUARD=1 go test -run TestShardedEnginePathGuard -count=1 ./internal/serve/
 	go test -run xxx -bench 'BenchmarkEngine|BenchmarkSpeedScaledRun|BenchmarkOptUpperBound' -benchtime=100x .
 	go test -run xxx -bench . -benchtime=100x ./internal/sim/ ./internal/queue/ ./internal/core/
+	go test -run xxx -bench '^BenchmarkCheckpoint$$' -benchtime=100x -benchmem ./internal/serve/
 
 # Observability cost gate: the instrumented engine path (stage timers +
 # /metrics histograms) must stay within 5% of the nil-registry path — the

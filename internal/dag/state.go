@@ -23,17 +23,21 @@ type State struct {
 }
 
 // NewState returns a fresh execution state for g: nothing executed, sources
-// ready.
+// ready. The per-node arrays share two backing allocations, one per element
+// type; each is capped at n so nothing can grow into its neighbour.
 func NewState(g *DAG) *State {
 	n := g.NumNodes()
+	i64 := make([]int64, 2*n)
+	i32 := make([]int32, 2*n)
 	s := &State{
 		g:            g,
-		remaining:    append([]int64(nil), g.work...),
-		missingPreds: make([]int32, n),
-		readyPos:     make([]int32, n),
+		remaining:    i64[:n:n],
+		missingPreds: i32[:n:n],
+		readyPos:     i32[n:],
 		downDirty:    true,
-		down:         make([]int64, n),
+		down:         i64[n:],
 	}
+	copy(s.remaining, g.work)
 	for v := 0; v < n; v++ {
 		s.missingPreds[v] = int32(len(g.preds[v]))
 		s.readyPos[v] = -1

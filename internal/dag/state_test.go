@@ -281,3 +281,24 @@ func TestExecutedWorkAccounting(t *testing.T) {
 		t.Errorf("RemainingWork = %d", s.RemainingWork())
 	}
 }
+
+// TestNewStateAllocations pins NewState at one allocation per element type
+// of its per-node arrays, plus the State itself and its ready set, and checks
+// the carved arrays start from the graph's work without aliasing it.
+func TestNewStateAllocations(t *testing.T) {
+	g := ForkJoin(3, 4, 2)
+	if n := testing.AllocsPerRun(100, func() { NewState(g) }); n != 4 {
+		t.Errorf("NewState: %v allocations, want 4", n)
+	}
+	s := NewState(g)
+	for v := 0; v < g.NumNodes(); v++ {
+		if s.Remaining(NodeID(v)) != g.Work(NodeID(v)) {
+			t.Fatalf("node %d: remaining %d, want work %d", v, s.Remaining(NodeID(v)), g.Work(NodeID(v)))
+		}
+	}
+	src := s.ReadyNodes(nil)[0]
+	s.Apply(src, 1)
+	if g.Work(src) == s.Remaining(src) {
+		t.Error("Apply on the state changed the graph's work")
+	}
+}

@@ -495,3 +495,45 @@ func TestShardedEnginePathGuard(t *testing.T) {
 			"4-shard aggregate throughput %.2fx falls below the 2.5x gate", ratio, 4/ratio)
 	}
 }
+
+// BenchmarkCheckpoint measures one checkpoint of a durable shard holding 10³,
+// 10⁴ and 10⁵ accepted jobs: the head and tail are encoded, the history is
+// written as it is, and the file is fsynced and renamed. Bytes allocated per
+// checkpoint are the head and tail alone, whatever the history's length.
+func BenchmarkCheckpoint(b *testing.B) {
+	for _, n := range []int{1_000, 10_000, 100_000} {
+		// Set up once per size: a sub-benchmark's function runs once per
+		// round of b.N, and the history takes longer to build than to write.
+		srv, err := New(Config{
+			M: 8, QueueDepth: 1, TickInterval: -1,
+			WALDir: b.TempDir(), Fsync: FsyncOff, CheckpointInterval: -1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		parkEngines(b, srv)
+		sh := srv.shards[0]
+		spec := JobSpec{W: 16, L: 2, Deadline: 40, Profit: ScalarProfit(3)}
+		clock := int64(0)
+		for i := 0; sh.hist.n < n; i++ {
+			if rep := sh.handleSubmit(spec, "", nil); rep.status != http.StatusOK {
+				b.Fatalf("status %d: %s", rep.status, rep.err)
+			}
+			if i%64 == 63 {
+				clock += 8
+				sh.advance(clock)
+			}
+		}
+		b.Run(fmt.Sprintf("jobs=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := sh.checkpointNow(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(sh.hist.size), "history-B")
+		})
+		srv.Drain()
+	}
+}

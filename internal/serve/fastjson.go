@@ -239,17 +239,18 @@ func appendFrame(b, payload []byte) []byte {
 }
 
 // The recovery codec. A restart decodes every record of the checkpoint and
-// the WAL suffix, and every checkpoint re-encodes the whole history, so the
-// durable record shapes get the same treatment as the request path: a
-// one-pass scanner for the exact shape the server writes, and encoding/json
-// for everything else. The decoders accept only the canonical key order
-// (type, key, reqId, resp, job; the Checkpoint field order), plain strings,
-// and numbers whose value is decided exactly; any other input — reordered
-// or case-folded keys, escapes, null for an object, a value the scanner
-// cannot vouch for — makes the caller decode that record with
-// json.Unmarshal instead, so what recovery reads never depends on which path
-// read it. The encoder writes the jobs array with appendWALJob and hands the
-// header, idempotency table and telemetry summary to json.Marshal.
+// the WAL suffix, so the durable record shapes get the same treatment as the
+// request path: a one-pass scanner for the exact shape the server writes,
+// and encoding/json for everything else. The decoders accept only the
+// canonical key order (type, key, reqId, resp, job; the Checkpoint field
+// order), plain strings, and numbers whose value is decided exactly; any
+// other input — reordered or case-folded keys, escapes, null for an object,
+// a value the scanner cannot vouch for — makes the caller decode that record
+// with json.Unmarshal instead, so what recovery reads never depends on which
+// path read it. The checkpoint encoder writes only what surrounds the jobs
+// array — the array itself is the shard's encodedHistory, the WAL payloads
+// as they were first written — and hands the header, idempotency table and
+// telemetry summary to json.Marshal.
 
 // wireString converts a decoded string, sharing the constant for the values
 // nearly every record repeats, so a recovered history does not hold one
@@ -364,9 +365,10 @@ func parseJobResponseFast(data []byte, i int, r *JobResponse) (int, bool) {
 }
 
 // parseWALJobFast decodes a WALJob record in appendWALJob's field order
-// starting at data[i]. The job's raw bytes are validated and copied out of
-// data, as json.RawMessage does, so the decoded history does not pin the
-// file buffer it was read from.
+// starting at data[i]. The job's raw bytes are validated and left in place:
+// rec.Job is a view into data, capped at the value's end, so the record pins
+// data as long as it lives. Recovery holds decoded records only until the
+// history is replayed and re-encoded.
 func parseWALJobFast(data []byte, i int, rec *WALJob) (int, bool) {
 	var ok bool
 	var s []byte
@@ -402,7 +404,7 @@ func parseWALJobFast(data []byte, i int, rec *WALJob) (int, bool) {
 	if !ok {
 		return end, false
 	}
-	rec.Job = append(json.RawMessage(nil), data[i:end]...)
+	rec.Job = data[i:end:end]
 	return fastjson.HasLit(data, end, `}`)
 }
 
@@ -544,42 +546,35 @@ func checkpointHeaderPrefix(data []byte) (ReplayHeader, bool) {
 	return h, true
 }
 
-// appendCheckpoint appends cp marshaled byte-identically to
-// json.Marshal(cp) (pinned by TestAppendCheckpointMatchesMarshal). A job
-// record appendWALJob declines is marshaled on its own, which yields the
-// same bytes encoding/json writes for it inside the array.
-func appendCheckpoint(b []byte, cp *Checkpoint) ([]byte, error) {
-	if !fastjson.Plain(cp.Type) {
-		payload, err := json.Marshal(cp)
-		return append(b, payload...), err
-	}
-	b = append(b, `{"type":"`...)
-	b = append(b, cp.Type...)
-	b = append(b, `","header":`...)
-	b, err := appendMarshal(b, cp.Header)
+// appendCheckpointHead appends the part of json.Marshal(cp) before the
+// first record of its jobs array — through `,"jobs":[` when jobs is set, else
+// through the nextId member — and appendCheckpointTail the part after the
+// last record. cp.Jobs itself is not read: the caller supplies the records.
+func appendCheckpointHead(b []byte, cp *Checkpoint, jobs bool) ([]byte, error) {
+	b = append(b, `{"type":`...)
+	b, err := appendMarshal(b, cp.Type)
 	if err != nil {
+		return b, err
+	}
+	b = append(b, `,"header":`...)
+	if b, err = appendMarshal(b, cp.Header); err != nil {
 		return b, err
 	}
 	b = append(b, `,"clock":`...)
 	b = strconv.AppendInt(b, cp.Clock, 10)
 	b = append(b, `,"nextId":`...)
 	b = strconv.AppendInt(b, int64(cp.NextID), 10)
-	if len(cp.Jobs) > 0 {
+	if jobs {
 		b = append(b, `,"jobs":[`...)
-		for k := range cp.Jobs {
-			if k > 0 {
-				b = append(b, ',')
-			}
-			mark := len(b)
-			var ok bool
-			if b, ok = appendWALJob(b, &cp.Jobs[k]); !ok {
-				if b, err = appendMarshal(b[:mark], &cp.Jobs[k]); err != nil {
-					return b, err
-				}
-			}
-		}
+	}
+	return b, nil
+}
+
+func appendCheckpointTail(b []byte, cp *Checkpoint, jobs bool) ([]byte, error) {
+	if jobs {
 		b = append(b, ']')
 	}
+	var err error
 	if len(cp.Idem) > 0 {
 		b = append(b, `,"idem":`...)
 		if b, err = appendMarshal(b, cp.Idem); err != nil {
@@ -597,22 +592,34 @@ func appendCheckpoint(b []byte, cp *Checkpoint) ([]byte, error) {
 	return append(b, '}'), nil
 }
 
-// encodeCheckpointFrame renders cp as its checkpoint.json line, the
-// frameRecord of json.Marshal(cp): the payload is encoded in place behind
-// room for the checksum, so the bytes are built once. sizeHint (the last
-// checkpoint's size) presizes the buffer for a history that only grows.
-func encodeCheckpointFrame(cp *Checkpoint, sizeHint int) ([]byte, error) {
-	b := make([]byte, 9, sizeHint+sizeHint/4+4096)
-	b, err := appendCheckpoint(b, cp)
+// checkpointFrame appends to parts cp's checkpoint.json line, with hist as
+// its jobs array, in pieces: the frame prefix and head, hist's chunks as
+// they are, and the tail with the newline. Their concatenation is
+// frameRecord of json.Marshal(cp) with cp.Jobs the decoded history (pinned
+// by TestAppendCheckpointMatchesMarshal); the checksum is accumulated over
+// the pieces, so no buffer the size of the history is built.
+func checkpointFrame(parts [][]byte, cp *Checkpoint, hist *encodedHistory) ([][]byte, error) {
+	jobs := hist.n > 0
+	head, err := appendCheckpointHead(make([]byte, 9, 512), cp, jobs)
 	if err != nil {
 		return nil, err
 	}
-	crc := crc32.Checksum(b[9:], walCRC)
-	for k := 0; k < 8; k++ {
-		b[k] = hexDigits[(crc>>(28-4*k))&0xf]
+	tail, err := appendCheckpointTail(nil, cp, jobs)
+	if err != nil {
+		return nil, err
 	}
-	b[8] = ' '
-	return append(b, '\n'), nil
+	crc := crc32.Update(0, walCRC, head[9:])
+	for _, c := range hist.chunks {
+		crc = crc32.Update(crc, walCRC, c)
+	}
+	crc = crc32.Update(crc, walCRC, tail)
+	for k := 0; k < 8; k++ {
+		head[k] = hexDigits[(crc>>(28-4*k))&0xf]
+	}
+	head[8] = ' '
+	parts = append(parts, head)
+	parts = append(parts, hist.chunks...)
+	return append(parts, append(tail, '\n')), nil
 }
 
 func appendMarshal(b []byte, v any) ([]byte, error) {

@@ -96,28 +96,68 @@ func codecCheckpoints(t testing.TB) []Checkpoint {
 	}
 }
 
-// TestAppendCheckpointMatchesMarshal pins the checkpoint encoder, and the
-// framed line checkpointNow writes, to json.Marshal byte for byte: the
-// on-disk checkpoint is one encoder's output whichever path wrote it.
+// TestAppendCheckpointMatchesMarshal pins the framed line checkpointNow
+// writes — head, the encoded history as it is, tail — to json.Marshal byte
+// for byte: the on-disk checkpoint is one encoder's output whichever path
+// wrote it. The history is filled from cp.Jobs as recovery fills it, and
+// also from the payloads the WAL writes for the same records, as the serving
+// path fills it.
 func TestAppendCheckpointMatchesMarshal(t *testing.T) {
 	for n, cp := range codecCheckpoints(t) {
 		want, err := json.Marshal(cp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := appendCheckpoint(nil, &cp)
-		if err != nil {
-			t.Fatalf("case %d: appendCheckpoint: %v", n, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("case %d: appendCheckpoint\n got %s\nwant %s", n, got, want)
-		}
-		line, err := encodeCheckpointFrame(&cp, 0)
-		if err != nil {
+		var filled, appended encodedHistory
+		if err := filled.fill(cp.Jobs); err != nil {
 			t.Fatal(err)
 		}
-		if wantLine := frameRecord(want); !bytes.Equal(line, wantLine) {
-			t.Errorf("case %d: encodeCheckpointFrame\n got %s\nwant %s", n, line, wantLine)
+		w := &wal{batch: true} // buffers only: this wal has no file
+		for k := range cp.Jobs {
+			payload, err := w.append(cp.Jobs[k])
+			if err != nil {
+				t.Fatal(err)
+			}
+			appended.add(payload)
+		}
+		for name, hist := range map[string]*encodedHistory{"fill": &filled, "wal": &appended} {
+			jobs := cp.Jobs
+			cp.Jobs = nil // checkpointFrame must not read it
+			parts, err := checkpointFrame(nil, &cp, hist)
+			cp.Jobs = jobs
+			if err != nil {
+				t.Fatalf("case %d %s: checkpointFrame: %v", n, name, err)
+			}
+			if got, wantLine := bytes.Join(parts, nil), frameRecord(want); !bytes.Equal(got, wantLine) {
+				t.Errorf("case %d %s: checkpointFrame\n got %s\nwant %s", n, name, got, wantLine)
+			}
+		}
+	}
+}
+
+// TestEncodedHistoryChunks: records span chunk boundaries without loss, and
+// no chunk but the last has room left.
+func TestEncodedHistoryChunks(t *testing.T) {
+	var h encodedHistory
+	var want []byte
+	rec := bytes.Repeat([]byte("x"), 1000)
+	for k := 0; k < 2000; k++ {
+		rec[0] = byte('a' + k%26)
+		if k > 0 {
+			want = append(want, ',')
+		}
+		want = append(want, rec[:1+k%len(rec)]...)
+		h.add(rec[:1+k%len(rec)])
+	}
+	if got := bytes.Join(h.chunks, nil); !bytes.Equal(got, want) || h.size != len(want) || h.n != 2000 {
+		t.Fatalf("history holds %d bytes (size %d, %d records), want %d bytes, 2000 records", len(got), h.size, h.n, len(want))
+	}
+	for k, c := range h.chunks {
+		if k < len(h.chunks)-1 && len(c) != cap(c) {
+			t.Errorf("chunk %d of %d: %d of %d bytes used", k, len(h.chunks), len(c), cap(c))
+		}
+		if cap(c) > histChunkMax {
+			t.Errorf("chunk %d: capacity %d over the %d cap", k, cap(c), histChunkMax)
 		}
 	}
 }

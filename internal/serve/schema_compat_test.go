@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"net/http"
 	"net/http/httptest"
@@ -180,4 +181,125 @@ func TestSchemaCompatRecovery(t *testing.T) {
 	if res.Completed+res.Expired != 4 {
 		t.Fatalf("drained %d+%d jobs, want 4", res.Completed, res.Expired)
 	}
+}
+
+// TestSchemaCompatCheckpointStream pins the streamed checkpoint — head, the
+// shard's encoded history as written, tail — to the bytes the one-buffer
+// encoder wrote: frameRecord(json.Marshal(Checkpoint)) with Jobs the history
+// decoded from the WAL records each job was first written as. It is checked
+// on a fresh start, after a live checkpoint, after crash recovery (history
+// refilled from the decoded records) and after a drain. The traffic mixes
+// scalar and explicit-DAG specs, keyed admits and rejects, and records
+// whose key or request ID needs escaping, which the WAL and the refill both
+// write through encoding/json.
+func TestSchemaCompatCheckpointStream(t *testing.T) {
+	// hist is every job record the WAL wrote, in acceptance order.
+	var hist []WALJob
+	takeWAL := func(dir string) {
+		t.Helper()
+		payloads, _, err := scanWAL(filepath.Join(dir, walFileName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range payloads {
+			var rec WALJob
+			if err := json.Unmarshal(p, &rec); err != nil {
+				t.Fatal(err)
+			}
+			if rec.Type == "job" {
+				hist = append(hist, rec)
+			}
+		}
+	}
+	check := func(stage, dir string) {
+		t.Helper()
+		data, err := os.ReadFile(filepath.Join(dir, checkpointFileName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := parseFrame(bytes.TrimSuffix(data, []byte("\n")))
+		if err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+		var cp Checkpoint
+		if err := json.Unmarshal(payload, &cp); err != nil {
+			t.Fatal(err)
+		}
+		if len(cp.Jobs) != len(hist) {
+			t.Fatalf("%s: checkpoint holds %d jobs, the WAL wrote %d", stage, len(cp.Jobs), len(hist))
+		}
+		cp.Jobs = hist
+		want, err := json.Marshal(cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, frameRecord(want)) {
+			t.Errorf("%s: checkpoint.json differs from the marshaled checkpoint\n got: %s\nwant: %s", stage, data, frameRecord(want))
+		}
+	}
+	submit := func(ts *httptest.Server, body, key, reqID string) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if key != "" {
+			req.Header.Set("Idempotency-Key", key)
+		}
+		if reqID != "" {
+			req.Header.Set("X-Request-Id", reqID)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != 200 {
+			t.Fatalf("POST %s: status %d", body, resp.StatusCode)
+		}
+	}
+	clock := int64(0)
+	traffic := func(ts *httptest.Server, srv *Server, round string) {
+		submit(ts, `{"w":32,"l":4,"deadline":40,"profit":10}`, "", "")
+		submit(ts, `{"w":100,"l":2,"deadline":12,"profit":8}`, round+"-reject", "")
+		submit(ts, `{"dag":{"work":[2,1,3],"edges":[[0,1],[0,2]]},"deadline":30,"profit":4}`, round+"-dag", "req-"+round)
+		clock += 2
+		srv.Advance(clock)
+		submit(ts, `{"w":6,"l":3,"deadline":30,"profit":2}`, round+`-"quoted"`, "")
+		submit(ts, `{"w":4,"l":2,"deadline":30,"profit":1}`, "", "req<"+round+">&")
+	}
+
+	dir := t.TempDir()
+	srv, err := New(Config{M: 4, TickInterval: -1, WALDir: dir, Fsync: FsyncAlways, CheckpointInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("fresh", dir)
+	ts := httptest.NewServer(srv.Handler())
+	traffic(ts, srv, "a")
+	takeWAL(dir)
+	if err := srv.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	check("live", dir)
+	traffic(ts, srv, "b")
+	crash := snapshotDir(t, dir) // the image a SIGKILL here would leave
+	ts.Close()
+	srv.Drain()
+
+	takeWAL(crash)
+	srv, err = New(Config{M: 4, TickInterval: -1, WALDir: crash, Fsync: FsyncAlways, CheckpointInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := srv.Recovery(); rec == nil || rec.WALJobs == 0 || rec.CheckpointJobs == 0 {
+		t.Fatalf("recovery did not merge a checkpoint and a WAL suffix: %+v", rec)
+	}
+	check("recovered", crash)
+	ts = httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	traffic(ts, srv, "c")
+	takeWAL(crash)
+	srv.Drain()
+	check("drained", crash)
 }

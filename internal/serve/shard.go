@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -73,13 +74,13 @@ type shard struct {
 	walDir         string
 	header         ReplayHeader // the durable header this shard writes
 	wal            *wal
-	hist           []WALJob                  // full accepted history in wire form
+	hist           encodedHistory            // accepted job records, as checkpointed
 	idem           map[string]StoredResponse // idempotency table (kept even without WAL)
 	checkpoints    int64                     // lifetime checkpoint count
 	lastCheckpoint time.Time
 	lastCkptClock  int64
-	ckptDirty      bool // records appended since the last checkpoint
-	ckptBytes      int  // size of the last checkpoint written (buffer presize)
+	ckptDirty      bool     // records appended since the last checkpoint
+	ckptParts      [][]byte // checkpointFrame's output, reused across checkpoints
 
 	// wireCache memoizes everything a scalar spec derives: the synthesized
 	// DAG and profit function (shared across jobs — the DAG is immutable
@@ -90,6 +91,7 @@ type shard struct {
 	// job. Engine goroutine only; bounded (wireCacheMax) and never
 	// persisted — a miss just rebuilds.
 	wireCache map[scalarSpec]*scalarEntry
+	wireBuf   []byte // marshalJobWire's output for a cached shape, reused
 
 	recovery *RecoveryInfo // fixed at New; nil on a fresh start
 
@@ -104,6 +106,78 @@ type shard struct {
 	// reached 1), so the placer's second choice should spill past us.
 	pressure atomic.Uint64
 	bandFull atomic.Bool
+}
+
+// encodedHistory is a durable shard's accepted job records as the body of
+// the checkpoint's "jobs" array: each record's WAL payload, the bytes the
+// WAL wrote for it, comma-separated, in acceptance order. That is the whole
+// invariant — history bytes = WAL job payloads in acceptance order = the
+// checkpoint's jobs array — so a checkpoint writes the chunks as they are
+// and encodes no job again. Chunks are never moved once written, and a
+// record may span two. A new chunk holds a quarter of the history so far,
+// within [histChunkMin, histChunkMax], so a short history carries at most
+// the slack of a growing slice and a long one at most one chunk's. Engine
+// goroutine only.
+type encodedHistory struct {
+	chunks [][]byte // every chunk but the last is full
+	size   int      // bytes held
+	n      int      // records held
+}
+
+const (
+	histChunkMin = 4 << 10
+	histChunkMax = 256 << 10
+)
+
+var histSep = []byte{','}
+
+// add appends one record's JSON payload.
+func (h *encodedHistory) add(payload []byte) {
+	if h.n > 0 {
+		h.write(histSep)
+	}
+	h.write(payload)
+	h.n++
+}
+
+func (h *encodedHistory) write(p []byte) {
+	for len(p) > 0 {
+		k := len(h.chunks) - 1
+		if k < 0 || len(h.chunks[k]) == cap(h.chunks[k]) {
+			// slices.Grow hands out the allocation's whole size class.
+			h.chunks = append(h.chunks, slices.Grow([]byte(nil), min(max(h.size/4, histChunkMin), histChunkMax)))
+			k++
+		}
+		c := h.chunks[k]
+		m := copy(c[len(c):cap(c)], p)
+		h.chunks[k] = c[:len(c)+m]
+		h.size += m
+		p = p[m:]
+	}
+}
+
+// fill appends decoded records, each encoded as the WAL writes a job record:
+// appendWALJob, or json.Marshal when it declines. It runs once, on a
+// recovered history, so it then trims the last chunk to its length: a
+// restarted shard carries no slack until it accepts another job.
+func (h *encodedHistory) fill(recs []WALJob) error {
+	var scratch []byte
+	for k := range recs {
+		if b, ok := appendWALJob(scratch[:0], &recs[k]); ok {
+			scratch = b
+			h.add(b)
+			continue
+		}
+		b, err := json.Marshal(&recs[k])
+		if err != nil {
+			return err
+		}
+		h.add(b)
+	}
+	if k := len(h.chunks) - 1; k >= 0 {
+		h.chunks[k] = append([]byte(nil), h.chunks[k]...)
+	}
+	return nil
 }
 
 // baseID is lastID before the shard has assigned anything: one stride below
@@ -381,7 +455,9 @@ func (sh *shard) buildSpec(spec JobSpec) (*dag.DAG, profit.Fn, *scalarEntry, err
 // graph/profit tail in the job's scalar cache entry. Byte-identical to
 // workload.MarshalJob by construction: the cached tail is MarshalJob's own
 // output for the same spec, and the id/release prefix is rendered with the
-// same integer format (pinned by TestMarshalJobWireMatchesMarshalJob).
+// same integer format (pinned by TestMarshalJobWireMatchesMarshalJob). A
+// cached shape is rendered into the shard's reused wireBuf, so the result is
+// valid only until the next call: the WAL append copies it into the record.
 func (sh *shard) marshalJobWire(e *scalarEntry, job *sim.Job) (json.RawMessage, error) {
 	if e == nil {
 		return workload.MarshalJob(job)
@@ -398,12 +474,12 @@ func (sh *shard) marshalJobWire(e *scalarEntry, job *sim.Job) (json.RawMessage, 
 		e.tail = wire[i:]
 		return wire, nil
 	}
-	b := make([]byte, 0, 24+len(e.tail))
-	b = append(b, `{"id":`...)
+	b := append(sh.wireBuf[:0], `{"id":`...)
 	b = strconv.AppendInt(b, int64(job.ID), 10)
 	b = append(b, `,"release":`...)
 	b = strconv.AppendInt(b, job.Release, 10)
 	b = append(b, e.tail...)
+	sh.wireBuf = b
 	return b, nil
 }
 
@@ -461,7 +537,7 @@ func (sh *shard) processSubmit(spec JobSpec, key string, tr *submitTrace) submit
 			// Make the verdict durable so a retry after a crash collapses
 			// onto it instead of re-opening the decision.
 			if sh.wal != nil {
-				if err := sh.wal.append(WALReject{Type: "reject", Key: key, ReqID: reqIDOf(tr), Resp: resp}); err != nil {
+				if _, err := sh.wal.append(WALReject{Type: "reject", Key: key, ReqID: reqIDOf(tr), Resp: resp}); err != nil {
 					sh.degrade("wal append", err)
 					return submitReply{status: 503, err: "degraded: " + sh.srv.Degraded(), reason: reasonDegraded}
 				}
@@ -485,7 +561,8 @@ func (sh *shard) processSubmit(spec JobSpec, key string, tr *submitTrace) submit
 		if sh.obsReg != nil {
 			ta = time.Now()
 		}
-		if err := sh.wal.append(rec); err != nil {
+		payload, err := sh.wal.append(rec)
+		if err != nil {
 			// Not durable, so not committed and not acknowledged: the
 			// session never sees the job and the client may retry safely.
 			sh.degrade("wal append", err)
@@ -497,7 +574,7 @@ func (sh *shard) processSubmit(spec JobSpec, key string, tr *submitTrace) submit
 		if tr != nil {
 			tr.walAppended = time.Now()
 		}
-		sh.hist = append(sh.hist, rec)
+		sh.hist.add(payload)
 		sh.ckptDirty = true
 	}
 	if err := sh.sess.Arrive(job); err != nil {
@@ -608,7 +685,9 @@ func (sh *shard) maybeCheckpoint(now time.Time) {
 // checkpointNow folds this shard's accepted history, idempotency table,
 // telemetry summary, and session fingerprint into an atomically replaced
 // checkpoint.json in the shard's WAL directory, then truncates its WAL back
-// to the header. Engine goroutine only (or before it starts).
+// to the header. The history's bytes are written as they are; only the
+// head and tail around them are encoded. Engine goroutine only (or before it
+// starts).
 func (sh *shard) checkpointNow() error {
 	var t0 time.Time
 	if sh.obsReg != nil {
@@ -623,20 +702,21 @@ func (sh *shard) checkpointNow() error {
 		Header:      sh.header,
 		Clock:       sh.sess.Now(),
 		NextID:      sh.lastID,
-		Jobs:        sh.hist,
 		Idem:        sh.idem,
 		Summary:     sh.reg.Summary(),
 		Fingerprint: sh.sess.Fingerprint(),
 		Checkpoints: sh.checkpoints,
 	}
-	line, err := encodeCheckpointFrame(&cp, sh.ckptBytes)
+	parts, err := checkpointFrame(sh.ckptParts[:0], &cp, &sh.hist)
 	if err != nil {
 		return err
 	}
-	if err := writeFileAtomic(sh.walDir, checkpointFileName, line); err != nil {
+	err = writeFileAtomic(sh.walDir, checkpointFileName, parts...)
+	clear(parts)
+	sh.ckptParts = parts[:0]
+	if err != nil {
 		return err
 	}
-	sh.ckptBytes = len(line)
 	if err := sh.wal.reset(cp.Header); err != nil {
 		return err
 	}
@@ -669,7 +749,6 @@ func (sh *shard) openDurable(dir string) error {
 		if err := rs.replayInto(sh.sess, sh.adm, sh.reg, sh.srv.policy); err != nil {
 			return err
 		}
-		sh.hist = rs.jobs
 		sh.idem = rs.idem
 		sh.lastID = rs.nextID
 		sh.checkpoints = rs.checkpoints
@@ -679,6 +758,12 @@ func (sh *shard) openDurable(dir string) error {
 			sh.obsReg.Observe("serve.recovery_duration_us", float64(time.Since(t0).Microseconds()))
 			sh.obsReg.Inc("serve.recovery_replayed", int64(len(rs.jobs)))
 		}
+		if err := sh.hist.fill(rs.jobs); err != nil {
+			return err
+		}
+		// The decoded records, and the file buffers their job bytes view,
+		// are garbage from here on.
+		rs.jobs = nil
 	}
 	w, err := openWAL(dir, sh.srv.cfg.Fsync, sh.srv.cfg.FsyncInterval)
 	if err != nil {
@@ -688,8 +773,8 @@ func (sh *shard) openDurable(dir string) error {
 	sh.wal = w
 	if rs != nil && rs.sealed {
 		// A clean drain (or a start that found nothing to replay) left
-		// exactly this: re-encoding the whole history would rewrite the
-		// same jobs, idempotency table and fingerprint.
+		// exactly this: a checkpoint would rewrite and fsync the same
+		// jobs, idempotency table and fingerprint.
 		sh.lastCheckpoint = time.Now()
 		sh.lastCkptClock = rs.checkpointClk
 		sh.publishPressure()

@@ -172,12 +172,13 @@ func openWAL(dir string, policy FsyncPolicy, interval time.Duration) (*wal, erro
 	return &wal{dir: dir, f: f, policy: policy, interval: interval, lastSync: time.Now()}, nil
 }
 
-// append marshals v, frames it, writes it, and flushes per the policy. An
-// error means the record may not be durable; the caller must not acknowledge
-// the submission it covers. Inside a group-commit window the frame is only
+// append marshals v, frames it, writes it, and flushes per the policy, and
+// returns the record's JSON payload, valid until the next append. An error
+// means the record may not be durable; the caller must not acknowledge the
+// submission it covers. Inside a group-commit window the frame is only
 // buffered — durability (and write errors) surface at endBatch, before any
 // record in the window is acknowledged.
-func (w *wal) append(v any) error {
+func (w *wal) append(v any) ([]byte, error) {
 	var payload []byte
 	if wj, isJob := v.(WALJob); isJob {
 		// Accepted submissions are the hot path: render without
@@ -190,7 +191,7 @@ func (w *wal) append(v any) error {
 	if payload == nil {
 		p, err := json.Marshal(v)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		payload = p
 	}
@@ -198,15 +199,17 @@ func (w *wal) append(v any) error {
 	w.records++
 	w.dirty = true
 	if w.batch {
-		return nil
+		return payload, nil
 	}
 	if err := w.flushBuf(); err != nil {
-		return err
+		return nil, err
 	}
 	if w.policy == FsyncAlways {
-		return w.sync()
+		if err := w.sync(); err != nil {
+			return nil, err
+		}
 	}
-	return nil
+	return payload, nil
 }
 
 // flushBuf writes the accumulated frames with one syscall.
@@ -314,18 +317,20 @@ func (w *wal) close() error {
 	return w.f.Close()
 }
 
-// writeFileAtomic replaces dir/name with data crash-safely: temp file, fsync,
-// rename, directory fsync. A crash leaves either the old file or the new one,
-// never a torn mix.
-func writeFileAtomic(dir, name string, data []byte) error {
+// writeFileAtomic replaces dir/name with the concatenation of parts
+// crash-safely: temp file, fsync, rename, directory fsync. A crash leaves
+// either the old file or the new one, never a torn mix.
+func writeFileAtomic(dir, name string, parts ...[]byte) error {
 	tmp := filepath.Join(dir, name+".tmp")
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
+	for _, p := range parts {
+		if _, err := f.Write(p); err != nil {
+			f.Close()
+			return err
+		}
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()

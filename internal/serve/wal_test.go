@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -153,7 +154,7 @@ func TestWALAppendAndReset(t *testing.T) {
 	if err := w.reset(header); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.append(WALReject{Type: "reject", Key: "k", Resp: JobResponse{Decision: DecisionRejected}}); err != nil {
+	if _, err := w.append(WALReject{Type: "reject", Key: "k", Resp: JobResponse{Decision: DecisionRejected}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.close(); err != nil {
@@ -191,7 +192,7 @@ func TestWALMaybeSyncHonorsInterval(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.close()
-	if err := w.append(map[string]string{"type": "header"}); err != nil {
+	if _, err := w.append(map[string]string{"type": "header"}); err != nil {
 		t.Fatal(err)
 	}
 	if !w.dirty {
@@ -224,6 +225,66 @@ func TestWriteFileAtomic(t *testing.T) {
 		t.Fatalf("read back %q, %v", data, err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "f.json.tmp")); !os.IsNotExist(err) {
+		t.Fatal("temp file left behind")
+	}
+}
+
+// TestWriteFileAtomicParts: the parts land concatenated byte for byte, an
+// empty part list writes an empty file, and a reader racing replacements
+// of an existing file only ever sees one of the two whole contents.
+func TestWriteFileAtomicParts(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "f.json")
+	parts := [][]byte{[]byte("12345678 "), nil, []byte(`{"jobs":[`), {}, bytes.Repeat([]byte("x"), 70000), []byte("]}\n")}
+	if err := writeFileAtomic(dir, "f.json", parts...); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(path); err != nil || !bytes.Equal(data, bytes.Join(parts, nil)) {
+		t.Fatalf("read back %d bytes (%v), want the %d-byte concatenation", len(data), err, len(bytes.Join(parts, nil)))
+	}
+	if err := writeFileAtomic(dir, "f.json"); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(path); err != nil || len(data) != 0 {
+		t.Fatalf("no parts: read back %q, %v; want an empty file", data, err)
+	}
+
+	old := [][]byte{bytes.Repeat([]byte("a"), 50000), []byte("A")}
+	repl := [][]byte{[]byte("b"), bytes.Repeat([]byte("b"), 80000), []byte("B")}
+	whole := [][]byte{bytes.Join(old, nil), bytes.Join(repl, nil)}
+	if err := writeFileAtomic(dir, "f.json", old...); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	seen := make(chan error, 1)
+	go func() {
+		var err error
+		for err == nil {
+			select {
+			case <-stop:
+				seen <- nil
+				return
+			default:
+			}
+			data, rerr := os.ReadFile(path)
+			if rerr != nil {
+				err = rerr
+			} else if !bytes.Equal(data, whole[0]) && !bytes.Equal(data, whole[1]) {
+				err = fmt.Errorf("reader saw %d bytes, neither whole content", len(data))
+			}
+		}
+		seen <- err
+	}()
+	for k := 0; k < 20; k++ {
+		if err := writeFileAtomic(dir, "f.json", [][][]byte{old, repl}[k%2]...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	if err := <-seen; err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
 		t.Fatal("temp file left behind")
 	}
 }
