@@ -11,12 +11,21 @@ import (
 	"testing"
 )
 
-// The canonical codec and the degree-count Build are checked against the
+// The canonical codec and the CSR Build are checked against the
 // implementations they replaced, kept here as references: a Build that
-// coalesces duplicate edges through a map and grows each adjacency list by
-// append, and the encoding/json decoder and encoder of the dagJSON shape.
+// coalesces duplicate edges through a map and grows one adjacency list per
+// node by append, and the encoding/json decoder and encoder of the dagJSON
+// shape. The reference graph is its own type, compared with a DAG through
+// the exported accessors.
 
-func referenceBuild(b *Builder) (*DAG, error) {
+type refDAG struct {
+	work            []int64
+	succs, preds    [][]NodeID
+	totalWork, span int64
+	order           []NodeID
+}
+
+func referenceBuild(b *Builder) (*refDAG, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
@@ -24,7 +33,7 @@ func referenceBuild(b *Builder) (*DAG, error) {
 	if n == 0 {
 		return nil, ErrEmpty
 	}
-	g := &DAG{
+	g := &refDAG{
 		work:  append([]int64(nil), b.work...),
 		succs: make([][]NodeID, n),
 		preds: make([][]NodeID, n),
@@ -38,17 +47,33 @@ func referenceBuild(b *Builder) (*DAG, error) {
 		g.succs[e[0]] = append(g.succs[e[0]], e[1])
 		g.preds[e[1]] = append(g.preds[e[1]], e[0])
 	}
-	order, ok := g.topoOrder()
-	if !ok {
+	// Kahn's algorithm with a LIFO frontier, the order topoOrder computes.
+	indeg := make([]int, n)
+	var stack []NodeID
+	for v := range indeg {
+		if indeg[v] = len(g.preds[v]); indeg[v] == 0 {
+			stack = append(stack, NodeID(v))
+		}
+	}
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		g.order = append(g.order, v)
+		for _, u := range g.succs[v] {
+			if indeg[u]--; indeg[u] == 0 {
+				stack = append(stack, u)
+			}
+		}
+	}
+	if len(g.order) != n {
 		return nil, ErrCycle
 	}
-	g.order = order
 	for _, w := range g.work {
 		g.totalWork += w
 	}
 	down := make([]int64, n)
 	for i := n - 1; i >= 0; i-- {
-		v := order[i]
+		v := g.order[i]
 		best := int64(0)
 		for _, u := range g.succs[v] {
 			best = max(best, down[u])
@@ -59,7 +84,39 @@ func referenceBuild(b *Builder) (*DAG, error) {
 	return g, nil
 }
 
-func referenceUnmarshal(data []byte) (*DAG, error) {
+// graphDiff describes how g differs from the reference want, "" if it does
+// not: node works, W, L, topological order, edge count, and every
+// adjacency list through Successors and Predecessors — the same IDs in the
+// same order, nil for a node without such edges, capacity equal to length.
+func graphDiff(g *DAG, want *refDAG) string {
+	if !reflect.DeepEqual(g.work, want.work) || g.TotalWork() != want.totalWork || g.Span() != want.span {
+		return fmt.Sprintf("work %v W=%d L=%d, want %v W=%d L=%d", g.work, g.TotalWork(), g.Span(), want.work, want.totalWork, want.span)
+	}
+	if !reflect.DeepEqual(g.order, want.order) {
+		return fmt.Sprintf("order %v, want %v", g.order, want.order)
+	}
+	edges := 0
+	for v := range want.work {
+		edges += len(want.succs[v])
+		for _, c := range []struct {
+			name      string
+			got, want []NodeID
+		}{
+			{"Successors", g.Successors(NodeID(v)), want.succs[v]},
+			{"Predecessors", g.Predecessors(NodeID(v)), want.preds[v]},
+		} {
+			if !reflect.DeepEqual(c.got, c.want) || cap(c.got) != len(c.got) {
+				return fmt.Sprintf("%s(%d) = %#v (cap %d), want %#v", c.name, v, c.got, cap(c.got), c.want)
+			}
+		}
+	}
+	if g.NumEdges() != edges {
+		return fmt.Sprintf("NumEdges %d, want %d", g.NumEdges(), edges)
+	}
+	return ""
+}
+
+func referenceUnmarshal(data []byte) (*refDAG, error) {
 	var in dagJSON
 	if err := json.Unmarshal(data, &in); err != nil {
 		return nil, fmt.Errorf("dag: %w", err)
@@ -76,8 +133,8 @@ func referenceUnmarshal(data []byte) (*DAG, error) {
 
 func referenceMarshal(g *DAG) ([]byte, error) {
 	out := dagJSON{Work: g.work, Edges: make([][2]NodeID, 0, g.NumEdges())}
-	for v := range g.succs {
-		for _, u := range g.succs[v] {
+	for v := range g.work {
+		for _, u := range g.Successors(NodeID(v)) {
 			out.Edges = append(out.Edges, [2]NodeID{NodeID(v), u})
 		}
 	}
@@ -125,8 +182,13 @@ func TestBuildMatchesReference(t *testing.T) {
 		b := randomBuilder(rng, 1+rng.Intn(24), trial%3 != 0)
 		got, gotErr := b.Build()
 		want, wantErr := referenceBuild(b)
-		if gotErr != wantErr || !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: edges %v:\nBuild     %+v, %v\nreference %+v, %v", trial, b.edges, got, gotErr, want, wantErr)
+		if gotErr != wantErr {
+			t.Fatalf("trial %d: edges %v: Build error %v, reference %v", trial, b.edges, gotErr, wantErr)
+		}
+		if gotErr == nil {
+			if d := graphDiff(got, want); d != "" {
+				t.Fatalf("trial %d: edges %v: %s", trial, b.edges, d)
+			}
 		}
 	}
 }
@@ -162,8 +224,11 @@ func TestMarshalJSONMatchesReference(t *testing.T) {
 		}
 		back, next, ok := ParseJSON(got, 0)
 		ref, err := referenceUnmarshal(got)
-		if err != nil || !ok || next != len(got) || !reflect.DeepEqual(back, ref) {
-			t.Fatalf("graph %d: ParseJSON(%s) = %+v, %d, %v; reference %+v, %v", k, got, back, next, ok, ref, err)
+		if err != nil || !ok || next != len(got) {
+			t.Fatalf("graph %d: ParseJSON(%s) = %d, %v; reference error %v", k, got, next, ok, err)
+		}
+		if d := graphDiff(back, ref); d != "" {
+			t.Fatalf("graph %d: ParseJSON(%s): %s", k, got, d)
 		}
 	}
 }
@@ -202,8 +267,12 @@ func TestUnmarshalJSONOffCanonical(t *testing.T) {
 		var got DAG
 		gotErr := got.UnmarshalJSON([]byte(in))
 		want, wantErr := referenceUnmarshal([]byte(in))
-		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || (gotErr == nil && !reflect.DeepEqual(&got, want)) {
-			t.Errorf("UnmarshalJSON(%s) = %+v, %v; reference %+v, %v", in, &got, gotErr, want, wantErr)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Errorf("UnmarshalJSON(%s) error %v; reference %v", in, gotErr, wantErr)
+		} else if gotErr == nil {
+			if d := graphDiff(&got, want); d != "" {
+				t.Errorf("UnmarshalJSON(%s): %s", in, d)
+			}
 		}
 	}
 }
@@ -266,8 +335,8 @@ func FuzzDAGCodec(f *testing.F) {
 		if gotErr != nil {
 			return
 		}
-		if !reflect.DeepEqual(&got, want) {
-			t.Fatalf("UnmarshalJSON(%q) = %+v; reference %+v", data, &got, want)
+		if d := graphDiff(&got, want); d != "" {
+			t.Fatalf("UnmarshalJSON(%q): %s", data, d)
 		}
 		enc, err := got.MarshalJSON()
 		if err != nil {

@@ -23,10 +23,18 @@ type NodeID int32
 // DAG is an immutable directed acyclic graph of work nodes. Construct one
 // with a Builder or one of the shape constructors. The zero value is an
 // empty graph with no nodes.
+//
+// The adjacency is stored in compressed sparse row form, so a DAG holds the
+// same few pointers whatever its size, all to pointer-free arrays the
+// garbage collector never scans: v's successors are adj[succOff[v]:
+// succOff[v+1]] and its predecessors adj[predOff[v]:predOff[v+1]], the
+// successor lists first and the predecessor lists after them. Both offset
+// arrays are nil for a graph without edges.
 type DAG struct {
-	work  []int64
-	succs [][]NodeID
-	preds [][]NodeID
+	work    []int64
+	succOff []int32 // len n+1, or nil without edges
+	predOff []int32 // len n+1, or nil without edges
+	adj     []NodeID
 
 	totalWork int64
 	span      int64
@@ -47,22 +55,43 @@ func (g *DAG) TotalWork() int64 { return g.totalWork }
 // infinitely many unit-speed processors).
 func (g *DAG) Span() int64 { return g.span }
 
-// Successors returns the successors of v. The returned slice is owned by the
-// DAG and must not be modified.
-func (g *DAG) Successors(v NodeID) []NodeID { return g.succs[v] }
+// Successors returns the successors of v, nil if it has none. The returned
+// slice is owned by the DAG and must not be modified; its capacity ends at
+// its length, so appending to it copies.
+func (g *DAG) Successors(v NodeID) []NodeID { return nilIfEmpty(g.succs(v)) }
 
-// Predecessors returns the predecessors of v. The returned slice is owned by
-// the DAG and must not be modified.
-func (g *DAG) Predecessors(v NodeID) []NodeID { return g.preds[v] }
+// Predecessors returns the predecessors of v, nil if it has none. The
+// returned slice is owned by the DAG and must not be modified; its capacity
+// ends at its length, so appending to it copies.
+func (g *DAG) Predecessors(v NodeID) []NodeID { return nilIfEmpty(g.preds(v)) }
+
+// succs is v's successor list, possibly empty rather than nil.
+func (g *DAG) succs(v NodeID) []NodeID {
+	if g.succOff == nil {
+		return nil
+	}
+	lo, hi := g.succOff[v], g.succOff[v+1]
+	return g.adj[lo:hi:hi]
+}
+
+// preds is v's predecessor list, possibly empty rather than nil.
+func (g *DAG) preds(v NodeID) []NodeID {
+	if g.predOff == nil {
+		return nil
+	}
+	lo, hi := g.predOff[v], g.predOff[v+1]
+	return g.adj[lo:hi:hi]
+}
+
+func nilIfEmpty(s []NodeID) []NodeID {
+	if len(s) == 0 {
+		return nil
+	}
+	return s
+}
 
 // NumEdges returns the number of dependency edges.
-func (g *DAG) NumEdges() int {
-	n := 0
-	for _, s := range g.succs {
-		n += len(s)
-	}
-	return n
-}
+func (g *DAG) NumEdges() int { return len(g.adj) / 2 }
 
 // Builder assembles a DAG incrementally. The zero value is ready to use.
 type Builder struct {
@@ -120,11 +149,7 @@ func (b *Builder) Build() (*DAG, error) {
 // self-loops. The DAG takes ownership of work; edges is only read.
 func build(work []int64, edges [][2]NodeID) (*DAG, error) {
 	n := len(work)
-	g := &DAG{
-		work:  work,
-		succs: make([][]NodeID, n),
-		preds: make([][]NodeID, n),
-	}
+	g := &DAG{work: work}
 	g.link(edges)
 	order, ok := g.topoOrder()
 	if !ok {
@@ -139,7 +164,7 @@ func build(work []int64, edges [][2]NodeID) (*DAG, error) {
 	for i := n - 1; i >= 0; i-- {
 		v := order[i]
 		best := int64(0)
-		for _, u := range g.succs[v] {
+		for _, u := range g.succs(v) {
 			if down[u] > best {
 				best = down[u]
 			}
@@ -152,23 +177,23 @@ func build(work []int64, edges [][2]NodeID) (*DAG, error) {
 	return g, nil
 }
 
-// link fills succs and preds from edges with repeats dropped: every list
-// holds first occurrences in input order, and a node without edges keeps a
-// nil list. A stable counting sort buckets the edges by source; walking one
-// source's bucket, a per-target stamp recognizes a repeat. All lists share
-// two backing arrays sized from the kept degrees, so linking costs a fixed
-// number of allocations whatever the graph's size.
+// link fills the adjacency arrays from edges with repeats dropped: every
+// list holds first occurrences in input order. A stable counting sort
+// buckets the edges by source; walking one source's bucket, a per-target
+// stamp recognizes a repeat. The kept degrees give the offsets, and one
+// more pass over the edges fills both lists through per-node cursors, so
+// linking costs a fixed number of allocations whatever the graph's size.
 func (g *DAG) link(edges [][2]NodeID) {
 	if len(edges) == 0 {
 		return
 	}
 	n := len(g.work)
 	scratch := make([]int32, 4*n+1+len(edges))
-	start := scratch[:n+1]        // start[u]: u's first slot in bySrc
-	stamp := scratch[n+1 : 2*n+1] // stamp[v] = u+1 once (u,v) is kept
-	outDeg := scratch[2*n+1 : 3*n+1]
-	inDeg := scratch[3*n+1 : 4*n+1]
-	bySrc := scratch[4*n+1:] // edge indexes grouped by source, in input order
+	start := scratch[:n+1]           // start[u]: u's first slot in bySrc
+	stamp := scratch[n+1 : 2*n+1]    // stamp[v] = u+1 once (u,v) is kept
+	outCur := scratch[2*n+1 : 3*n+1] // kept out-degree, then u's next slot in adj
+	inCur := scratch[3*n+1 : 4*n+1]  // kept in-degree, then v's next slot in adj
+	bySrc := scratch[4*n+1:]         // edge indexes grouped by source, in input order
 	for _, e := range edges {
 		start[e[0]+1]++
 	}
@@ -182,7 +207,7 @@ func (g *DAG) link(edges [][2]NodeID) {
 	}
 	// start[u] now ends u's bucket, which begins where u-1's ends.
 	repeat := make([]bool, len(edges))
-	kept := 0
+	kept := int32(0)
 	from := int32(0)
 	for u := 0; u < n; u++ {
 		mark := int32(u) + 1
@@ -193,26 +218,28 @@ func (g *DAG) link(edges [][2]NodeID) {
 				continue
 			}
 			stamp[v] = mark
-			outDeg[u]++
-			inDeg[v]++
+			outCur[u]++
+			inCur[v]++
 			kept++
 		}
 		from = start[u]
 	}
-	buf := make([]NodeID, 2*kept)
-	succBuf, predBuf := buf[:kept], buf[kept:]
+	off := make([]int32, 2*(n+1))
+	g.succOff, g.predOff = off[:n+1:n+1], off[n+1:]
+	g.predOff[0] = kept
 	for v := 0; v < n; v++ {
-		if d := outDeg[v]; d > 0 {
-			g.succs[v], succBuf = succBuf[:0:d], succBuf[d:]
-		}
-		if d := inDeg[v]; d > 0 {
-			g.preds[v], predBuf = predBuf[:0:d], predBuf[d:]
-		}
+		g.succOff[v+1] = g.succOff[v] + outCur[v]
+		g.predOff[v+1] = g.predOff[v] + inCur[v]
+		outCur[v], inCur[v] = g.succOff[v], g.predOff[v]
 	}
+	g.adj = make([]NodeID, 2*kept)
 	for k, e := range edges {
 		if !repeat[k] {
-			g.succs[e[0]] = append(g.succs[e[0]], e[1])
-			g.preds[e[1]] = append(g.preds[e[1]], e[0])
+			u, v := e[0], e[1]
+			g.adj[outCur[u]] = v
+			outCur[u]++
+			g.adj[inCur[v]] = u
+			inCur[v]++
 		}
 	}
 }
@@ -238,7 +265,7 @@ func (g *DAG) topoOrder() ([]NodeID, bool) {
 	n := len(g.work)
 	indeg := make([]int32, n)
 	for v := 0; v < n; v++ {
-		indeg[v] = int32(len(g.preds[v]))
+		indeg[v] = int32(len(g.preds(NodeID(v))))
 	}
 	queue := make([]NodeID, 0, n)
 	for v := 0; v < n; v++ {
@@ -251,7 +278,7 @@ func (g *DAG) topoOrder() ([]NodeID, bool) {
 		v := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		order = append(order, v)
-		for _, u := range g.succs[v] {
+		for _, u := range g.succs(v) {
 			indeg[u]--
 			if indeg[u] == 0 {
 				queue = append(queue, u)
@@ -276,7 +303,7 @@ func (g *DAG) Validate() error {
 		if g.work[v] <= 0 {
 			return fmt.Errorf("dag: node %d has non-positive work %d", v, g.work[v])
 		}
-		for _, u := range g.succs[v] {
+		for _, u := range g.succs(NodeID(v)) {
 			if u < 0 || int(u) >= n {
 				return fmt.Errorf("dag: node %d has out-of-range successor %d", v, u)
 			}

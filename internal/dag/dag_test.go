@@ -160,3 +160,32 @@ func TestPredecessorsSuccessors(t *testing.T) {
 		t.Errorf("pred(c) = %v", g.Predecessors(c))
 	}
 }
+
+// TestBuildAllocationsIndependentOfSize pins the compact layout: building
+// an n-node chain makes the same number of allocations for every n, so no
+// allocation is made per node or per edge.
+func TestBuildAllocationsIndependentOfSize(t *testing.T) {
+	var counts []float64
+	for _, n := range []int{10, 1000, 100000} {
+		b := NewBuilder()
+		prev := b.AddNode(1)
+		for i := 1; i < n; i++ {
+			v := b.AddNode(1)
+			b.AddEdge(prev, v)
+			prev = v
+		}
+		runs := 20
+		if n >= 100000 {
+			runs = 3
+		}
+		allocs := testing.AllocsPerRun(runs, func() {
+			if _, err := b.Build(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		counts = append(counts, allocs)
+	}
+	if counts[0] != counts[1] || counts[1] != counts[2] {
+		t.Errorf("Build of a chain allocates %v times for n = 10, 10³, 10⁵; want one count", counts)
+	}
+}

@@ -47,8 +47,8 @@ func (g *DAG) AppendJSON(b []byte) []byte {
 	}
 	b = append(b, `,"edges":[`...)
 	first := true
-	for v, succ := range g.succs {
-		for _, u := range succ {
+	for v := range g.work {
+		for _, u := range g.succs(NodeID(v)) {
 			if !first {
 				b = append(b, ',')
 			}

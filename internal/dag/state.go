@@ -39,7 +39,7 @@ func NewState(g *DAG) *State {
 	}
 	copy(s.remaining, g.work)
 	for v := 0; v < n; v++ {
-		s.missingPreds[v] = int32(len(g.preds[v]))
+		s.missingPreds[v] = int32(len(g.preds(NodeID(v))))
 		s.readyPos[v] = -1
 	}
 	for v := 0; v < n; v++ {
@@ -105,7 +105,7 @@ func (s *State) Apply(v NodeID, units int64) int64 {
 	if s.remaining[v] == 0 {
 		s.removeReady(v)
 		s.completedNodes++
-		for _, u := range s.g.succs[v] {
+		for _, u := range s.g.succs(v) {
 			s.missingPreds[u]--
 			if s.missingPreds[u] == 0 {
 				s.pushReady(u)
@@ -173,7 +173,7 @@ func (s *State) refreshDown() {
 			continue
 		}
 		best := int64(0)
-		for _, u := range s.g.succs[v] {
+		for _, u := range s.g.succs(v) {
 			if s.down[u] > best {
 				best = s.down[u]
 			}

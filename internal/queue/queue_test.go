@@ -224,6 +224,81 @@ func TestPropTreapMatchesNaive(t *testing.T) {
 	}
 }
 
+// splitMergeSumRange and splitMergeSumFrom are the queries as TreapBand
+// first answered them, kept as references: cut the tree with split, read
+// the middle part's stored sum, merge the parts back.
+func splitMergeSumRange(t *TreapBand, lo, hi float64) float64 {
+	if hi <= lo {
+		return 0
+	}
+	var visits int64
+	l, rest := split(t.root, lo, -1<<62, &visits)
+	mid, r := split(rest, hi, -1<<62, &visits)
+	s := nodeSum(mid)
+	t.root = merge(merge(l, mid, &visits), r, &visits)
+	return s
+}
+
+func splitMergeSumFrom(t *TreapBand, lo float64) float64 {
+	var visits int64
+	l, r := split(t.root, lo, -1<<62, &visits)
+	s := nodeSum(r)
+	t.root = merge(l, r, &visits)
+	return s
+}
+
+// TestTreapQueriesMatchSplitMerge: the read-only SumRange and SumFrom give
+// the split/merge answers bit for bit, over random inserts, removals and
+// queries with fractional weights (so the order of the additions shows),
+// repeated densities, and bounds on, between and outside the stored keys;
+// and they leave the tree as they found it.
+func TestTreapQueriesMatchSplitMerge(t *testing.T) {
+	steps := 400000
+	if testing.Short() {
+		steps = 40000
+	}
+	rng := rand.New(rand.NewSource(11))
+	tr := NewTreapBand(3)
+	type key struct {
+		id int
+		d  float64
+	}
+	var live []key
+	bound := func() float64 {
+		if rng.Intn(4) == 0 && len(live) > 0 {
+			return live[rng.Intn(len(live))].d
+		}
+		return float64(rng.Intn(70)-5) / 4
+	}
+	for step, nextID := 0, 0; step < steps; step++ {
+		switch r := rng.Intn(10); {
+		case r < 4 || len(live) == 0:
+			it := Item{ID: nextID, Density: float64(rng.Intn(64)) / 4, Weight: rng.Float64() * 10}
+			nextID++
+			tr.Insert(it)
+			live = append(live, key{it.ID, it.Density})
+		case r < 6:
+			k := rng.Intn(len(live))
+			if !tr.Remove(live[k].id, live[k].d) {
+				t.Fatalf("step %d: Remove(%v) missed a live item", step, live[k])
+			}
+			live[k] = live[len(live)-1]
+			live = live[:len(live)-1]
+		default:
+			lo, hi := bound(), bound()
+			root := tr.root
+			got, gotFrom := tr.SumRange(lo, hi), tr.SumFrom(lo)
+			if tr.root != root {
+				t.Fatalf("step %d: a query moved the root", step)
+			}
+			want, wantFrom := splitMergeSumRange(tr, lo, hi), splitMergeSumFrom(tr, lo)
+			if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(gotFrom) != math.Float64bits(wantFrom) {
+				t.Fatalf("step %d: SumRange(%v, %v) = %v, SumFrom = %v; split/merge %v, %v", step, lo, hi, got, gotFrom, want, wantFrom)
+			}
+		}
+	}
+}
+
 // TestBandVisitCounters exercises the Counted instrumentation: both
 // substrates expose a deterministic work measure (entries examined for the
 // naive scan, tree nodes touched for the treap) that resets cleanly.

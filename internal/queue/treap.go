@@ -124,29 +124,99 @@ func (t *TreapBand) Remove(id int, density float64) bool {
 }
 
 // SumRange implements BandIndex: total weight of densities in [lo, hi).
+// It only reads the tree. The answer is the sum that the treap of the keys
+// in [lo, hi) — the middle part two splits would cut out — holds, folded
+// over that treap as recalc folds it, so it is bit-identical to split,
+// read and merge: the descent stops at the first node inside the range,
+// the middle treap's root, and below it folds the nodes on the two
+// boundary paths, taking the stored sum of every subtree wholly inside.
 func (t *TreapBand) SumRange(lo, hi float64) float64 {
 	if hi <= lo {
 		return 0
 	}
-	l, rest := split(t.root, lo, -1<<62, &t.visits)
-	mid, r := split(rest, hi, -1<<62, &t.visits)
-	s := nodeSum(mid)
-	t.root = merge(merge(l, mid, &t.visits), r, &t.visits)
+	n := t.root
+	for n != nil {
+		t.visits++
+		if n.below(lo) {
+			n = n.right
+		} else if !n.below(hi) {
+			n = n.left
+		} else {
+			break
+		}
+	}
+	if n == nil {
+		return 0
+	}
+	s := n.it.Weight
+	if l, ok := t.foldFrom(n.left, lo); ok {
+		s += l
+	}
+	if r, ok := t.foldBelow(n.right, hi); ok {
+		s += r
+	}
 	return s
 }
 
-// SumFrom implements BandIndex: total weight of densities ≥ lo.
+// SumFrom implements BandIndex: total weight of densities ≥ lo. Like
+// SumRange it only reads, folding the treap of the keys ≥ lo.
 func (t *TreapBand) SumFrom(lo float64) float64 {
-	l, r := split(t.root, lo, -1<<62, &t.visits)
-	s := nodeSum(r)
-	t.root = merge(l, r, &t.visits)
+	s, _ := t.foldFrom(t.root, lo)
 	return s
+}
+
+// below reports whether n's key precedes every key of density d, the
+// boundary split cuts at for a query bound.
+func (n *treapNode) below(d float64) bool { return keyLess(n.it.Density, n.it.ID, d, -1<<62) }
+
+// foldFrom returns recalc's sum over the treap of n's keys of density ≥ lo,
+// and false when there are none. Every key right of a kept node is kept,
+// so its stored sum stands in for that subtree.
+func (t *TreapBand) foldFrom(n *treapNode, lo float64) (float64, bool) {
+	for n != nil && n.below(lo) {
+		t.visits++
+		n = n.right
+	}
+	if n == nil {
+		return 0, false
+	}
+	t.visits++
+	s := n.it.Weight
+	if l, ok := t.foldFrom(n.left, lo); ok {
+		s += l
+	}
+	if n.right != nil {
+		s += n.right.sum
+	}
+	return s, true
+}
+
+// foldBelow is foldFrom's mirror: recalc's sum over the treap of n's keys
+// of density < hi, and false when there are none.
+func (t *TreapBand) foldBelow(n *treapNode, hi float64) (float64, bool) {
+	for n != nil && !n.below(hi) {
+		t.visits++
+		n = n.left
+	}
+	if n == nil {
+		return 0, false
+	}
+	t.visits++
+	s := n.it.Weight
+	if n.left != nil {
+		s += n.left.sum
+	}
+	if r, ok := t.foldBelow(n.right, hi); ok {
+		s += r
+	}
+	return s, true
 }
 
 // Len implements BandIndex.
 func (t *TreapBand) Len() int { return t.size }
 
-// Visits implements Counted: tree nodes touched by split/merge traversals.
+// Visits implements Counted: tree nodes touched by split/merge traversals
+// and by the read-only query descents.
 func (t *TreapBand) Visits() int64 { return t.visits }
 
 // ResetVisits implements Counted.

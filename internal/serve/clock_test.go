@@ -98,21 +98,33 @@ func TestClockJumpIdleNoWakeups(t *testing.T) {
 
 	// A submission gives the session a next event; now the timer arms and
 	// the clock starts jumping — and once the job's deadline passes, the
-	// shard goes quiet again instead of ticking forever.
-	code, jr := postJob(t, ts, `{"w":8,"l":2,"deadline":10,"profit":2}`)
+	// shard goes quiet again instead of ticking forever. The wait must not
+	// reach the engine: a /metrics scrape is a mailbox message whose
+	// catch-up would run the job's events itself, leaving the timer nothing
+	// to do. So it watches the pressure signal the engine publishes on
+	// every advance, an atomic read, and scrapes once a jump has moved it.
+	// The job is a 64-tick chain, so the value read after the submission
+	// returns is the admission's unless this goroutine was held off the CPU
+	// for the job's whole life.
+	sh := srv.shards[0]
+	code, jr := postJob(t, ts, `{"w":64,"l":64,"deadline":200,"profit":2}`)
 	if code != 200 || jr.Decision != DecisionAdmitted {
 		t.Fatalf("submit: code=%d resp=%+v", code, jr)
 	}
+	admitted := sh.pressure.Load()
+	if admitted == 0 {
+		t.Fatal("admitting a job published no pressure")
+	}
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		m = scrapeMetrics(t, ts.URL+"/metrics")
-		if m[`serve_clock_jumps_total{shard="0"}`] > 0 {
-			break
-		}
+	for sh.pressure.Load() == admitted {
 		if time.Now().After(deadline) {
-			t.Fatal("no clock jump observed after a submission")
+			t.Fatal("the engine did not advance after a submission")
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(time.Millisecond)
+	}
+	m = scrapeMetrics(t, ts.URL+"/metrics")
+	if v := m[`serve_clock_jumps_total{shard="0"}`]; v == 0 {
+		t.Error("the engine advanced without a clock jump")
 	}
 	if v := m[`serve_ticker_wakeups_total{shard="0"}`]; v != 0 {
 		t.Errorf("jump daemon recorded %v ticker wakeups under load, want 0", v)

@@ -194,8 +194,9 @@ func appendJobResponse(b []byte, r *JobResponse) ([]byte, bool) {
 // whenever any string needs escaping or the job wire bytes would not survive
 // Marshal's RawMessage compaction verbatim; the caller then uses
 // encoding/json, so the on-disk format is one encoder's output either way.
+// A record marked jobPlain skips the scan of its job bytes.
 func appendWALJob(b []byte, rec *WALJob) ([]byte, bool) {
-	if !fastjson.Plain(rec.Type) || !fastjson.Plain(rec.Key) || !fastjson.Plain(rec.ReqID) || !fastjson.RawPlain(rec.Job) {
+	if !fastjson.Plain(rec.Type) || !fastjson.Plain(rec.Key) || !fastjson.Plain(rec.ReqID) || !(rec.jobPlain || fastjson.RawPlain(rec.Job)) {
 		return b, false
 	}
 	b = append(b, `{"type":"`...)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"dagsched/internal/dag"
 	"dagsched/internal/sim"
 	"dagsched/internal/workload"
 )
@@ -251,6 +252,47 @@ func TestAppendWALJobMatchesMarshal(t *testing.T) {
 	}
 }
 
+// TestPlainWireChecksPrefixAndTail: a job rendered from a cached scalar
+// shape is marked plain only when its memoized tail passed RawPlain and its
+// id/release prefix does too, and a record so marked encodes as
+// json.Marshal encodes it.
+func TestPlainWireChecksPrefixAndTail(t *testing.T) {
+	sh := &shard{}
+	_, fn, ce, err := sh.buildSpec(JobSpec{W: 16, L: 2, Deadline: 40, Profit: ScalarProfit(3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ce.plainWire([]byte(`{"id":1}`)) {
+		t.Error("an entry without a memoized tail vouched for a record")
+	}
+	for _, id := range []int{1, 2} { // the first call memoizes the tail
+		job := &sim.Job{ID: id, Release: 5, Graph: ce.g, Profit: fn}
+		wire, err := sh.marshalJobWire(ce, job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := WALJob{Type: "job", Resp: JobResponse{ID: id, Release: 5}, Job: wire, jobPlain: ce.plainWire(wire)}
+		if !rec.jobPlain {
+			t.Fatalf("record %s of a plain shape not marked plain", wire)
+		}
+		got, ok := appendWALJob(nil, &rec)
+		want, _ := json.Marshal(rec)
+		if !ok || !bytes.Equal(got, want) {
+			t.Errorf("appendWALJob = %s, %v; json.Marshal %s", got, ok, want)
+		}
+	}
+	if (*scalarEntry)(nil).plainWire([]byte(`{"id":1}`)) {
+		t.Error("a nil entry (structured spec) vouched for a record")
+	}
+	odd := &scalarEntry{tail: []byte(`,"graph":1}`), tailPlain: true}
+	if odd.plainWire([]byte(`{"id":1,"release": 2,"graph":1}`)) {
+		t.Error("a prefix holding a space was marked plain")
+	}
+	if bad := (&scalarEntry{tail: []byte(`,"x":"<"}`), tailPlain: false}); bad.plainWire([]byte(`{"id":1,"x":"<"}`)) {
+		t.Error("a tail that failed RawPlain was vouched for")
+	}
+}
+
 // TestAppendFrame pins the in-place framer to frameRecord and to the scan
 // side (parseFrame must accept what appendFrame writes).
 func TestAppendFrame(t *testing.T) {
@@ -351,5 +393,48 @@ func TestBuildSpecSharesGraph(t *testing.T) {
 	}
 	if len(sh.wireCache) != 1 {
 		t.Errorf("error was cached: %d entries, want 1", len(sh.wireCache))
+	}
+}
+
+// TestBuildSpecSharesGraphPerShape: scalar specs that differ only in
+// deadline, profit or commitment are distinct cache entries but run on one
+// graph per (w, l), as does an uncached curve spec of that (w, l), while
+// another (w, l) gets its own.
+func TestBuildSpecSharesGraphPerShape(t *testing.T) {
+	sh := &shard{}
+	specs := []JobSpec{
+		{W: 16, L: 2, Deadline: 40, Profit: ScalarProfit(3)},
+		{W: 16, L: 2, Deadline: 41, Profit: ScalarProfit(3)},
+		{W: 16, L: 2, Deadline: 40, Profit: ScalarProfit(5)},
+		{W: 16, L: 2, Deadline: 40, Profit: ScalarProfit(3), Commitment: "on-arrival"},
+	}
+	var first *dag.DAG
+	for k, spec := range specs {
+		g, _, ce, err := sh.buildSpec(spec)
+		if err != nil || ce == nil {
+			t.Fatalf("spec %d: buildSpec = %v, entry %v", k, err, ce)
+		}
+		if k == 0 {
+			first = g
+		} else if g != first {
+			t.Errorf("spec %d: same (w, l) built a second graph", k)
+		}
+	}
+	curve := JobSpec{W: 16, L: 2, Curve: &workload.ProfitSpec{Kind: "step", Value: 3, Deadline: 40}}
+	if g, _, ce, err := sh.buildSpec(curve); err != nil || ce != nil || g != first {
+		t.Errorf("curve spec: buildSpec = %v, entry %v, shared graph %v; want no entry and the shared graph", err, ce, g == first)
+	}
+	if len(sh.wireCache) != len(specs) || len(sh.graphs) != 1 {
+		t.Errorf("%d cache entries over %d graphs, want %d over 1", len(sh.wireCache), len(sh.graphs), len(specs))
+	}
+	other, _, _, err := sh.buildSpec(JobSpec{W: 16, L: 4, Deadline: 40, Profit: ScalarProfit(3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other == first || other.TotalWork() != 16 || other.Span() != 4 {
+		t.Errorf("(16, 4) got graph %p W=%d L=%d; want its own, W=16 L=4", other, other.TotalWork(), other.Span())
+	}
+	if _, _, _, err := sh.buildSpec(JobSpec{W: 2, L: 9}); err == nil || len(sh.graphs) != 2 {
+		t.Errorf("invalid (w, l): err %v, %d graphs; want an error and nothing memoized", err, len(sh.graphs))
 	}
 }

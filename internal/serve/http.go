@@ -51,7 +51,8 @@ type JobSpec struct {
 const maxSynthNodes = 1 << 16
 
 // build resolves the spec into a validated graph and profit function.
-func (js JobSpec) build() (*dag.DAG, profit.Fn, error) {
+// synth makes the graph of a w/l spec: synthesizeDAG, or a memo of it.
+func (js JobSpec) build(synth func(w, l int64) (*dag.DAG, error)) (*dag.DAG, profit.Fn, error) {
 	var g *dag.DAG
 	switch {
 	case js.DAG != nil:
@@ -61,7 +62,7 @@ func (js JobSpec) build() (*dag.DAG, profit.Fn, error) {
 		g = js.DAG
 	case js.W > 0 && js.L > 0:
 		var err error
-		g, err = synthesizeDAG(js.W, js.L)
+		g, err = synth(js.W, js.L)
 		if err != nil {
 			return nil, nil, err
 		}

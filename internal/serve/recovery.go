@@ -40,6 +40,11 @@ type WALJob struct {
 	ReqID string          `json:"reqId,omitempty"`
 	Resp  JobResponse     `json:"resp"`
 	Job   json.RawMessage `json:"job"`
+
+	// jobPlain records that Job is known to pass fastjson.RawPlain, so
+	// appendWALJob need not scan it again. Set only by the submit path
+	// (scalarEntry.plainWire); never encoded.
+	jobPlain bool
 }
 
 // WALReject is the WAL record of a keyed rejected submission. Nothing was
@@ -512,10 +517,14 @@ func readAnyHeader(dir string) (ReplayHeader, error) {
 // only in ID and release. Only tails internableTail admits (none can
 // override the id or release) enter the map, so a hit needs no further
 // check; anything else, and any negative release (so the error is
-// UnmarshalJob's), decodes on its own. The map is bounded like the live
-// cache: past wireCacheMax shapes, new ones just decode.
+// UnmarshalJob's), decodes on its own. Behind the tails, a job decoded on
+// its own shares its graph through a workload.GraphTable: the profit or
+// commitment makes far more distinct tails than there are graphs. Both
+// maps are bounded like the live cache: past wireCacheMax entries, new
+// ones just decode.
 type jobDecoder struct {
-	shapes map[string]*sim.Job // tail → first job decoded with it
+	shapes map[string]*sim.Job  // tail → first job decoded with it
+	graphs *workload.GraphTable // nil until the first decode
 }
 
 func (d *jobDecoder) decode(raw []byte) (*sim.Job, error) {
@@ -526,7 +535,10 @@ func (d *jobDecoder) decode(raw []byte) (*sim.Job, error) {
 			return &sim.Job{ID: int(id), Release: release, Graph: first.Graph, Profit: first.Profit, Commitment: first.Commitment}, nil
 		}
 	}
-	j, err := workload.UnmarshalJob(raw)
+	if d.graphs == nil {
+		d.graphs = workload.NewGraphTable(wireCacheMax)
+	}
+	j, err := d.graphs.UnmarshalJob(raw)
 	if err != nil || !ok || len(d.shapes) >= wireCacheMax || j.ID != int(id) || j.Release != release || !internableTail(tail) {
 		return j, err
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"dagsched/internal/dag"
+	"dagsched/internal/fastjson"
 	"dagsched/internal/profit"
 	"dagsched/internal/sim"
 	"dagsched/internal/telemetry"
@@ -92,6 +93,12 @@ type shard struct {
 	// persisted — a miss just rebuilds.
 	wireCache map[scalarSpec]*scalarEntry
 	wireBuf   []byte // marshalJobWire's output for a cached shape, reused
+
+	// graphs shares one synthesized DAG per (w, l) among all specs of that
+	// (w, l), whatever their deadline, profit or commitment, so a wireCache
+	// miss on a known (w, l) builds no graph. Engine goroutine only;
+	// bounded by wireCacheMax like wireCache, and never persisted.
+	graphs map[[2]int64]*dag.DAG
 
 	recovery *RecoveryInfo // fixed at New; nil on a fresh start
 
@@ -413,9 +420,17 @@ type scalarSpec struct {
 // spec is safe on the engine goroutine. tail is filled lazily by
 // marshalJobWire on the first durable admission of the shape.
 type scalarEntry struct {
-	g    *dag.DAG
-	fn   profit.Fn
-	tail []byte // wire form from ,"graph": onward; nil until first marshal
+	g         *dag.DAG
+	fn        profit.Fn
+	tail      []byte // wire form from ,"graph": onward; nil until first marshal
+	tailPlain bool   // fastjson.RawPlain(tail), checked once when tail is set
+}
+
+// plainWire reports whether wire, which marshalJobWire rendered for this
+// entry, is known to pass fastjson.RawPlain: the memoized tail was checked
+// once, so only the integer prefix in front of it is checked per job.
+func (e *scalarEntry) plainWire(wire []byte) bool {
+	return e != nil && e.tailPlain && len(wire) > len(e.tail) && fastjson.RawPlain(wire[:len(wire)-len(e.tail)])
 }
 
 // wireCacheMax bounds the per-shard scalar cache; past it new shapes just
@@ -423,21 +438,23 @@ type scalarEntry struct {
 // steady state is all hits).
 const wireCacheMax = 4096
 
-// buildSpec is spec.build() with the synthesized graph memoized per scalar
-// spec: a cache hit skips the whole DAG synthesis, which is the single
-// largest per-submission allocation. Structured specs (explicit dag or
-// curve) always build fresh — the client owns those graphs. Build errors
-// are never cached (they are cheap and carry no derived state).
+// buildSpec is spec.build with everything a scalar spec derives memoized
+// per spec, and every synthesized graph per (w, l): a cache hit skips the
+// whole DAG synthesis, which is the single largest per-submission
+// allocation, and a miss synthesizes only a (w, l) the shard has not seen.
+// Structured specs (explicit dag or curve) are not cached; an explicit dag
+// is the client's own graph. Build errors are never cached (they are cheap
+// and carry no derived state).
 func (sh *shard) buildSpec(spec JobSpec) (*dag.DAG, profit.Fn, *scalarEntry, error) {
 	if spec.DAG != nil || spec.Curve != nil || !spec.Profit.IsScalar() {
-		g, fn, err := spec.build()
+		g, fn, err := spec.build(sh.sharedGraph)
 		return g, fn, nil, err
 	}
 	key := scalarSpec{W: spec.W, L: spec.L, Deadline: spec.Deadline, Profit: spec.Profit.Scalar, Commitment: spec.Commitment}
 	if e, ok := sh.wireCache[key]; ok {
 		return e.g, e.fn, e, nil
 	}
-	g, fn, err := spec.build()
+	g, fn, err := spec.build(sh.sharedGraph)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -449,6 +466,26 @@ func (sh *shard) buildSpec(spec JobSpec) (*dag.DAG, profit.Fn, *scalarEntry, err
 		sh.wireCache[key] = e
 	}
 	return g, fn, e, nil
+}
+
+// sharedGraph is synthesizeDAG through the shard's per-(w, l) memo. A DAG
+// is immutable after Build, so every job of the shape can run on it.
+func (sh *shard) sharedGraph(w, l int64) (*dag.DAG, error) {
+	key := [2]int64{w, l}
+	if g, ok := sh.graphs[key]; ok {
+		return g, nil
+	}
+	g, err := synthesizeDAG(w, l)
+	if err != nil {
+		return nil, err
+	}
+	if len(sh.graphs) < wireCacheMax {
+		if sh.graphs == nil {
+			sh.graphs = make(map[[2]int64]*dag.DAG)
+		}
+		sh.graphs[key] = g
+	}
+	return g, nil
 }
 
 // marshalJobWire renders job in the instance wire format, memoizing the
@@ -472,6 +509,7 @@ func (sh *shard) marshalJobWire(e *scalarEntry, job *sim.Job) (json.RawMessage, 
 			return wire, nil // unexpected shape: serve it, skip the memo
 		}
 		e.tail = wire[i:]
+		e.tailPlain = fastjson.RawPlain(e.tail)
 		return wire, nil
 	}
 	b := append(sh.wireBuf[:0], `{"id":`...)
@@ -556,7 +594,7 @@ func (sh *shard) processSubmit(spec JobSpec, key string, tr *submitTrace) submit
 			sh.reg.Inc("serve.bad_request", 1)
 			return submitReply{status: 400, err: err.Error(), reason: reasonBadRequest}
 		}
-		rec := WALJob{Type: "job", Key: key, ReqID: reqIDOf(tr), Resp: resp, Job: wire}
+		rec := WALJob{Type: "job", Key: key, ReqID: reqIDOf(tr), Resp: resp, Job: wire, jobPlain: ce.plainWire(wire)}
 		var ta time.Time
 		if sh.obsReg != nil {
 			ta = time.Now()

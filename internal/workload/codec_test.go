@@ -43,14 +43,22 @@ func referenceMarshalJob(j *sim.Job) ([]byte, error) {
 }
 
 // checkJobCodec asserts UnmarshalJob agrees with the reference on data —
-// same error text, or equal jobs — and that MarshalJob of an accepted job
-// writes the reference's bytes.
+// same error text, or equal jobs — also through a GraphTable, whose second
+// decode runs on the graph its first one left there, and that MarshalJob of
+// an accepted job writes the reference's bytes.
 func checkJobCodec(t *testing.T, data []byte) {
 	t.Helper()
 	got, gotErr := UnmarshalJob(data)
 	want, wantErr := referenceUnmarshalJob(data)
 	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 		t.Fatalf("UnmarshalJob(%q) err=%v; reference err=%v", data, gotErr, wantErr)
+	}
+	tab := NewGraphTable(1)
+	for pass := 0; pass < 2; pass++ {
+		shared, err := tab.UnmarshalJob(data)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || (err == nil && !reflect.DeepEqual(shared, want)) {
+			t.Fatalf("GraphTable pass %d: UnmarshalJob(%q) = %+v, %v; reference %+v, %v", pass, data, shared, err, want, wantErr)
+		}
 	}
 	if gotErr != nil {
 		return
@@ -125,7 +133,7 @@ func codecJobRecords(t testing.TB) (canonical, others [][]byte) {
 func TestJobCodecMatchesReference(t *testing.T) {
 	canonical, others := codecJobRecords(t)
 	for _, rec := range canonical {
-		if _, ok := parseJob(rec); !ok {
+		if _, ok := (*GraphTable)(nil).parseJob(rec); !ok {
 			t.Errorf("canonical record %s left the one-pass decoder", rec)
 		}
 		checkJobCodec(t, rec)
@@ -145,6 +153,43 @@ func TestJobCodecMatchesReference(t *testing.T) {
 		{ID: 1, Profit: profit.Step{Value: -0.0, Deadline: 0}},
 	} {
 		checkMarshalJob(t, j)
+	}
+}
+
+// TestGraphTableSharesGraphs: records whose graph members are byte-equal
+// share one graph through a table, whatever else differs; other graphs get
+// their own; the table holds no more than its bound; and without a table
+// nothing is shared.
+func TestGraphTableSharesGraphs(t *testing.T) {
+	const g1 = `"graph":{"work":[2,1],"edges":[[0,1]]}`
+	const g2 = `"graph":{"work":[2,1],"edges":[]}`
+	step := `,"profit":{"kind":"step","value":2,"deadline":9}`
+	records := []string{
+		`{"id":1,"release":0,` + g1 + step + `}`,
+		`{"id":2,"release":5,` + g1 + `,"profit":{"kind":"step","value":7,"deadline":3},"commitment":"delta"}`,
+		`{"id":3,"release":5,` + g2 + step + `}`,
+		`{"id":4,"release":6,` + g2 + step + `}`,
+		`{"id":5,"release":6,` + g1 + `,"profit":{"kind":"linear","peak":4,"flat":1,"zeroAt":9}}`,
+	}
+	tab := NewGraphTable(1)
+	var graphs []*dag.DAG
+	for _, rec := range records {
+		j, err := tab.UnmarshalJob([]byte(rec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs = append(graphs, j.Graph)
+	}
+	if graphs[0] != graphs[1] || graphs[0] != graphs[4] {
+		t.Error("byte-equal graph members decoded to distinct graphs")
+	}
+	if graphs[2] == graphs[0] || graphs[2] == graphs[3] || len(tab.graphs) != 1 {
+		t.Errorf("a table bounded at 1 holds %d graphs, or shared a graph it could not hold", len(tab.graphs))
+	}
+	a, _ := UnmarshalJob([]byte(records[0]))
+	b, _ := UnmarshalJob([]byte(records[1]))
+	if a.Graph == b.Graph {
+		t.Error("UnmarshalJob without a table shared a graph")
 	}
 }
 

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -136,8 +137,27 @@ func MarshalJob(j *sim.Job) ([]byte, error) {
 }
 
 // UnmarshalJob parses and validates one job in the instance wire format.
-func UnmarshalJob(data []byte) (*sim.Job, error) {
-	if j, ok := parseJob(data); ok {
+func UnmarshalJob(data []byte) (*sim.Job, error) { return (*GraphTable)(nil).UnmarshalJob(data) }
+
+// GraphTable shares the graphs of decoded job records: a canonical record
+// whose "graph" member is byte for byte one the table already decoded runs
+// on that validated graph, which is immutable, instead of decoding it
+// again. It holds at most the bound NewGraphTable was given; past it, new
+// graphs just decode. A nil table shares nothing. Not safe for concurrent
+// use.
+type GraphTable struct {
+	graphs map[string]*dag.DAG
+	max    int
+}
+
+// NewGraphTable returns an empty table holding at most max graphs.
+func NewGraphTable(max int) *GraphTable { return &GraphTable{max: max} }
+
+// UnmarshalJob is the package's UnmarshalJob sharing graphs through t. Only
+// the canonical record path consults the table; a record decoded by
+// encoding/json gets a graph of its own, as without a table.
+func (t *GraphTable) UnmarshalJob(data []byte) (*sim.Job, error) {
+	if j, ok := t.parseJob(data); ok {
 		return j, nil
 	}
 	var jj jobJSON
@@ -220,7 +240,7 @@ func encodeJob(j *sim.Job, pj *ProfitSpec) ([]byte, bool) {
 // parseJob decodes and validates a canonical job record. ok=false means
 // the record is off the canonical shape or fails a check; the caller decodes
 // it with encoding/json instead.
-func parseJob(data []byte) (*sim.Job, bool) {
+func (t *GraphTable) parseJob(data []byte) (*sim.Job, bool) {
 	id, release, tail, ok := fastjson.SplitJobWire(data)
 	if !ok || int64(int(id)) != id {
 		return nil, false
@@ -229,7 +249,7 @@ func parseJob(data []byte) (*sim.Job, bool) {
 	if !ok {
 		return nil, false
 	}
-	g, i, ok := dag.ParseJSON(tail, i)
+	g, i, ok := t.parseGraph(tail, i)
 	if !ok {
 		return nil, false
 	}
@@ -256,6 +276,31 @@ func parseJob(data []byte) (*sim.Job, bool) {
 		return nil, false
 	}
 	return j, true
+}
+
+// parseGraph is dag.ParseJSON through the table. A canonical graph holds
+// no object or string, so its member ends at the first '}': bytes equal up
+// to there decode to the same graph whatever follows them.
+func (t *GraphTable) parseGraph(data []byte, i int) (*dag.DAG, int, bool) {
+	if t == nil {
+		return dag.ParseJSON(data, i)
+	}
+	end := bytes.IndexByte(data[i:], '}')
+	if end < 0 {
+		return nil, i, false
+	}
+	end += i + 1
+	if g, ok := t.graphs[string(data[i:end])]; ok {
+		return g, end, true
+	}
+	g, next, ok := dag.ParseJSON(data, i)
+	if ok && next == end && len(t.graphs) < t.max {
+		if t.graphs == nil {
+			t.graphs = make(map[string]*dag.DAG)
+		}
+		t.graphs[string(data[i:end])] = g
+	}
+	return g, next, ok
 }
 
 // parseProfit decodes the profit member at data[i]: a canonical step spec
