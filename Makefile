@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test vet fmt check race bench bench-guard obs-guard wire-guard schema-compat suite examples fuzz trace-demo api-check api-update chaos
+.PHONY: all build test vet fmt check race bench bench-guard obs-guard wire-guard schema-compat suite suite-check examples fuzz trace-demo api-check api-update chaos
 
 all: vet test
 
@@ -18,10 +18,10 @@ fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # The full local gate: formatting, vet, build, tests, perf guards, the
-# public-API snapshot, and the crash-safety chaos harness. The telemetry
-# package is vetted on its own so a vet regression there is named in the
-# output.
-check: fmt vet build test bench-guard obs-guard wire-guard api-check schema-compat chaos
+# public-API snapshot, the crash-safety chaos harness, and the suite tables.
+# The telemetry package is vetted on its own so a vet regression there is
+# named in the output.
+check: fmt vet build test bench-guard obs-guard wire-guard api-check schema-compat chaos suite-check
 	go vet ./internal/telemetry/
 
 # Crash-safety harness: SIGKILL the serving daemon under concurrent load at
@@ -46,8 +46,8 @@ api-check:
 api-update:
 	go test -run TestPublicAPISnapshot -update .
 
-# Perf regression gate: the allocation-budget guard on the engine's nil-
-# telemetry path, the sharded serving-tier throughput gate (4-shard engine-
+# Perf regression gate: the allocation-budget guards on the engine's nil-
+# telemetry path and on its interval discipline (RunAuto), the sharded serving-tier throughput gate (4-shard engine-
 # path per-op cost within 1.6x of single-shard, i.e. aggregate >= 2.5x — see
 # TestShardedEnginePathGuard and BENCH_PR7.json for methodology), plus a
 # short 100-iteration smoke over the engine, queue, and admission
@@ -57,7 +57,7 @@ api-update:
 # are a full suite run, not a smoke.)
 bench-guard:
 	go vet ./...
-	go test -run TestTelemetryNilPathAllocations .
+	go test -run 'TestTelemetryNilPathAllocations|TestIntervalPathAllocations' .
 	SPAA_BENCH_GUARD=1 go test -run TestShardedEnginePathGuard -count=1 ./internal/serve/
 	go test -run xxx -bench 'BenchmarkEngine|BenchmarkSpeedScaledRun|BenchmarkOptUpperBound' -benchtime=100x .
 	go test -run xxx -bench . -benchtime=100x ./internal/sim/ ./internal/queue/ ./internal/core/
@@ -91,6 +91,17 @@ bench:
 # The reproduction suite tables (EXPERIMENTS.md records a run of this).
 suite:
 	go run ./cmd/spaa-bench
+
+# The suite tables must be byte-identical to bench_tables.txt serially and at
+# the default -parallel: the runner places results by cell coordinates, so a
+# difference is a behaviour change or a determinism bug. A change meant to
+# move a table regenerates the file with
+# `go run ./cmd/spaa-bench -parallel 1 > bench_tables.txt`.
+suite-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	go run ./cmd/spaa-bench -parallel 1 > "$$tmp/serial.txt" && cmp "$$tmp/serial.txt" bench_tables.txt && \
+	go run ./cmd/spaa-bench > "$$tmp/parallel.txt" && cmp "$$tmp/parallel.txt" bench_tables.txt && \
+	echo "suite-check: tables byte-identical at -parallel 1 and the default"
 
 # A ready-made observability demo: the Figure-1 adversarial stream under
 # scheduler S with full telemetry. Open trace-demo.json at ui.perfetto.dev;

@@ -275,6 +275,22 @@ func TestTelemetryNilPathAllocations(t *testing.T) {
 	}
 }
 
+// TestIntervalPathAllocations is the same guard on the interval
+// discipline: RunAuto steps this workload in intervals, which allocated
+// 1602/op in the dedicated evented loop that Session.step replaced. The
+// budget allows the same ~1% drift; a regression past it means an interval
+// step allocates per step.
+func TestIntervalPathAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation guard runs the full benchmark harness")
+	}
+	const budget = 1618
+	r := testing.Benchmark(BenchmarkEngineSchedulerSAuto)
+	if got := r.AllocsPerOp(); got > budget {
+		t.Errorf("interval-discipline run allocates %d/op, budget %d (1602 in the evented loop): the interval step has started allocating per step", got, budget)
+	}
+}
+
 // BenchmarkOptUpperBound measures the OPT bound machinery on a mid-size
 // instance (LP + knapsack path).
 func BenchmarkOptUpperBound(b *testing.B) {

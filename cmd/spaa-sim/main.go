@@ -54,7 +54,7 @@ func main() {
 		verify   = flag.Bool("verify", false, "re-validate the recorded schedule with the independent trace checker")
 		jsonOut  = flag.Bool("json", false, "emit the full result as JSON instead of the summary")
 		stats    = flag.Bool("stats", false, "print instance statistics before running")
-		evented  = flag.Bool("evented", false, "use the event-driven engine (event-stationary schedulers only)")
+		evented  = flag.Bool("evented", false, "step from event to event instead of tick by tick (event-stationary schedulers only)")
 		horizon  = flag.Int64("horizon", 0, "stop the simulation after this many ticks (0 = run to completion)")
 
 		resilient = flag.Bool("resilient", false, "use the fault-aware resilient scheduler variant")
@@ -64,7 +64,7 @@ func main() {
 		perfPath   = flag.String("perfetto", "", "write a Chrome trace-event JSON file (open at ui.perfetto.dev); implies recording")
 		telSummary = flag.Bool("telemetry-summary", false, "print the run's telemetry registry (counters, gauges, histograms)")
 		probeEvery = flag.Int64("probe", 0, "sample machine time series every N ticks (0 = off; 1 = every tick)")
-		probeJobs  = flag.Bool("probe-jobs", false, "with -probe, also sample per-job series (tick engine only)")
+		probeJobs  = flag.Bool("probe-jobs", false, "with -probe, also sample per-job series")
 	)
 	var faultFlags cliflags.FaultFlags
 	faultFlags.Register(flag.CommandLine)
@@ -126,7 +126,7 @@ func main() {
 	if *evented {
 		switch *schedSel {
 		case "gp", "llf", "nc":
-			fmt.Fprintf(os.Stderr, "spaa-sim: warning: %s is not event-stationary; the event-driven engine may diverge from tick-exact results\n", *schedSel)
+			fmt.Fprintf(os.Stderr, "spaa-sim: warning: %s is not event-stationary; event-interval steps may diverge from tick-exact results\n", *schedSel)
 		}
 		res, err = sim.RunEvented(simCfg, inst.Jobs, sched)
 	} else {

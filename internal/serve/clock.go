@@ -17,7 +17,9 @@ import (
 // of a ticker it arms one timer to the earliest instant anything can happen
 // — the session's next event (sim.Session.NextEventHint), the WAL's
 // interval-policy flush deadline, or a due checkpoint — and bursts every
-// deferred tick when it fires. An idle shard arms nothing and burns zero
+// deferred tick when it fires. Such a session also steps in event intervals
+// (sim.Session.EventSafe), so a burst, a drain fast-forward or a recovery
+// replay costs one step per event rather than per tick. An idle shard arms nothing and burns zero
 // CPU; a busy one advances exactly when state can change. Every mailbox
 // message catches the session up to the current wall tick first, so release
 // stamps and read freshness match the ticker loop and the two disciplines

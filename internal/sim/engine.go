@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"dagsched/internal/dag"
 	"dagsched/internal/faults"
@@ -36,11 +37,12 @@ type Config struct {
 	// Telemetry, when non-nil, receives the run's decision-event stream,
 	// metric registry updates, and (when Telemetry.Probe is set) per-tick
 	// time-series samples. Nil disables instrumentation entirely: the hot
-	// tick loop then performs only nil checks and allocates nothing extra.
+	// step loop then performs only nil checks and allocates nothing extra.
 	Telemetry *telemetry.Recorder
 	// OnRoute, when set, is invoked once per RunAuto call with the chosen
-	// engine ("tick" or "evented") and the reason for the choice. Direct
-	// Run/RunEvented calls never invoke it.
+	// stepping discipline ("tick": one tick per step, or "evented": one
+	// event interval per step) and the reason for the choice. Run,
+	// RunEvented and NewSession never invoke it.
 	OnRoute func(engine, reason string)
 }
 
@@ -74,20 +76,6 @@ type engine struct {
 	// makes no binding promises). The engine consults it only for jobs
 	// already past lastUseful, so the fault-free hot path never pays for it.
 	committer Committer
-
-	// Reused per-tick/per-interval buffers.
-	completedBuf []*liveJob
-	running      []runAlloc   // evented engine: the interval's running set
-	arena        []dag.NodeID // evented engine: picked nodes, all jobs
-}
-
-// runAlloc is one interval's execution record for a job in the evented
-// engine: the grant and the picked nodes as a window [lo, hi) into the
-// engine's node arena.
-type runAlloc struct {
-	lj     *liveJob
-	procs  int
-	lo, hi int
 }
 
 // ReadyCount implements AssignView.
@@ -116,50 +104,6 @@ func (e *engine) RemainingSpan(jobID int) int64 {
 	}
 	rem := lj.state.RemainingSpan()
 	return (rem + e.scale - 1) / e.scale
-}
-
-// prepareRun validates the configuration and jobs and builds the pieces both
-// engines share: the engine state, the result shell, the release-ordered job
-// list, and the effective node-pick policy.
-func prepareRun(cfg Config, jobs []*Job, sched Scheduler) (*engine, *Result, []*Job, dag.PickPolicy, error) {
-	if cfg.M < 1 {
-		return nil, nil, nil, nil, fmt.Errorf("sim: M = %d, need ≥ 1", cfg.M)
-	}
-	speed := cfg.Speed.Reduced()
-	if speed.IsZero() {
-		speed = rational.One()
-	}
-	if !speed.IsPositive() {
-		return nil, nil, nil, nil, fmt.Errorf("sim: speed %v must be positive", cfg.Speed)
-	}
-	if err := ValidateJobs(jobs); err != nil {
-		return nil, nil, nil, nil, err
-	}
-	policy := cfg.Policy
-	if policy == nil {
-		policy = dag.ByID{}
-	}
-	e := &engine{
-		cfg:     cfg,
-		perTick: speed.Num,
-		scale:   speed.Den,
-		live:    make(map[int]*liveJob),
-	}
-	e.committer, _ = sched.(Committer)
-	res := &Result{
-		Scheduler: sched.Name(),
-		M:         cfg.M,
-		Speed:     speed.Float(),
-	}
-	if cfg.Record {
-		res.Trace = &Trace{M: cfg.M}
-	}
-	ordered := sortJobsByRelease(jobs)
-	for _, j := range ordered {
-		res.OfferedProfit += j.Profit.At(1)
-	}
-	sched.Init(Env{M: cfg.M, Speed: speed.Float()})
-	return e, res, ordered, policy, nil
 }
 
 // scaledGraph returns j's graph with node works multiplied by the engine's
@@ -210,8 +154,12 @@ func (e *engine) arrive(t int64, j *Job, rec *telemetry.Recorder, sched Schedule
 // scheduler sees OnExpire in that order, exactly as before). A job the
 // scheduler has committed to is never expired: it stays live past its
 // deadline and runs to a (zero-profit) completion — the engine-side half of
-// the commitment contract.
-func (e *engine) expire(t int64, res *Result, rec *telemetry.Recorder, sched Scheduler) {
+// the commitment contract. It returns the earliest tick at which a job still
+// live can expire (lastUseful+1; math.MaxInt64 when none can), which bounds
+// an interval step. An overdue committed job does not bound it; a committed
+// job not yet overdue does, which at worst ends a step early.
+func (e *engine) expire(t int64, res *Result, rec *telemetry.Recorder, sched Scheduler) int64 {
+	next := int64(math.MaxInt64)
 	w := 0
 	for _, lj := range e.liveList {
 		if !lj.done && t > lj.lastUseful &&
@@ -226,6 +174,9 @@ func (e *engine) expire(t int64, res *Result, rec *telemetry.Recorder, sched Sch
 			sched.OnExpire(t, lj.job.ID)
 			continue
 		}
+		if lj.lastUseful >= t {
+			next = min(next, lj.lastUseful+1)
+		}
 		e.liveList[w] = lj
 		w++
 	}
@@ -233,6 +184,7 @@ func (e *engine) expire(t int64, res *Result, rec *telemetry.Recorder, sched Sch
 		e.liveList[i] = nil
 	}
 	e.liveList = e.liveList[:w]
+	return next
 }
 
 // compactLive drops entries marked done from liveList in one ordered pass.
@@ -279,16 +231,22 @@ func (e *engine) checkAllocs(t int64, allocs []Alloc, sched Scheduler) (int, err
 	return total, nil
 }
 
-// Run simulates jobs under sched and returns the outcome. It returns an
-// error for invalid configuration, malformed jobs, or a scheduler that
-// violates the allocation contract (oversubscription, unknown or finished
-// jobs, duplicate or non-positive allocations).
+// Run simulates jobs under sched one tick at a time and returns the
+// outcome. It returns an error for invalid configuration, malformed jobs, or
+// a scheduler that violates the allocation contract (oversubscription,
+// unknown or finished jobs, duplicate or non-positive allocations).
 //
-// Run is a Session advanced to the end in one call; the per-tick logic
-// lives in Session.step, so batch runs and step-driven serving sessions
-// (internal/serve) share one code path and stay bit-identical.
+// Run is a tick-discipline Session advanced to the end in one call, so batch
+// runs and step-driven serving sessions (internal/serve) share one code path
+// and stay bit-identical. It is the reference the interval discipline
+// (RunEvented, RunAuto) is checked against.
 func Run(cfg Config, jobs []*Job, sched Scheduler) (*Result, error) {
-	s, err := NewSession(cfg, jobs, sched)
+	return runSession(cfg, jobs, sched, EngineTick)
+}
+
+// runSession runs a session under the given discipline to the end.
+func runSession(cfg Config, jobs []*Job, sched Scheduler, discipline string) (*Result, error) {
+	s, err := newSession(cfg, jobs, sched, discipline)
 	if err != nil {
 		return nil, err
 	}
@@ -299,7 +257,7 @@ func Run(cfg Config, jobs []*Job, sched Scheduler) (*Result, error) {
 }
 
 // recordRunAggregates folds a finished run's end-state counters into the
-// recorder's registry. Shared by both engines so their registries agree.
+// recorder's registry.
 func recordRunAggregates(rec *telemetry.Recorder, res *Result) {
 	reg := rec.Registry()
 	reg.Inc("sim.runs", 1)

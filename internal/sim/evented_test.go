@@ -2,12 +2,15 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"dagsched/internal/dag"
 	"dagsched/internal/profit"
 	"dagsched/internal/rational"
+	"dagsched/internal/telemetry"
 )
 
 // resultsEqual compares every observable field of two results.
@@ -141,6 +144,33 @@ func TestEventedTraceExpandsToTicks(t *testing.T) {
 		if tick.T != int64(i) {
 			t.Fatalf("tick %d has T=%d", i, tick.T)
 		}
+	}
+}
+
+// TestEventedProbeMatchesTick: a probe asks for per-tick output, so
+// RunEvented steps one tick at a time under it and records exactly the
+// series Run does, the per-job series included.
+func TestEventedProbeMatchesTick(t *testing.T) {
+	series := func(run func(Config, []*Job, Scheduler) (*Result, error)) []*telemetry.TimeSeries {
+		rec := telemetry.NewRecorder()
+		rec.Probe = telemetry.NewProbe(1, true)
+		if _, err := run(Config{M: 3, Telemetry: rec}, sessionJobs(t, 12), &fifoSched{}); err != nil {
+			t.Fatal(err)
+		}
+		return rec.Probe.Series()
+	}
+	tick, evented := series(Run), series(RunEvented)
+	if !reflect.DeepEqual(tick, evented) {
+		t.Fatalf("probe series differ: tick engine %d series, evented %d", len(tick), len(evented))
+	}
+	perJob := 0
+	for _, ts := range evented {
+		if strings.HasPrefix(ts.Name, "job.") {
+			perJob++
+		}
+	}
+	if perJob == 0 {
+		t.Fatal("RunEvented recorded no per-job series")
 	}
 }
 

@@ -18,9 +18,10 @@ type JobStat struct {
 
 // Engine names for Result.Engine and the Config.OnRoute hook.
 const (
-	// EngineTick is the tick-by-tick engine (Run).
+	// EngineTick is the tick discipline: one tick per step (Run).
 	EngineTick = "tick"
-	// EngineEvented is the event-jumping engine (RunEvented).
+	// EngineEvented is the interval discipline: one event interval per
+	// step (RunEvented).
 	EngineEvented = "evented"
 )
 
@@ -29,7 +30,7 @@ type Result struct {
 	Scheduler string
 	M         int
 	Speed     float64
-	Engine    string // which engine produced the run: EngineTick or EngineEvented
+	Engine    string // the stepping discipline of the run: EngineTick or EngineEvented
 	Ticks     int64  // ticks simulated (the clock value after the last tick)
 
 	TotalProfit   float64 // Σ profit of completed-in-time jobs

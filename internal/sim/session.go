@@ -8,16 +8,26 @@ import (
 
 	"dagsched/internal/dag"
 	"dagsched/internal/faults"
+	"dagsched/internal/rational"
 	"dagsched/internal/telemetry"
 )
 
-// Session is the step-driven entry point to the tick engine: the same
-// simulation Run performs, sliced into externally clocked steps with support
-// for online job submission. A long-running process (internal/serve) drives
-// a Session from a wall clock and feeds it arrivals as they come in; Run is
-// a Session advanced to the end in one call, so the two are bit-identical by
-// construction — re-simulating a session's accepted job set offline
+// Session is the simulation engine: one stepping loop, sliced into
+// externally clocked steps with support for online job submission. A
+// long-running process (internal/serve) drives a Session from a wall clock
+// and feeds it arrivals as they come in; Run, RunEvented and RunAuto are a
+// Session advanced to the end in one call, so batch runs and serving share
+// one code path — re-simulating a session's accepted job set offline
 // reproduces its Result exactly.
+//
+// A step holds one allocation. Under the tick discipline it is one tick
+// wide. Under the interval discipline it spans every tick up to the next
+// event — the earliest picked-node completion, pending release, expiry,
+// the horizon, or the AdvanceTo target — since an event-stationary
+// scheduler's allocation cannot change before then; a step is still one
+// tick wide whenever per-tick output (faults, a telemetry probe, a recorded
+// trace) is asked for. Both disciplines produce bit-identical Results (but
+// for the Engine stamp, which names the discipline) and Fingerprints.
 //
 // A Session is not safe for concurrent use; callers serialize access (the
 // serving daemon owns one from a single engine goroutine).
@@ -30,14 +40,22 @@ type Session struct {
 	rec    *telemetry.Recorder
 	fm     *faults.Model
 
+	// interval: a step may span several ticks (the interval discipline,
+	// with no per-tick output asked for). Fixed at construction.
+	interval bool
+
 	t       int64
 	idleGap int64  // ticks the clock has moved idle since the work ran out
 	pending []*Job // scheduled arrivals, (release, ID)-ordered; pending[next:] due
 	next    int
 	seen    map[int]bool // every job ID ever accepted
 
-	allocBuf []Alloc
-	nodeBuf  []dag.NodeID
+	// Reused per-step buffers: the allocation, the running set with its
+	// picked nodes as windows into one arena, and the step's completions.
+	allocBuf  []Alloc
+	running   []runAlloc
+	arena     []dag.NodeID
+	completed []*liveJob
 
 	// Fault bookkeeping, allocated only when injection is on.
 	ca         CapacityAware
@@ -68,15 +86,66 @@ const (
 	JobStateExpired JobState = "expired"
 )
 
+// runAlloc is one step's execution record for a job: the grant and the
+// picked nodes as a window [lo, hi) into the session's node arena.
+type runAlloc struct {
+	lj     *liveJob
+	procs  int
+	lo, hi int
+}
+
 // NewSession validates the configuration and job set and returns a session
 // positioned before the first tick. The jobs slice may be empty: online
-// submissions arrive later through Arrive.
+// submissions arrive later through Arrive. The session steps in intervals
+// exactly when RunAuto would (see EventSafe), and one tick at a time
+// otherwise.
 func NewSession(cfg Config, jobs []*Job, sched Scheduler) (*Session, error) {
-	e, res, ordered, policy, err := prepareRun(cfg, jobs, sched)
-	if err != nil {
+	eng, _ := routeEngine(cfg, sched)
+	return newSession(cfg, jobs, sched, eng)
+}
+
+// newSession builds a session under the given discipline: EngineTick steps
+// one tick at a time, EngineEvented in intervals. The name is stamped on
+// the Result.
+func newSession(cfg Config, jobs []*Job, sched Scheduler, discipline string) (*Session, error) {
+	if cfg.M < 1 {
+		return nil, fmt.Errorf("sim: M = %d, need ≥ 1", cfg.M)
+	}
+	speed := cfg.Speed.Reduced()
+	if speed.IsZero() {
+		speed = rational.One()
+	}
+	if !speed.IsPositive() {
+		return nil, fmt.Errorf("sim: speed %v must be positive", cfg.Speed)
+	}
+	if err := ValidateJobs(jobs); err != nil {
 		return nil, err
 	}
-	res.Engine = EngineTick
+	policy := cfg.Policy
+	if policy == nil {
+		policy = dag.ByID{}
+	}
+	e := &engine{
+		cfg:     cfg,
+		perTick: speed.Num,
+		scale:   speed.Den,
+		live:    make(map[int]*liveJob),
+	}
+	e.committer, _ = sched.(Committer)
+	res := &Result{
+		Scheduler: sched.Name(),
+		M:         cfg.M,
+		Speed:     speed.Float(),
+		Engine:    discipline,
+	}
+	if cfg.Record {
+		res.Trace = &Trace{M: cfg.M}
+	}
+	ordered := sortJobsByRelease(jobs)
+	for _, j := range ordered {
+		res.OfferedProfit += j.Profit.At(1)
+	}
+	sched.Init(Env{M: cfg.M, Speed: speed.Float()})
 	s := &Session{
 		cfg:     cfg,
 		e:       e,
@@ -87,8 +156,10 @@ func NewSession(cfg Config, jobs []*Job, sched Scheduler) (*Session, error) {
 		pending: ordered,
 		seen:    make(map[int]bool, len(ordered)),
 		lastCap: cfg.M,
-		doneIdx: make(map[int]int),
+		doneIdx: make(map[int]int, len(ordered)),
 	}
+	s.interval = discipline == EngineEvented && cfg.Faults == nil && !cfg.Record &&
+		(cfg.Telemetry == nil || cfg.Telemetry.Probe == nil)
 	for _, j := range ordered {
 		s.seen[j.ID] = true
 	}
@@ -209,7 +280,7 @@ func (s *Session) AdvanceTo(now int64) error {
 		if s.t >= now {
 			return nil
 		}
-		if err := s.step(); err != nil {
+		if err := s.step(now); err != nil {
 			return err
 		}
 	}
@@ -248,15 +319,18 @@ func (s *Session) Finish() *Result {
 	return s.res
 }
 
-// step simulates one tick: due arrivals, expiries, the fault prologue, the
-// scheduler's allocation, execution, probe sampling, preemption accounting,
-// and completions. When the live set is empty after expiries the tick is
-// still consumed (the clock moves to t+1) but nothing is allocated: tick t's
-// arrivals and expiries are done, so a job submitted online afterwards must
-// be stamped t+1 — stamping it t would commit it after t's expiries, while
-// any replay of the same history (AdvanceTo(t), then Arrive) commits it
-// before them.
-func (s *Session) step() error {
+// step simulates one step starting at tick t = s.Now(): due arrivals,
+// expiries, the fault prologue, the scheduler's allocation, execution,
+// probe sampling, preemption accounting, and completions. The step is one
+// tick wide unless s.interval lets it span up to the next event, and it
+// ends no later than now, the AdvanceTo target; the allocation is held
+// throughout, so every picked node runs all of the step's ticks. When the live set is
+// empty after expiries tick t is still consumed (the clock moves to t+1)
+// but nothing is allocated: tick t's arrivals and expiries are done, so a
+// job submitted online afterwards must be stamped t+1 — stamping it t would
+// commit it after t's expiries, while any replay of the same history
+// (AdvanceTo(t), then Arrive) commits it before them.
+func (s *Session) step(now int64) error {
 	t := s.t
 	e, res, rec, sched, cfg := s.e, s.res, s.rec, s.sched, s.cfg
 	mark := len(res.Jobs)
@@ -268,7 +342,7 @@ func (s *Session) step() error {
 	}
 	// Expiries: completing after lastUseful earns nothing, so the job
 	// leaves the system.
-	e.expire(t, res, rec, sched)
+	nextExpiry := e.expire(t, res, rec, sched)
 	if len(e.live) == 0 {
 		s.indexDone(mark)
 		s.t = t + 1
@@ -325,7 +399,7 @@ func (s *Session) step() error {
 		return err
 	}
 
-	// Execution.
+	// Pick the running nodes once; they run for the whole step.
 	var tick *TickRecord
 	if res.Trace != nil {
 		res.Trace.Ticks = append(res.Trace.Ticks, TickRecord{T: t})
@@ -341,10 +415,13 @@ func (s *Session) step() error {
 		}
 		tick.Faults = tf
 	}
-	busy := 0
+	delta := int64(1)
+	if s.interval {
+		delta = now - t
+	}
 	upCursor := 0
-	completed := e.completedBuf[:0]
-	nodeBuf := s.nodeBuf
+	running := s.running[:0]
+	arena := s.arena[:0]
 	for _, a := range s.allocBuf {
 		lj := e.live[a.JobID]
 		if rec != nil && a.Procs != lj.lastProcs {
@@ -377,18 +454,17 @@ func (s *Session) step() error {
 			}
 			upCursor += take
 		}
+		lo := len(arena)
 		if procs > 0 {
-			nodeBuf = s.policy.Pick(lj.state, procs, nodeBuf[:0])
-		} else {
-			nodeBuf = nodeBuf[:0]
+			arena = s.policy.Pick(lj.state, procs, arena)
 		}
-		if s.fm != nil && len(nodeBuf) > 0 {
+		if s.fm != nil && len(arena) > lo {
 			// Execution failures: the node's attempt produces nothing
 			// and its accumulated work is discarded.
 			var lost int64
 			failed := false
-			kept := nodeBuf[:0]
-			for _, v := range nodeBuf {
+			kept := arena[lo:lo]
+			for _, v := range arena[lo:] {
 				if s.fm.NodeFails(t, a.JobID, int(v)) {
 					failed = true
 					l := lj.state.ResetNode(v)
@@ -401,7 +477,7 @@ func (s *Session) step() error {
 					kept = append(kept, v)
 				}
 			}
-			nodeBuf = kept
+			arena = arena[:lo+len(kept)]
 			if failed {
 				s.lostScaled += lost
 				if rec != nil {
@@ -414,28 +490,51 @@ func (s *Session) step() error {
 				}
 			}
 		}
-		for _, v := range nodeBuf {
-			lj.state.Apply(v, e.perTick)
+		if s.interval {
+			// The step ends no later than the tick a picked node finishes.
+			for _, v := range arena[lo:] {
+				delta = min(delta, (lj.state.Remaining(v)+e.perTick-1)/e.perTick)
+			}
 		}
-		busy += len(nodeBuf)
-		lj.stat.ProcTicks += int64(a.Procs)
-		lj.ranNow = true
 		if tick != nil {
 			tick.Allocs = append(tick.Allocs, AllocRecord{
 				JobID: a.JobID,
 				Procs: a.Procs,
-				Nodes: append([]dag.NodeID(nil), nodeBuf...),
+				Nodes: append([]dag.NodeID(nil), arena[lo:]...),
 			})
 		}
-		if lj.state.Done() {
-			completed = append(completed, lj)
+		running = append(running, runAlloc{lj: lj, procs: a.Procs, lo: lo, hi: len(arena)})
+	}
+	s.running, s.arena = running[:0], arena[:0]
+	if s.interval {
+		// Nor past the next release, expiry, or the horizon.
+		if s.next < len(s.pending) {
+			delta = min(delta, s.pending[s.next].Release-t)
+		}
+		delta = min(delta, nextExpiry-t)
+		if cfg.Horizon > 0 {
+			delta = min(delta, cfg.Horizon-t)
 		}
 	}
-	s.nodeBuf = nodeBuf
-	res.BusyProcTicks += int64(busy)
-	res.IdleProcTicks += int64(cfg.M - busy)
 
-	// Probe sampling (post-execution state of the sampled tick).
+	// Execution.
+	completed := s.completed[:0]
+	for _, r := range running {
+		for _, v := range arena[r.lo:r.hi] {
+			r.lj.state.Apply(v, delta*e.perTick)
+		}
+		r.lj.stat.ProcTicks += delta * int64(r.procs)
+		r.lj.ranNow = true
+		if r.lj.state.Done() {
+			completed = append(completed, r.lj)
+		}
+	}
+	busy := len(arena)
+	res.BusyProcTicks += delta * int64(busy)
+	res.IdleProcTicks += delta * int64(cfg.M-busy)
+
+	// Probe sampling (post-execution state of the sampled tick; a probe
+	// keeps every step one tick wide).
 	if rec != nil && rec.Probe.Want(t) {
 		capNow := cfg.M
 		if s.fm != nil {
@@ -465,7 +564,7 @@ func (s *Session) step() error {
 		}
 	}
 
-	// Preemption accounting.
+	// Preemption accounting (the running set is constant within a step).
 	for _, lj := range e.liveList {
 		if lj.ranLast && !lj.ranNow && !lj.state.Done() {
 			lj.stat.Preemptions++
@@ -480,50 +579,47 @@ func (s *Session) step() error {
 		lj.ranNow = false
 	}
 
-	// Completions (at time t+1).
+	// Completions, during the step's last tick (completion time end).
+	end := t + delta
 	for _, lj := range completed {
 		lj.done = true
 		lj.stat.Completed = true
-		lj.stat.CompletedAt = t + 1
-		lj.stat.Latency = t + 1 - lj.job.Release
+		lj.stat.CompletedAt = end
+		lj.stat.Latency = end - lj.job.Release
 		lj.stat.Profit = lj.job.Profit.At(lj.stat.Latency)
 		res.TotalProfit += lj.stat.Profit
 		res.Completed++
 		res.Jobs = append(res.Jobs, lj.stat)
 		if rec != nil {
-			ev := telemetry.JobEvent(t+1, telemetry.KindComplete, lj.job.ID)
+			ev := telemetry.JobEvent(end, telemetry.KindComplete, lj.job.ID)
 			ev.Value = lj.stat.Profit
 			rec.Emit(ev)
 			rec.Registry().Observe("job.latency", float64(lj.stat.Latency))
-			rec.Registry().Observe("job.slack_at_finish", float64(lj.lastUseful-t))
+			rec.Registry().Observe("job.slack_at_finish", float64(lj.lastUseful-(end-1)))
 		}
 		delete(e.live, lj.job.ID)
-		sched.OnCompletion(t, lj.job.ID)
+		sched.OnCompletion(end-1, lj.job.ID)
 	}
 	if len(completed) > 0 {
 		e.compactLive()
-		for i := range completed {
-			completed[i] = nil
-		}
+		clear(completed)
 	}
-	e.completedBuf = completed[:0]
+	s.completed = completed[:0]
 	s.indexDone(mark)
-	s.t = t + 1
+	s.t = end
 	return nil
 }
 
-// EventSafe reports whether this session's (scheduler, policy, faults,
-// probe) combination is event-stationary under the RunAuto routing rules:
-// nothing observable changes between arrivals, expiries, and completions.
-// A serving loop may then replace its fixed per-tick wakeup with a timer
-// armed to NextEventHint — the session's evolution depends only on the
-// sequence of (Arrive, AdvanceTo) operations and their clock values, never
-// on how many AdvanceTo calls delivered them, so bursting deferred ticks at
-// the next event stays bit-identical to ticking every interval.
-func (s *Session) EventSafe() bool {
-	eng, _ := routeEngine(s.cfg, s.sched)
-	return eng == EngineEvented
-}
+// EventSafe reports whether this session steps under the interval
+// discipline, which NewSession picks exactly when the (scheduler, policy,
+// faults, probe) combination is event-stationary under the RunAuto routing
+// rules: nothing observable changes between arrivals, expiries, and
+// completions. A serving loop may then replace its fixed per-tick wakeup
+// with a timer armed to NextEventHint — the session's evolution depends only
+// on the sequence of (Arrive, AdvanceTo) operations and their clock values,
+// never on how many AdvanceTo calls delivered them, so bursting deferred
+// ticks at the next event stays bit-identical to ticking every interval.
+func (s *Session) EventSafe() bool { return s.res.Engine == EngineEvented }
 
 // NextEventHint returns a lower bound on the next tick whose simulation can
 // change observable state: the earliest pending release, the earliest live

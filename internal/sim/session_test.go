@@ -2,11 +2,14 @@ package sim
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"dagsched/internal/dag"
 	"dagsched/internal/faults"
+	"dagsched/internal/rational"
 )
 
 // sessionJobs builds a deterministic mixed-shape workload in-package
@@ -40,36 +43,127 @@ func sessionJobs(t *testing.T, n int) []*Job {
 	return jobs
 }
 
-// resultJSON renders a result canonically for byte-level comparison.
+// resultJSON renders a result canonically for byte-level comparison. The
+// Engine stamp names the stepping discipline, not an outcome, so it is left
+// out.
 func resultJSON(t *testing.T, res *Result) string {
 	t.Helper()
-	data, err := json.Marshal(res)
+	r := *res
+	r.Engine = ""
+	data, err := json.Marshal(&r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return string(data)
 }
 
+// committedSched is the event-safe test scheduler with a commitment ledger:
+// every job whose ID is a multiple of three is promised completion, so it
+// runs past its deadline instead of expiring.
+type committedSched struct{ markedSched }
+
+func (s *committedSched) Committed(id int) bool { return id%3 == 0 }
+
+// sessionCases are the scheduler and speed combinations the Session tests
+// run under. fifoSched declares no event safety, so its sessions step one
+// tick at a time; the same policy marked event-safe steps in intervals,
+// also at a rational speed and with committed jobs running past their
+// deadlines.
+var sessionCases = []struct {
+	name     string
+	speed    rational.Rat
+	interval bool
+	mk       func() Scheduler
+}{
+	{"tick", rational.Rat{}, false, func() Scheduler { return &fifoSched{} }},
+	{"interval", rational.Rat{}, true, func() Scheduler { return &markedSched{safe: true} }},
+	{"interval-speed-3/2", rational.New(3, 2), true, func() Scheduler { return &markedSched{safe: true} }},
+	{"interval-committed", rational.Rat{}, true, func() Scheduler { return &committedSched{markedSched{safe: true}} }},
+}
+
+// lockstep drives a session and a tick-discipline reference session through
+// the same operations and fails on the first Fingerprint divergence, so an
+// interval step that ends anywhere but on the reference's state is caught
+// at the call that took it.
+type lockstep struct {
+	t      *testing.T
+	s, ref *Session
+}
+
+func newLockstep(t *testing.T, cfg Config, jobs []*Job, mk func() Scheduler, interval bool) *lockstep {
+	t.Helper()
+	s, err := NewSession(cfg, jobs, mk())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.interval != interval {
+		t.Fatalf("session steps in intervals: %v, want %v", s.interval, interval)
+	}
+	ref, err := newSession(cfg, jobs, mk(), EngineTick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &lockstep{t: t, s: s, ref: ref}
+}
+
+func (l *lockstep) check(op string) {
+	l.t.Helper()
+	if a, b := l.s.Fingerprint(), l.ref.Fingerprint(); a != b {
+		l.t.Fatalf("%s: fingerprint %016x, tick reference %016x (clocks %d, %d)", op, a, b, l.s.Now(), l.ref.Now())
+	}
+}
+
+func (l *lockstep) advanceTo(now int64) {
+	l.t.Helper()
+	if err := l.s.AdvanceTo(now); err != nil {
+		l.t.Fatal(err)
+	}
+	if err := l.ref.AdvanceTo(now); err != nil {
+		l.t.Fatal(err)
+	}
+	l.check(fmt.Sprintf("AdvanceTo(%d)", now))
+}
+
+func (l *lockstep) arrive(j *Job) {
+	l.t.Helper()
+	if err := l.s.Arrive(j); err != nil {
+		l.t.Fatalf("Arrive(job %d): %v", j.ID, err)
+	}
+	if err := l.ref.Arrive(j); err != nil {
+		l.t.Fatalf("reference Arrive(job %d): %v", j.ID, err)
+	}
+	l.check(fmt.Sprintf("Arrive(job %d)", j.ID))
+}
+
 // TestSessionBatchMatchesRun drives a session with the jobs given up front
 // and checks the result is byte-identical to Run.
 func TestSessionBatchMatchesRun(t *testing.T) {
-	jobs := sessionJobs(t, 40)
-	cfg := Config{M: 6}
-
-	want, err := Run(cfg, jobs, &fifoSched{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewSession(cfg, jobs, &fifoSched{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RunToEnd(); err != nil {
-		t.Fatal(err)
-	}
-	got := s.Finish()
-	if a, b := resultJSON(t, got), resultJSON(t, want); a != b {
-		t.Fatalf("session result diverges from Run:\n got %s\nwant %s", a, b)
+	for _, tc := range sessionCases {
+		t.Run(tc.name, func(t *testing.T) {
+			jobs := sessionJobs(t, 40)
+			cfg := Config{M: 6, Speed: tc.speed}
+			want, err := Run(cfg, jobs, tc.mk())
+			if err != nil {
+				t.Fatal(err)
+			}
+			l := newLockstep(t, cfg, jobs, tc.mk, tc.interval)
+			l.advanceTo(math.MaxInt64)
+			got := l.s.Finish()
+			if a, b := resultJSON(t, got), resultJSON(t, want); a != b {
+				t.Fatalf("session result diverges from Run:\n got %s\nwant %s", a, b)
+			}
+			if _, ok := tc.mk().(Committer); ok {
+				late := 0
+				for _, st := range got.Jobs {
+					if st.Completed && st.Profit == 0 {
+						late++
+					}
+				}
+				if late == 0 {
+					t.Fatal("no committed job ran past its deadline")
+				}
+			}
+		})
 	}
 }
 
@@ -78,33 +172,24 @@ func TestSessionBatchMatchesRun(t *testing.T) {
 // a serving daemon would — and checks the final result is byte-identical to
 // a batch Run over the same job set.
 func TestSessionOnlineMatchesRun(t *testing.T) {
-	jobs := sessionJobs(t, 40)
-	cfg := Config{M: 6}
-
-	want, err := Run(cfg, jobs, &fifoSched{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	s, err := NewSession(cfg, nil, &fifoSched{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ordered := sortJobsByRelease(jobs)
-	for _, j := range ordered {
-		if err := s.AdvanceTo(j.Release); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Arrive(j); err != nil {
-			t.Fatalf("Arrive(job %d): %v", j.ID, err)
-		}
-	}
-	if err := s.RunToEnd(); err != nil {
-		t.Fatal(err)
-	}
-	got := s.Finish()
-	if a, b := resultJSON(t, got), resultJSON(t, want); a != b {
-		t.Fatalf("online session diverges from Run:\n got %s\nwant %s", a, b)
+	for _, tc := range sessionCases {
+		t.Run(tc.name, func(t *testing.T) {
+			jobs := sessionJobs(t, 40)
+			cfg := Config{M: 6, Speed: tc.speed}
+			want, err := Run(cfg, jobs, tc.mk())
+			if err != nil {
+				t.Fatal(err)
+			}
+			l := newLockstep(t, cfg, nil, tc.mk, tc.interval)
+			for _, j := range sortJobsByRelease(jobs) {
+				l.advanceTo(j.Release)
+				l.arrive(j)
+			}
+			l.advanceTo(math.MaxInt64)
+			if a, b := resultJSON(t, l.s.Finish()), resultJSON(t, want); a != b {
+				t.Fatalf("online session diverges from Run:\n got %s\nwant %s", a, b)
+			}
+		})
 	}
 }
 
@@ -113,42 +198,31 @@ func TestSessionOnlineMatchesRun(t *testing.T) {
 // repeat calls, the way a serving loop's timer fires between submissions —
 // so correctness must not depend on how AdvanceTo's work is batched.
 func TestSessionOnlineLaggedClockMatchesRun(t *testing.T) {
-	jobs := sessionJobs(t, 30)
-	cfg := Config{M: 6}
-
-	want, err := Run(cfg, jobs, &fifoSched{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewSession(cfg, nil, &fifoSched{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ordered := sortJobsByRelease(jobs)
-	for _, j := range ordered {
-		// Unit-step the clock up to the release, with a redundant repeat
-		// call every other tick: AdvanceTo must be idempotent at a fixed
-		// target and insensitive to step size.
-		for now := s.Now(); now < j.Release; now++ {
-			if err := s.AdvanceTo(now + 1); err != nil {
+	for _, tc := range sessionCases {
+		t.Run(tc.name, func(t *testing.T) {
+			jobs := sessionJobs(t, 30)
+			cfg := Config{M: 6, Speed: tc.speed}
+			want, err := Run(cfg, jobs, tc.mk())
+			if err != nil {
 				t.Fatal(err)
 			}
-			if err := s.AdvanceTo(now + 1); err != nil {
-				t.Fatal(err)
+			l := newLockstep(t, cfg, nil, tc.mk, tc.interval)
+			for _, j := range sortJobsByRelease(jobs) {
+				// Unit-step the clock up to the release, with a redundant
+				// repeat call every tick: AdvanceTo must be idempotent at a
+				// fixed target and insensitive to step size.
+				for now := l.s.Now(); now < j.Release; now++ {
+					l.advanceTo(now + 1)
+					l.advanceTo(now + 1)
+				}
+				l.advanceTo(j.Release)
+				l.arrive(j)
 			}
-		}
-		if err := s.AdvanceTo(j.Release); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Arrive(j); err != nil {
-			t.Fatalf("Arrive(job %d): %v", j.ID, err)
-		}
-	}
-	if err := s.RunToEnd(); err != nil {
-		t.Fatal(err)
-	}
-	if a, b := resultJSON(t, s.Finish()), resultJSON(t, want); a != b {
-		t.Fatalf("lagged online session diverges from Run:\n got %s\nwant %s", a, b)
+			l.advanceTo(math.MaxInt64)
+			if a, b := resultJSON(t, l.s.Finish()), resultJSON(t, want); a != b {
+				t.Fatalf("lagged online session diverges from Run:\n got %s\nwant %s", a, b)
+			}
+		})
 	}
 }
 
@@ -210,68 +284,49 @@ func TestSessionExpiredLookup(t *testing.T) {
 // the tick is consumed, and the idle session's clock then follows
 // AdvanceTo, so a job submitted online afterwards is stamped with that
 // clock and a replay of the same history (AdvanceTo the release, then
-// Arrive) reaches the same state. Both batch engines end such a run on the
-// tick after the expiry, and so does the Result of a session whose clock
-// moved on idle: Ticks counts the ticks the work ran, not the idle ones.
+// Arrive) reaches the same state. Both batch entry points end such a run on
+// the tick after the expiry, and so does the Result of a session whose
+// clock moved on idle: Ticks counts the ticks the work ran, not the idle
+// ones.
 func TestSessionExpiryConsumesTick(t *testing.T) {
-	first := func() *Job { return &Job{ID: 1, Graph: dag.Chain(10, 1), Release: 0, Profit: step(t, 5, 3)} }
-	online, err := NewSession(Config{M: 1}, nil, &fifoSched{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := online.Arrive(first()); err != nil {
-		t.Fatal(err)
-	}
-	if err := online.AdvanceTo(100); err != nil {
-		t.Fatal(err)
-	}
-	if _, st := online.Lookup(1); st != JobStateExpired {
-		t.Fatalf("job 1 state %q, want expired", st)
-	}
-	second := &Job{ID: 2, Graph: dag.Chain(2, 1), Release: online.Now(), Profit: step(t, 1, 5)}
-	if err := online.Arrive(second); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range sessionCases {
+		t.Run(tc.name, func(t *testing.T) {
+			first := func() *Job { return &Job{ID: 1, Graph: dag.Chain(10, 1), Release: 0, Profit: step(t, 5, 3)} }
+			cfg := Config{M: 1, Speed: tc.speed}
+			online := newLockstep(t, cfg, nil, tc.mk, tc.interval)
+			online.arrive(first())
+			online.advanceTo(100)
+			if _, st := online.s.Lookup(1); st != JobStateExpired {
+				t.Fatalf("job 1 state %q, want expired", st)
+			}
+			second := &Job{ID: 2, Graph: dag.Chain(2, 1), Release: online.s.Now(), Profit: step(t, 1, 5)}
+			online.arrive(second)
 
-	replay, err := NewSession(Config{M: 1}, nil, &fifoSched{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := replay.Arrive(first()); err != nil {
-		t.Fatal(err)
-	}
-	if err := replay.AdvanceTo(second.Release); err != nil {
-		t.Fatal(err)
-	}
-	if err := replay.Arrive(&Job{ID: 2, Graph: second.Graph, Release: second.Release, Profit: second.Profit}); err != nil {
-		t.Fatal(err)
-	}
-	if a, b := online.Fingerprint(), replay.Fingerprint(); a != b {
-		t.Fatalf("online fingerprint %016x, replay %016x at clock %d", a, b, second.Release)
-	}
+			replay := newLockstep(t, cfg, nil, tc.mk, tc.interval)
+			replay.arrive(first())
+			replay.advanceTo(second.Release)
+			replay.arrive(&Job{ID: 2, Graph: second.Graph, Release: second.Release, Profit: second.Profit})
+			if a, b := online.s.Fingerprint(), replay.s.Fingerprint(); a != b {
+				t.Fatalf("online fingerprint %016x, replay %016x at clock %d", a, b, second.Release)
+			}
 
-	tick, err := Run(Config{M: 1}, []*Job{first()}, &fifoSched{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	evented, err := RunEvented(Config{M: 1}, []*Job{first()}, &fifoSched{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	idle, err := NewSession(Config{M: 1}, nil, &fifoSched{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := idle.Arrive(first()); err != nil {
-		t.Fatal(err)
-	}
-	if err := idle.AdvanceTo(100); err != nil {
-		t.Fatal(err)
-	}
-	const expiry = 3 // job 1's step profit is worth nothing from latency 3 on
-	if second.Release != 100 || tick.Ticks != expiry+1 || evented.Ticks != tick.Ticks || idle.Finish().Ticks != tick.Ticks {
-		t.Fatalf("run ending on an expiry at tick %d: tick engine %d ticks, evented %d, idle session %d (clock %d)",
-			expiry, tick.Ticks, evented.Ticks, idle.Finish().Ticks, second.Release)
+			tick, err := Run(cfg, []*Job{first()}, tc.mk())
+			if err != nil {
+				t.Fatal(err)
+			}
+			evented, err := RunEvented(cfg, []*Job{first()}, tc.mk())
+			if err != nil {
+				t.Fatal(err)
+			}
+			idle := newLockstep(t, cfg, nil, tc.mk, tc.interval)
+			idle.arrive(first())
+			idle.advanceTo(100)
+			const expiry = 3 // job 1's step profit is worth nothing from latency 3 on
+			if second.Release != 100 || tick.Ticks != expiry+1 || evented.Ticks != tick.Ticks || idle.s.Finish().Ticks != tick.Ticks {
+				t.Fatalf("run ending on an expiry at tick %d: tick engine %d ticks, evented %d, idle session %d (clock %d)",
+					expiry, tick.Ticks, evented.Ticks, idle.s.Finish().Ticks, second.Release)
+			}
+		})
 	}
 }
 
@@ -444,41 +499,39 @@ func TestSessionNextEventHint(t *testing.T) {
 	}
 }
 
-// TestSessionHintNeverLate drives a mixed workload tick by tick and checks
-// the hint's contract: between the current clock and the hint, advancing
-// never changes the fingerprint (no event fires before the hint).
+// TestSessionHintNeverLate drives a mixed workload from hint to hint and
+// checks the hint's contract: between the current clock and the hint,
+// advancing never changes the fingerprint (no event fires before the hint).
 func TestSessionHintNeverLate(t *testing.T) {
-	jobs := sessionJobs(t, 24)
-	s, err := NewSession(Config{M: 4}, jobs, &fifoSched{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		hint, ok := s.NextEventHint()
-		if !ok {
-			break
-		}
-		if hint < s.Now() {
-			t.Fatalf("hint %d behind the clock %d", hint, s.Now())
-		}
-		// Advancing to the hint simulates every tick strictly before it;
-		// none of those ticks may complete or expire a job (arrivals and
-		// clock movement are fine — the hint bounds *events*).
-		before := s.res.Completed + s.res.Expired
-		if err := s.AdvanceTo(hint); err != nil {
-			t.Fatal(err)
-		}
-		after := s.res.Completed + s.res.Expired
-		if after != before {
-			t.Fatalf("an event fired before the hint %d (clock %d): %d → %d finished jobs",
-				hint, s.Now(), before, after)
-		}
-		// Step past the hint so the loop terminates.
-		if err := s.AdvanceTo(hint + 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s.Live() != 0 || s.Pending() != 0 {
-		t.Fatalf("loop ended with %d live, %d pending", s.Live(), s.Pending())
+	for _, tc := range sessionCases {
+		t.Run(tc.name, func(t *testing.T) {
+			l := newLockstep(t, Config{M: 4, Speed: tc.speed}, sessionJobs(t, 24), tc.mk, tc.interval)
+			s := l.s
+			for {
+				hint, ok := s.NextEventHint()
+				if !ok {
+					break
+				}
+				if hint < s.Now() {
+					t.Fatalf("hint %d behind the clock %d", hint, s.Now())
+				}
+				// Advancing to the hint simulates every tick strictly before
+				// it; none of those ticks may complete or expire a job
+				// (arrivals and clock movement are fine — the hint bounds
+				// *events*).
+				before := s.res.Completed + s.res.Expired
+				l.advanceTo(hint)
+				after := s.res.Completed + s.res.Expired
+				if after != before {
+					t.Fatalf("an event fired before the hint %d (clock %d): %d → %d finished jobs",
+						hint, s.Now(), before, after)
+				}
+				// Step past the hint so the loop terminates.
+				l.advanceTo(hint + 1)
+			}
+			if s.Live() != 0 || s.Pending() != 0 {
+				t.Fatalf("loop ended with %d live, %d pending", s.Live(), s.Pending())
+			}
+		})
 	}
 }

@@ -1,7 +1,7 @@
 // Package telemetry is the zero-cost-when-disabled observability layer of
 // the simulator: a structured, deterministic decision-event stream, a typed
 // registry of counters/gauges/histograms, and optional per-tick probes that
-// capture machine and per-job time series. Both engines (internal/sim) and
+// capture machine and per-job time series. The engine (internal/sim) and
 // every scheduler emit into a Recorder when one is attached; with a nil
 // Recorder the instrumented code paths reduce to a single pointer check.
 //

@@ -43,8 +43,9 @@ func WithFaults(f FaultsConfig) Option {
 // stream, registry counters, and probe samples land in it.
 func WithRecorder(r *Recorder) Option { return func(c *SimConfig) { c.Telemetry = r } }
 
-// WithRouteHook observes RunAuto's engine choice (engine, reason) once per
-// call. Direct Run/RunEvented calls never invoke it.
+// WithRouteHook observes RunAuto's choice of stepping discipline (engine
+// "tick" or "evented", and the reason) once per call. Run, RunEvented and
+// sessions never invoke it.
 func WithRouteHook(fn func(engine, reason string)) Option {
 	return func(c *SimConfig) { c.OnRoute = fn }
 }
