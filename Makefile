@@ -121,7 +121,8 @@ examples:
 # Short fuzz passes over the serialization surfaces, including the
 # differential targets of every reflection-free codec (the scanner
 # primitives, the graph and job-record codecs, the request parser, batch
-# splitter and verdict encoder, and the recovery codec, each against the
+# splitter and verdict encoder, and recovery's record decode — record scan
+# plus job decode, where job records are validated — each against the
 # encoding/json code it stands in for; interned against per-job replay
 # decode; the WAL scanner against arbitrary bytes). Their inputs are whole
 # records and files, so minimizing each new input is capped at 100 runs:

@@ -138,16 +138,8 @@ func main() {
 		fail(os.WriteFile(*eventsPath, telemetry.EventsJSONL(rec.Events()), 0o644))
 	}
 	if *perfPath != "" {
-		ct, err := trace.Perfetto(res.Trace, inst.Jobs, rec.Events())
+		ct, err := perfettoTrace(res, inst.Jobs, rec)
 		fail(err)
-		if rec.Probe != nil {
-			for _, ts := range rec.Probe.Series() {
-				if strings.HasPrefix(ts.Name, "machine.") {
-					ct.AddCounterSeries(1, ts)
-				}
-			}
-			ct.SortStable()
-		}
 		f, err := os.Create(*perfPath)
 		fail(err)
 		fail(ct.WriteJSON(f))
@@ -273,4 +265,24 @@ func parseProfitKind(s string) (workload.ProfitKind, error) {
 	default:
 		return 0, fmt.Errorf("unknown profit family %q", s)
 	}
+}
+
+// perfettoTrace is the -perfetto document: the run's trace and decision
+// events, plus every probe series as a counter track — machine.* on the
+// machine process, job.<id>.* (from -probe-jobs) on the jobs process.
+func perfettoTrace(res *sim.Result, jobs []*sim.Job, rec *telemetry.Recorder) (*telemetry.ChromeTrace, error) {
+	ct, err := trace.Perfetto(res.Trace, jobs, rec.Events())
+	if err != nil || rec.Probe == nil {
+		return ct, err
+	}
+	for _, ts := range rec.Probe.Series() {
+		switch {
+		case strings.HasPrefix(ts.Name, "machine."):
+			ct.AddCounterSeries(trace.PerfettoPIDMachine, ts)
+		case strings.HasPrefix(ts.Name, "job."):
+			ct.AddCounterSeries(trace.PerfettoPIDJobs, ts)
+		}
+	}
+	ct.SortStable()
+	return ct, nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 	"dagsched/internal/trace"
 )
 
-// TestPerfettoPipelineValid mirrors main's -perfetto flow on the adversarial
+// TestPerfettoPipelineValid runs main's -perfetto export on the adversarial
 // instance and checks the exported document against the schema validator and
 // a JSON round-trip, so `spaa-sim -perfetto out.json` stays loadable in
 // ui.perfetto.dev.
@@ -33,16 +34,10 @@ func TestPerfettoPipelineValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := trace.Perfetto(res.Trace, inst.Jobs, rec.Events())
+	ct, err := perfettoTrace(res, inst.Jobs, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ts := range rec.Probe.Series() {
-		if strings.HasPrefix(ts.Name, "machine.") {
-			ct.AddCounterSeries(1, ts)
-		}
-	}
-	ct.SortStable()
 	var buf bytes.Buffer
 	if err := ct.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -66,4 +61,56 @@ func makeSchedulerForTest(t *testing.T) sim.Scheduler {
 		t.Fatal(err)
 	}
 	return sched
+}
+
+// TestPerfettoExportsJobSeries: with -probe-jobs the -perfetto document
+// carries the per-job probe series as counter tracks on the jobs process,
+// next to the machine series, on both stepping disciplines.
+func TestPerfettoExportsJobSeries(t *testing.T) {
+	inst, err := experiments.AdversarialInstance(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, run := range map[string]func(sim.Config, []*sim.Job, sim.Scheduler) (*sim.Result, error){
+		"tick": sim.Run, "evented": sim.RunEvented,
+	} {
+		rec := telemetry.NewRecorder()
+		rec.Probe = telemetry.NewProbe(1, true)
+		sched := makeSchedulerForTest(t)
+		telemetry.Attach(sched, rec)
+		res, err := run(sim.Config{M: inst.M, Speed: rational.One(), Record: true, Telemetry: rec}, inst.Jobs, sched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct, err := perfettoTrace(res, inst.Jobs, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := ct.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := telemetry.ValidateChromeTrace(buf.Bytes()); err != nil {
+			t.Fatalf("%s: exported trace fails schema check: %v", name, err)
+		}
+		var doc struct {
+			TraceEvents []struct {
+				Ph   string `json:"ph"`
+				Pid  int    `json:"pid"`
+				Name string `json:"name"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		counters := map[string]int{}
+		for _, ev := range doc.TraceEvents {
+			if ev.Ph == "C" {
+				counters[strings.SplitN(ev.Name, ".", 2)[0]+"@"+strconv.Itoa(ev.Pid)]++
+			}
+		}
+		if counters["job@2"] == 0 || counters["machine@1"] == 0 {
+			t.Fatalf("%s: counter events by series and process: %v; want job.* on pid 2 and machine.* on pid 1", name, counters)
+		}
+	}
 }

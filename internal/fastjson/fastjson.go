@@ -10,7 +10,8 @@
 // consumed, and reports ok=false when the bytes are invalid or merely off
 // the shape the primitive can vouch for. ok=false is never an error: the
 // caller falls back to encoding/json, which decides acceptance and owns the
-// error text.
+// error text. SkipStructure is the one scan that does not validate: it only
+// delimits, for a caller that validates the span itself.
 package fastjson
 
 import (
@@ -269,6 +270,72 @@ func skipValue(data []byte, i, depth int) (int, bool) {
 	return skipNumber(data, i)
 }
 
+// Byte classes of SkipStructure's scan: everything but quotes, escapes,
+// brackets and the bytes RawPlain refuses is a byte it passes over.
+const (
+	scanPass = iota
+	scanQuote
+	scanEscape
+	scanOpen
+	scanClose
+	scanNotPlain
+)
+
+var scanClass = func() (c [256]uint8) {
+	for b := range c {
+		if b <= 0x20 || b > 0x7e || b == '<' || b == '>' || b == '&' {
+			c[b] = scanNotPlain
+		}
+	}
+	c['"'], c['\\'] = scanQuote, scanEscape
+	c['{'], c['['] = scanOpen, scanOpen
+	c['}'], c[']'] = scanClose, scanClose
+	return c
+}()
+
+// SkipStructure returns the index after the object or array that starts at
+// data[i], found by tracking only string quotes, escapes and bracket depth:
+// it validates nothing else, so the span is JSON only if a decoder that
+// does validate accepts it. What it does promise is the span's extent: when
+// the span is valid JSON, it is exactly the value at data[i], so a document
+// with a valid prefix before it and a valid suffix after it is valid if and
+// only if the span is. plain reports that every byte of the span passes
+// RawPlain. ok=false when data[i] opens no object or array, the brackets do
+// not close, or they nest deeper than SkipValue's bound.
+func SkipStructure(data []byte, i int) (end int, plain, ok bool) {
+	if i >= len(data) || scanClass[data[i]] != scanOpen {
+		return i, false, false
+	}
+	plain = true
+	depth := 0
+	for ; i < len(data); i++ {
+		switch scanClass[data[i]] {
+		case scanOpen:
+			if depth++; depth > maxSkipDepth {
+				return i, false, false
+			}
+		case scanClose:
+			if depth--; depth == 0 {
+				return i + 1, plain, true
+			}
+		case scanQuote:
+			for i++; i < len(data) && data[i] != '"'; i++ {
+				c := scanClass[data[i]]
+				if c == scanEscape && i+1 < len(data) {
+					i++
+					c = scanClass[data[i]]
+				}
+				if c == scanNotPlain {
+					plain = false
+				}
+			}
+		case scanNotPlain:
+			plain = false
+		}
+	}
+	return len(data), false, false
+}
+
 // skipString scans a string literal with any valid escapes. Bytes at or
 // above 0x20 pass unexamined, as in encoding/json's scanner.
 func skipString(data []byte, i int) (int, bool) {
@@ -390,6 +457,31 @@ func AppendFloat(b []byte, f float64) []byte {
 		}
 	}
 	return b
+}
+
+// CanonicalFloat reports whether span, a number ParseFloat decoded to f, is
+// byte for byte what AppendFloat writes for f: the shortest form, in the
+// notation encoding/json picks for it. A decimal of at most 15 digits and
+// no exponent needs no encoding to tell: no two such decimals parse to the
+// same float64, so it is the shortest form unless it ends in a fraction
+// zero, and AppendFloat writes it as it is unless it is below 1e-6.
+func CanonicalFloat(span []byte, f float64) bool {
+	digits, frac := 0, false
+	for _, c := range span {
+		switch {
+		case c >= '0' && c <= '9':
+			digits++
+		case c == '.':
+			frac = true
+		case c != '-':
+			digits = 16 // exponent form
+		}
+	}
+	if digits <= 15 {
+		return !(frac && span[len(span)-1] == '0') && (f == 0 || math.Abs(f) >= 1e-6)
+	}
+	var buf [32]byte
+	return string(AppendFloat(buf[:0], f)) == string(span)
 }
 
 // SplitJobWire splits an instance-wire job record `{"id":N,"release":R…`

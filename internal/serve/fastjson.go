@@ -285,94 +285,125 @@ func wireString(b []byte) string {
 }
 
 // parseJobResponseFast decodes a JobResponse in appendJobResponse's field
-// order starting at data[i].
-func parseJobResponseFast(data []byte, i int, r *JobResponse) (int, bool) {
-	var ok bool
+// order starting at data[i]. canon reports that the bytes are exactly what
+// appendJobResponse writes for the decoded value: no member the encoder
+// omits (a zero id, an empty reason or commitment, replayed false), no
+// string it would escape, no -0, every float in its shortest form.
+func parseJobResponseFast(data []byte, i int, r *JobResponse) (next int, canon, ok bool) {
 	var s []byte
+	var start int
 	if i, ok = fastjson.HasLit(data, i, `{`); !ok {
-		return i, false
+		return i, false, false
 	}
+	canon = true
 	if next, has := fastjson.HasLit(data, i, `"id":`); has {
 		v, n, vok := fastjson.ParseInt(data, next)
 		if !vok {
-			return n, false
+			return n, false, false
 		}
 		r.ID = int(v)
+		canon = v != 0
 		if i, ok = fastjson.HasLit(data, n, `,`); !ok {
-			return i, false
+			return i, false, false
 		}
 	}
 	if i, ok = fastjson.HasLit(data, i, `"release":`); !ok {
-		return i, false
+		return i, false, false
 	}
+	start = i
 	if r.Release, i, ok = fastjson.ParseInt(data, i); !ok {
-		return i, false
+		return i, false, false
 	}
+	canon = canon && canonInt(data[start:i])
 	if i, ok = fastjson.HasLit(data, i, `,"decision":`); !ok {
-		return i, false
+		return i, false, false
 	}
 	if s, i, ok = fastjson.ParseString(data, i); !ok {
-		return i, false
+		return i, false, false
 	}
 	r.Decision = DecisionString(wireString(s))
+	canon = canon && fastjson.Plain(string(r.Decision))
 	if next, has := fastjson.HasLit(data, i, `,"reason":`); has {
 		if s, i, ok = fastjson.ParseString(data, next); !ok {
-			return i, false
+			return i, false, false
 		}
 		r.Reason = wireString(s)
+		canon = canon && r.Reason != "" && fastjson.Plain(r.Reason)
 	}
 	if next, has := fastjson.HasLit(data, i, `,"commitment":`); has {
 		if s, i, ok = fastjson.ParseString(data, next); !ok {
-			return i, false
+			return i, false, false
 		}
 		r.Commitment = wireString(s)
+		canon = canon && r.Commitment != "" && fastjson.Plain(r.Commitment)
 	}
 	if next, has := fastjson.HasLit(data, i, `,"replayed":`); has {
 		if r.Replayed, i, ok = fastjson.ParseBool(data, next); !ok {
-			return i, false
+			return i, false, false
 		}
+		canon = canon && r.Replayed
 	}
 	if next, has := fastjson.HasLit(data, i, `,"plan":{"alloc":`); has {
 		p := &PlanInfo{}
 		v, n, vok := fastjson.ParseInt(data, next)
 		if !vok {
-			return n, false
+			return n, false, false
 		}
 		p.Alloc = int(v)
+		canon = canon && canonInt(data[next:n])
 		if i, ok = fastjson.HasLit(data, n, `,"x":`); !ok {
-			return i, false
+			return i, false, false
 		}
+		start = i
 		if p.X, i, ok = fastjson.ParseFloat(data, i); !ok {
-			return i, false
+			return i, false, false
 		}
+		canon = canon && fastjson.CanonicalFloat(data[start:i], p.X)
 		if i, ok = fastjson.HasLit(data, i, `,"density":`); !ok {
-			return i, false
+			return i, false, false
 		}
+		start = i
 		if p.Density, i, ok = fastjson.ParseFloat(data, i); !ok {
-			return i, false
+			return i, false, false
 		}
+		canon = canon && fastjson.CanonicalFloat(data[start:i], p.Density)
 		if i, ok = fastjson.HasLit(data, i, `,"good":`); !ok {
-			return i, false
+			return i, false, false
 		}
 		if p.Good, i, ok = fastjson.ParseBool(data, i); !ok {
-			return i, false
+			return i, false, false
 		}
 		if i, ok = fastjson.HasLit(data, i, `}`); !ok {
-			return i, false
+			return i, false, false
 		}
 		r.Plan = p
 	}
-	return fastjson.HasLit(data, i, `}`)
+	i, ok = fastjson.HasLit(data, i, `}`)
+	return i, canon && ok, ok
+}
+
+// canonInt reports whether span, an integer fastjson.ParseInt accepted, is
+// what strconv.AppendInt writes for its value: ParseInt refuses leading
+// zeros, so only -0 is not.
+func canonInt(span []byte) bool {
+	return len(span) < 2 || span[0] != '-' || span[1] != '0'
 }
 
 // parseWALJobFast decodes a WALJob record in appendWALJob's field order
-// starting at data[i]. The job's raw bytes are validated and left in place:
-// rec.Job is a view into data, capped at the value's end, so the record pins
-// data as long as it lives. Recovery holds decoded records only until the
-// history is replayed and re-encoded.
+// starting at data[i]. The job member is delimited, not validated: its end
+// is found by fastjson.SkipStructure, so rec.Job (a view into data, capped
+// at the value's end) is the record's job value if the record is valid
+// JSON at all, and the record is valid if and only if rec.Job is. The
+// caller must therefore decode rec.Job with a jobDecoder, which validates
+// as it decodes, or check it with json.Valid, before trusting the record.
+// When the record's bytes are exactly what appendWALJob writes for the
+// decoded value (canon; see parseJobResponseFast), rec.raw is set to them:
+// the encoded history adopts those bytes instead of encoding the record
+// again.
 func parseWALJobFast(data []byte, i int, rec *WALJob) (int, bool) {
 	var ok bool
 	var s []byte
+	start := i
 	if i, ok = fastjson.HasLit(data, i, `{"type":`); !ok {
 		return i, false
 	}
@@ -380,38 +411,50 @@ func parseWALJobFast(data []byte, i int, rec *WALJob) (int, bool) {
 		return i, false
 	}
 	rec.Type = wireString(s)
+	canon := fastjson.Plain(rec.Type)
 	if next, has := fastjson.HasLit(data, i, `,"key":`); has {
 		if s, i, ok = fastjson.ParseString(data, next); !ok {
 			return i, false
 		}
 		rec.Key = string(s)
+		canon = canon && rec.Key != "" && fastjson.Plain(rec.Key)
 	}
 	if next, has := fastjson.HasLit(data, i, `,"reqId":`); has {
 		if s, i, ok = fastjson.ParseString(data, next); !ok {
 			return i, false
 		}
 		rec.ReqID = string(s)
+		canon = canon && rec.ReqID != "" && fastjson.Plain(rec.ReqID)
 	}
 	if i, ok = fastjson.HasLit(data, i, `,"resp":`); !ok {
 		return i, false
 	}
-	if i, ok = parseJobResponseFast(data, i, &rec.Resp); !ok {
+	var respCanon bool
+	if i, respCanon, ok = parseJobResponseFast(data, i, &rec.Resp); !ok {
 		return i, false
 	}
 	if i, ok = fastjson.HasLit(data, i, `,"job":`); !ok {
 		return i, false
 	}
-	end, ok := fastjson.SkipValue(data, i)
+	end, plain, ok := fastjson.SkipStructure(data, i)
 	if !ok {
 		return end, false
 	}
 	rec.Job = data[i:end:end]
-	return fastjson.HasLit(data, end, `}`)
+	if end, ok = fastjson.HasLit(data, end, `}`); !ok {
+		return end, false
+	}
+	if canon && respCanon && plain {
+		rec.raw = data[start:end:end]
+	}
+	return end, true
 }
 
-// decodeWALJob decodes one WAL job record: the fast path for the shape the
-// server writes, json.Unmarshal for anything else (including every
-// malformed record, so the error is encoding/json's).
+// decodeWALJob decodes one WAL record: the fast path for the shape the
+// server writes, json.Unmarshal for anything else (including every record
+// the fast path cannot delimit, so the error is encoding/json's). A record
+// the fast path decodes carries an unvalidated job member; see
+// parseWALJobFast for what the caller owes it.
 func decodeWALJob(data []byte, rec *WALJob) error {
 	if end, ok := parseWALJobFast(data, 0, rec); ok && fastjson.SkipSpace(data, end) == len(data) {
 		return nil
@@ -423,7 +466,8 @@ func decodeWALJob(data []byte, rec *WALJob) error {
 // parseCheckpointFast decodes a Checkpoint in its struct field order. The
 // header, idempotency table and summary spans go to json.Unmarshal (small,
 // and maps); the jobs array — nearly all of the bytes — is scanned record
-// by record.
+// by record with parseWALJobFast, whose job members are delimited but not
+// validated.
 func parseCheckpointFast(data []byte, cp *Checkpoint) bool {
 	var ok bool
 	var s []byte
@@ -506,10 +550,11 @@ func parseCheckpointFast(data []byte, cp *Checkpoint) bool {
 	return fastjson.SkipSpace(data, i) == len(data)
 }
 
-// unmarshalSpan decodes the JSON value at data[i] into v with
-// json.Unmarshal, returning the index after it.
+// unmarshalSpan decodes the JSON object or array at data[i] into v with
+// json.Unmarshal, which validates what fastjson.SkipStructure delimited,
+// returning the index after it.
 func unmarshalSpan(data []byte, i int, v any) (int, bool) {
-	end, ok := fastjson.SkipValue(data, i)
+	end, _, ok := fastjson.SkipStructure(data, i)
 	if !ok || json.Unmarshal(data[i:end], v) != nil {
 		return end, false
 	}
@@ -517,7 +562,8 @@ func unmarshalSpan(data []byte, i int, v any) (int, bool) {
 }
 
 // decodeCheckpoint decodes a checkpoint payload: the fast path for the shape
-// the server writes, json.Unmarshal for anything else.
+// the server writes, json.Unmarshal for anything else. As with
+// decodeWALJob, the job members of a fast-path decode are not validated.
 func decodeCheckpoint(data []byte, cp *Checkpoint) error {
 	if parseCheckpointFast(data, cp) {
 		return nil

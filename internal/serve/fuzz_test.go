@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -46,66 +47,54 @@ func fixtureFrames(f *testing.F, pattern string) [][]byte {
 	return out
 }
 
-// FuzzDecodeWALJob: wherever the WAL-record fast path claims a record it
-// must agree with json.Unmarshal exactly, and decodeWALJob (fast path plus
-// fallback) must accept and reject what json.Unmarshal does, with equal
-// values on accept.
+// FuzzDecodeWALJob: recovery's decode of a WAL record — the record scan,
+// which only delimits the job member, plus the job decode, which validates
+// it — accepts and refuses what encoding/json does (json.Unmarshal of the
+// whole record, then workload.UnmarshalJob of its job), with the same error
+// text and the same recovered state, whether the record is replayed or
+// covered by the checkpoint, and whatever its type. The record scan on its
+// own decodes every record json.Unmarshal accepts to the same value, and
+// whatever bytes it adopts for the encoded history are the WAL encoder's
+// own for the decoded record.
 func FuzzDecodeWALJob(f *testing.F) {
 	for _, p := range fixtureFrames(f, "*_wal.log") {
 		f.Add(p)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var want WALJob
-		wantErr := json.Unmarshal(data, &want)
-		var fast WALJob
-		if end, ok := parseWALJobFast(data, 0, &fast); ok && fastjson.SkipSpace(data, end) == len(data) {
-			if wantErr != nil {
-				t.Fatalf("fast path accepted %q; json.Unmarshal: %v", data, wantErr)
-			}
-			if !reflect.DeepEqual(fast, want) {
-				t.Fatalf("fast path decoded %q as %+v; json.Unmarshal: %+v", data, fast, want)
-			}
-		}
-		var got WALJob
-		gotErr := decodeWALJob(data, &got)
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("decodeWALJob(%q) err=%v; json.Unmarshal err=%v", data, gotErr, wantErr)
-		}
-		if gotErr == nil && !reflect.DeepEqual(got, want) {
-			t.Fatalf("decodeWALJob(%q) = %+v; json.Unmarshal: %+v", data, got, want)
+		sameWALRecord(t, data)
+		payloads := [][]byte{data}
+		for _, base := range []int{-1, math.MaxInt} {
+			got, err := recoverWAL(payloads, base)
+			want, wantErr := refWAL(payloads, base)
+			sameRecovery(t, fmt.Sprintf("%q (base %d)", data, base), got, err, want, wantErr, true)
 		}
 	})
 }
 
 // FuzzDecodeCheckpoint is FuzzDecodeWALJob for checkpoint payloads, plus the
 // header-prefix reader: whatever header it reads from a checkpoint that
-// decodes is the decoded checkpoint's header.
+// decodes is the decoded checkpoint's header. Both decodes refuse the same
+// checkpoints; where recovery refuses one as malformed JSON it names the
+// same error, but with several faults it may meet another one first (a job
+// that does not decode before a later record that does not parse).
 func FuzzDecodeCheckpoint(f *testing.F) {
 	for _, p := range fixtureFrames(f, "*_checkpoint.json") {
 		f.Add(p)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var want Checkpoint
-		wantErr := json.Unmarshal(data, &want)
-		var fast Checkpoint
-		if parseCheckpointFast(data, &fast) {
-			if wantErr != nil {
-				t.Fatalf("fast path accepted %q; json.Unmarshal: %v", data, wantErr)
-			}
-			if !reflect.DeepEqual(fast, want) {
-				t.Fatalf("fast path decoded %q as %+v; json.Unmarshal: %+v", data, fast, want)
-			}
+		sameCheckpointRecord(t, data)
+		var whole, fast Checkpoint
+		wholeErr := json.Unmarshal(data, &whole)
+		hdr := whole.Header
+		if wholeErr != nil && decodeCheckpoint(data, &fast) == nil {
+			hdr = fast.Header
 		}
-		var got Checkpoint
-		gotErr := decodeCheckpoint(data, &got)
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("decodeCheckpoint(%q) err=%v; json.Unmarshal err=%v", data, gotErr, wantErr)
-		}
-		if gotErr == nil && !reflect.DeepEqual(got, want) {
-			t.Fatalf("decodeCheckpoint(%q) = %+v; json.Unmarshal: %+v", data, got, want)
-		}
-		if h, ok := checkpointHeaderPrefix(append([]byte("00000000 "), data...)); ok && wantErr == nil && h != want.Header {
-			t.Fatalf("checkpointHeaderPrefix(%q) = %+v; decoded header %+v", data, h, want.Header)
+		got, err := recoverCheckpoint(data, hdr)
+		want, wantErr := refCheckpoint(data, hdr)
+		malformed := err != nil && strings.HasPrefix(err.Error(), "serve: checkpoint: ")
+		sameRecovery(t, fmt.Sprintf("%q", data), got, err, want, wantErr, malformed)
+		if h, ok := checkpointHeaderPrefix(append([]byte("00000000 "), data...)); ok && wholeErr == nil && h != whole.Header {
+			t.Fatalf("checkpointHeaderPrefix(%q) = %+v; decoded header %+v", data, h, whole.Header)
 		}
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"dagsched/internal/cliflags"
 	"dagsched/internal/fastjson"
@@ -45,6 +46,10 @@ type WALJob struct {
 	// appendWALJob need not scan it again. Set only by the submit path
 	// (scalarEntry.plainWire); never encoded.
 	jobPlain bool
+	// raw is the record as it was read, when those bytes are exactly what
+	// appendWALJob writes for it (parseWALJobFast); nil otherwise. Set only
+	// by recovery, so a recovered history keeps the bytes it read.
+	raw []byte
 }
 
 // WALReject is the WAL record of a keyed rejected submission. Nothing was
@@ -106,6 +111,12 @@ type recoveredState struct {
 	checkpoints    int64
 	tornBytes      int64
 	suffixRejects  int // keyed rejects in the WAL suffix (counter restore)
+	// walRecords[k] is the WAL record number of jobs[checkpointJobs+k], for
+	// the error that names a malformed one.
+	walRecords []int
+	// walHeader: the WAL begins with its header record, as a checkpoint's
+	// reset leaves it.
+	walHeader bool
 	// sealed: the directory is what a start-up checkpoint would leave — a
 	// checkpoint and an intact WAL holding only its header record — so
 	// nothing was replayed from the WAL and a start need not rewrite it.
@@ -171,9 +182,12 @@ func checkHeader(h, want ReplayHeader, src string) error {
 // (a per-shard header under a sharded layout); baseID seeds the ID watermark
 // one stride below the owner's first assignable ID, so the checkpoint-vs-WAL
 // dedup works on any stripe (0 for the unsharded daemon).
+//
+// Every record is scanned once. The job members of the records it keeps are
+// delimited here and validated as eachJob decodes them; the job member of a
+// record it skips is validated here.
 func loadState(dir string, want ReplayHeader, baseID int) (*recoveredState, error) {
-	rs := &recoveredState{idem: make(map[string]StoredResponse), nextID: baseID}
-
+	rs := newRecoveredState(baseID)
 	cpData, err := os.ReadFile(filepath.Join(dir, checkpointFileName))
 	switch {
 	case os.IsNotExist(err):
@@ -181,72 +195,110 @@ func loadState(dir string, want ReplayHeader, baseID int) (*recoveredState, erro
 	case err != nil:
 		return nil, err
 	default:
-		line := cpData
-		if n := len(line); n > 0 && line[n-1] == '\n' {
-			line = line[:n-1]
-		}
-		payload, err := parseFrame(line)
-		if err != nil {
-			return nil, fmt.Errorf("serve: checkpoint corrupt: %w", err)
-		}
-		var cp Checkpoint
-		if err := decodeCheckpoint(payload, &cp); err != nil {
-			return nil, fmt.Errorf("serve: checkpoint: %w", err)
-		}
-		if cp.Type != "checkpoint" {
-			return nil, fmt.Errorf("serve: checkpoint file holds type %q", cp.Type)
-		}
-		if err := checkHeader(cp.Header, want, "checkpoint"); err != nil {
+		if err := rs.readCheckpoint(cpData, want); err != nil {
 			return nil, err
 		}
-		rs.hasCheckpoint = true
-		rs.header = cp.Header
-		rs.jobs = cp.Jobs
-		rs.checkpointJobs = len(cp.Jobs)
-		rs.checkpointClk = cp.Clock
-		rs.checkpointFP = cp.Fingerprint
-		rs.clock = cp.Clock
-		rs.nextID = cp.NextID
-		rs.summary = cp.Summary
-		rs.checkpoints = cp.Checkpoints
-		for k, v := range cp.Idem {
-			rs.idem[k] = v
-		}
 	}
-
 	payloads, torn, err := scanWAL(filepath.Join(dir, walFileName))
 	if err != nil {
 		return nil, fmt.Errorf("serve: wal: %w", err)
 	}
 	rs.tornBytes = torn
-	headers := 0
+	if err := rs.readWAL(payloads, want); err != nil {
+		return nil, err
+	}
+	if !rs.hasCheckpoint && len(payloads) == 0 {
+		return nil, nil // nothing durable yet: fresh start
+	}
+	rs.sealed = rs.hasCheckpoint && rs.walHeader && torn == 0 && len(payloads) == 1
+	for _, wj := range rs.jobs[rs.checkpointJobs:] {
+		if wj.Resp.Release > rs.clock {
+			rs.clock = wj.Resp.Release
+		}
+	}
+	return rs, nil
+}
+
+func newRecoveredState(baseID int) *recoveredState {
+	return &recoveredState{idem: make(map[string]StoredResponse), nextID: baseID}
+}
+
+// readCheckpoint decodes a checkpoint file's contents into the history's
+// prefix.
+func (rs *recoveredState) readCheckpoint(data []byte, want ReplayHeader) error {
+	if n := len(data); n > 0 && data[n-1] == '\n' {
+		data = data[:n-1]
+	}
+	payload, err := parseFrame(data)
+	if err != nil {
+		return fmt.Errorf("serve: checkpoint corrupt: %w", err)
+	}
+	var cp Checkpoint
+	if err := decodeCheckpoint(payload, &cp); err != nil {
+		return fmt.Errorf("serve: checkpoint: %w", err)
+	}
+	if cp.Type != "checkpoint" {
+		return fmt.Errorf("serve: checkpoint file holds type %q", cp.Type)
+	}
+	if err := checkHeader(cp.Header, want, "checkpoint"); err != nil {
+		return err
+	}
+	rs.hasCheckpoint = true
+	rs.header = cp.Header
+	rs.jobs = cp.Jobs
+	rs.checkpointJobs = len(cp.Jobs)
+	rs.checkpointClk = cp.Clock
+	rs.checkpointFP = cp.Fingerprint
+	rs.clock = cp.Clock
+	rs.nextID = cp.NextID
+	rs.summary = cp.Summary
+	rs.checkpoints = cp.Checkpoints
+	for k, v := range cp.Idem {
+		rs.idem[k] = v
+	}
+	return nil
+}
+
+// readWAL merges the WAL's record payloads behind the checkpoint: job
+// records it does not cover join the history, keyed verdicts the
+// idempotency table.
+func (rs *recoveredState) readWAL(payloads [][]byte, want ReplayHeader) error {
+	rs.jobs = slices.Grow(rs.jobs, len(payloads))
 	for n, payload := range payloads {
 		// Every record decodes as a WALJob: job records, nearly every line,
 		// through the fast decoder; a reject record carries the same key,
 		// reqId and resp fields; the header is re-read as a ReplayHeader.
 		var wj WALJob
 		if err := decodeWALJob(payload, &wj); err != nil {
-			return nil, fmt.Errorf("serve: wal record %d: %w", n+1, err)
+			return fmt.Errorf("serve: wal record %d: %w", n+1, err)
+		}
+		if wj.Type == "job" && wj.Resp.ID > rs.nextID {
+			rs.jobs = append(rs.jobs, wj)
+			rs.walRecords = append(rs.walRecords, n+1)
+			rs.nextID = wj.Resp.ID
+			if wj.Key != "" {
+				rs.idem[wj.Key] = StoredResponse{Status: 200, Resp: wj.Resp}
+			}
+			continue
+		}
+		// Not replayed, so nothing else will validate its job member.
+		if len(wj.Job) > 0 && !json.Valid(wj.Job) {
+			return fmt.Errorf("serve: wal record %d: %w", n+1, json.Unmarshal(payload, new(WALJob)))
 		}
 		switch wj.Type {
 		case "header":
 			var h ReplayHeader
 			if err := json.Unmarshal(payload, &h); err != nil {
-				return nil, fmt.Errorf("serve: wal header: %w", err)
+				return fmt.Errorf("serve: wal header: %w", err)
 			}
 			if err := checkHeader(h, want, "wal"); err != nil {
-				return nil, err
+				return err
 			}
-			headers++
+			if n == 0 {
+				rs.walHeader = true
+			}
 		case "job":
-			if wj.Resp.ID <= rs.nextID {
-				continue // covered by the checkpoint (crash between rename and reset)
-			}
-			rs.jobs = append(rs.jobs, wj)
-			rs.nextID = wj.Resp.ID
-			if wj.Key != "" {
-				rs.idem[wj.Key] = StoredResponse{Status: 200, Resp: wj.Resp}
-			}
+			// Covered by the checkpoint (crash between rename and reset).
 		case "reject":
 			if _, ok := rs.idem[wj.Key]; ok {
 				continue // covered by the checkpoint
@@ -254,19 +306,10 @@ func loadState(dir string, want ReplayHeader, baseID int) (*recoveredState, erro
 			rs.idem[wj.Key] = StoredResponse{Status: 200, Resp: wj.Resp}
 			rs.suffixRejects++
 		default:
-			return nil, fmt.Errorf("serve: wal record %d has unknown type %q", n+1, wj.Type)
+			return fmt.Errorf("serve: wal record %d has unknown type %q", n+1, wj.Type)
 		}
 	}
-	if !rs.hasCheckpoint && len(payloads) == 0 {
-		return nil, nil // nothing durable yet: fresh start
-	}
-	rs.sealed = rs.hasCheckpoint && torn == 0 && len(payloads) == 1 && headers == 1
-	for _, wj := range rs.jobs[rs.checkpointJobs:] {
-		if wj.Resp.Release > rs.clock {
-			rs.clock = wj.Resp.Release
-		}
-	}
-	return rs, nil
+	return nil
 }
 
 // replayInto re-feeds the durable history through a fresh session exactly as
@@ -324,19 +367,40 @@ func (rs *recoveredState) replayInto(sess *sim.Session, adm admitter, reg *telem
 // eachJob decodes the durable history in order through one jobDecoder and
 // hands each record with its job to fn: the one replay decode path, shared
 // by crash recovery and ReplayDir. Jobs are decoded as they are replayed,
-// so a finished job's graph is garbage before the history ends.
+// so a finished job's graph is garbage before the history ends. The decode
+// is also what validates each record's job member (see loadState).
 func (rs *recoveredState) eachJob(fn func(n int, wj *WALJob, job *sim.Job) error) error {
 	var dec jobDecoder
 	for n := range rs.jobs {
 		job, err := dec.decode(rs.jobs[n].Job)
 		if err != nil {
-			return fmt.Errorf("serve: recovery job %d: %w", n+1, err)
+			return rs.jobError(n, err)
 		}
 		if err := fn(n, &rs.jobs[n], job); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// jobError is the error for job n of the history, which did not decode. A
+// job member that is not JSON at all makes its record malformed: the error
+// names the checkpoint or the WAL record and carries encoding/json's error,
+// as a whole-record json.Unmarshal reports it (the job member is the only
+// part of the record left unvalidated, and SkipStructure delimited it
+// exactly). Anything else — a missing job member too — is the job's own
+// error. A history with several faults may name a
+// different one first than a decoder that validated every record before
+// replaying any.
+func (rs *recoveredState) jobError(n int, err error) error {
+	if raw := rs.jobs[n].Job; len(raw) > 0 && !json.Valid(raw) {
+		jerr := json.Unmarshal(raw, new(json.RawMessage))
+		if n < rs.checkpointJobs {
+			return fmt.Errorf("serve: checkpoint: %w", jerr)
+		}
+		return fmt.Errorf("serve: wal record %d: %w", rs.walRecords[n-rs.checkpointJobs], jerr)
+	}
+	return fmt.Errorf("serve: recovery job %d: %w", n+1, err)
 }
 
 // checkBoundary advances to the checkpointed clock and asserts the replayed
@@ -395,9 +459,9 @@ func ReplayDir(dir string) (*sim.Result, error) {
 	return res, nil
 }
 
-// replayShardedDir replays every shard-<i>/ of a sharded WAL directory and
-// merges the Results. The shard count comes from the first shard's durable
-// header; every subdirectory must agree with it.
+// replayShardedDir replays every shard-<i>/ of a sharded WAL directory, all
+// shards at once, and merges the Results. The shard count comes from the
+// first shard's durable header; every subdirectory must agree with it.
 func replayShardedDir(dir string) (*sim.Result, error) {
 	hdr0, err := readAnyHeader(filepath.Join(dir, shardDirName(0)))
 	if err != nil {
@@ -407,12 +471,29 @@ func replayShardedDir(dir string) (*sim.Result, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("serve: %s: shard-0 header declares %d shards", dir, n)
 	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
+	}
 	results := make([]*sim.Result, n)
-	for i := 0; i < n; i++ {
-		results[i], err = replayOneDir(filepath.Join(dir, shardDirName(i)), n, i)
-		if err != nil {
-			return nil, fmt.Errorf("serve: replay shard %d: %w", i, err)
+	replay := func(i int) error {
+		var err error
+		if results[i], err = replayOneDir(filepath.Join(dir, shardDirName(i)), n, i); err != nil {
+			return fmt.Errorf("serve: replay shard %d: %w", i, err)
 		}
+		return nil
+	}
+	if n > len(entries) {
+		// The header declares a shard that is not there, so some replay
+		// fails. Replay one shard at a time up to the first failure rather
+		// than start a goroutine per declared shard.
+		for i := range n {
+			if err := replay(i); err != nil {
+				return nil, err
+			}
+		}
+	} else if err := eachShard(n, replay); err != nil {
+		return nil, err
 	}
 	return mergeResults(results), nil
 }

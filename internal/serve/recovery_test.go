@@ -561,3 +561,68 @@ func TestCleanDrainRestartLeavesCheckpoint(t *testing.T) {
 		}
 	}
 }
+
+// TestCrashRestartLeavesCheckpoint: a start over a crash image — a
+// checkpoint plus a WAL suffix — recovers without rewriting either file.
+// The records it accepts next land behind the recovered suffix, so a second
+// crash recovers both; the drain writes the checkpoint the start did not,
+// and every restart drains to the same Result.
+func TestCrashRestartLeavesCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	srv, _ := newDurableServer(t, dir, nil)
+	for i := 0; i < 4; i++ {
+		submitDirect(t, srv, JobSpec{W: 8, L: 2, Deadline: 30, Profit: ScalarProfit(2)}, "")
+	}
+	srv.Advance(3)
+	if err := srv.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		submitDirect(t, srv, JobSpec{W: 6, L: 3, Deadline: 30, Profit: ScalarProfit(1)}, "key-"+string(rune('a'+i)))
+	}
+	crash := snapshotDir(t, dir)
+	srv.Drain()
+
+	ckptPath, walPath := filepath.Join(crash, checkpointFileName), filepath.Join(crash, walFileName)
+	ckptFI, err := os.Stat(ckptPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt, _ := os.ReadFile(ckptPath)
+	wal, _ := os.ReadFile(walPath)
+
+	srv2, _ := newDurableServer(t, crash, nil)
+	if rec := srv2.Recovery(); rec == nil || rec.Jobs != 7 || rec.WALJobs != 3 {
+		t.Fatalf("recovery info = %+v, want 7 jobs, 3 from the WAL", rec)
+	}
+	if fi, err := os.Stat(ckptPath); err != nil || !os.SameFile(ckptFI, fi) {
+		t.Fatal("a start after a crash rewrote the checkpoint")
+	}
+	if data, _ := os.ReadFile(walPath); !bytes.Equal(data, wal) {
+		t.Fatalf("a start after a crash rewrote the WAL:\nbefore: %q\nafter:  %q", wal, data)
+	}
+	srv2.Advance(5)
+	submitDirect(t, srv2, JobSpec{W: 4, L: 2, Deadline: 40, Profit: ScalarProfit(3)}, "key-z")
+	crash2 := snapshotDir(t, crash)
+	if data, _ := os.ReadFile(walPath); !bytes.HasPrefix(data, wal) || len(data) == len(wal) {
+		t.Fatal("the restarted shard did not append behind the recovered WAL suffix")
+	}
+	res := srv2.Drain()
+	if data, _ := os.ReadFile(ckptPath); bytes.Equal(data, ckpt) {
+		t.Fatal("the drain after a crash restart wrote no checkpoint")
+	}
+
+	srv3, _ := newDurableServer(t, crash2, nil)
+	if rec := srv3.Recovery(); rec == nil || rec.Jobs != 8 || rec.WALJobs != 4 {
+		t.Fatalf("second recovery info = %+v, want 8 jobs, 4 from the WAL", rec)
+	}
+	if rep := submitDirect(t, srv3, JobSpec{}, "key-z"); !rep.resp.Replayed {
+		t.Fatalf("retry after the second crash: %+v", rep)
+	}
+	res3 := srv3.Drain()
+	aj, _ := json.Marshal(res)
+	bj, _ := json.Marshal(res3)
+	if !bytes.Equal(aj, bj) {
+		t.Fatalf("second restart drains to\n %s\nthe first to\n %s", bj, aj)
+	}
+}

@@ -3,10 +3,14 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -162,28 +166,274 @@ func TestEncodedHistoryChunks(t *testing.T) {
 	}
 }
 
-// TestDecodeCheckpointMatchesUnmarshal: the checkpoint decoder agrees with
-// json.Unmarshal on every encoder case, and the fast path (not the
-// fallback) is what decodes the canonical ones.
+// The record-level decode recovery runs: the record scan (decodeWALJob,
+// decodeCheckpoint), which delimits job members without validating them,
+// then the job decode (eachJob), which validates them as it decodes. The
+// parity tests below hold the two together to refWAL and refCheckpoint, the
+// same decode done with encoding/json alone: every record decoded whole by
+// json.Unmarshal, then each kept job by workload.UnmarshalJob.
+
+// replayedJobs decodes rs's history as replay does.
+func replayedJobs(rs *recoveredState) ([]*sim.Job, error) {
+	var jobs []*sim.Job
+	err := rs.eachJob(func(_ int, _ *WALJob, j *sim.Job) error {
+		jobs = append(jobs, j)
+		return nil
+	})
+	return jobs, err
+}
+
+// recovered is everything a decode recovers, in one value the parity tests
+// compare whole: the checkpoint it amounts to (Jobs the history's records,
+// Idem the idempotency table), the keyed rejects the WAL added, and the
+// decoded jobs.
+type recovered struct {
+	cp      Checkpoint
+	rejects int
+	jobs    []*sim.Job
+}
+
+// recoveredOf is what rs holds after readCheckpoint or readWAL, with jobs
+// its decoded history.
+func recoveredOf(rs *recoveredState, jobs []*sim.Job) recovered {
+	return recovered{
+		cp: Checkpoint{
+			Type: "checkpoint", Header: rs.header, Clock: rs.checkpointClk, NextID: rs.nextID,
+			Jobs: rs.jobs, Idem: rs.idem, Summary: rs.summary,
+			Fingerprint: rs.checkpointFP, Checkpoints: rs.checkpoints,
+		},
+		rejects: rs.suffixRejects,
+		jobs:    jobs,
+	}
+}
+
+// normalized drops adopted bytes and treats empty and absent collections as
+// one, for comparing decoded values.
+func (r recovered) normalized() recovered {
+	r.cp.Jobs = withoutRaw(r.cp.Jobs)
+	if len(r.cp.Jobs) == 0 {
+		r.cp.Jobs = nil
+	}
+	if len(r.cp.Idem) == 0 {
+		r.cp.Idem = nil
+	}
+	return r
+}
+
+// recoverWAL runs recovery's decode over a WAL's record payloads, keeping
+// job records with IDs above baseID.
+func recoverWAL(payloads [][]byte, baseID int) (recovered, error) {
+	rs := newRecoveredState(baseID)
+	if err := rs.readWAL(payloads, ReplayHeader{}); err != nil {
+		return recovered{}, err
+	}
+	jobs, err := replayedJobs(rs)
+	return recoveredOf(rs, jobs), err
+}
+
+// recoverCheckpoint runs recovery's decode over a checkpoint payload written
+// under want.
+func recoverCheckpoint(payload []byte, want ReplayHeader) (recovered, error) {
+	rs := newRecoveredState(0)
+	if err := rs.readCheckpoint(frameRecord(payload), want); err != nil {
+		return recovered{}, err
+	}
+	jobs, err := replayedJobs(rs)
+	return recoveredOf(rs, jobs), err
+}
+
+// refJobs decodes kept records' jobs with workload.UnmarshalJob.
+func refJobs(recs []WALJob) ([]*sim.Job, error) {
+	var jobs []*sim.Job
+	for n := range recs {
+		j, err := workload.UnmarshalJob(recs[n].Job)
+		if err != nil {
+			return nil, fmt.Errorf("serve: recovery job %d: %w", n+1, err)
+		}
+		jobs = append(jobs, j)
+	}
+	return jobs, nil
+}
+
+// refWAL is recoverWAL with encoding/json alone.
+func refWAL(payloads [][]byte, baseID int) (recovered, error) {
+	r := recovered{cp: Checkpoint{Type: "checkpoint", NextID: baseID, Idem: map[string]StoredResponse{}}}
+	for n, p := range payloads {
+		var wj WALJob
+		if err := json.Unmarshal(p, &wj); err != nil {
+			return recovered{}, fmt.Errorf("serve: wal record %d: %w", n+1, err)
+		}
+		switch {
+		case wj.Type == "job" && wj.Resp.ID > r.cp.NextID:
+			r.cp.Jobs = append(r.cp.Jobs, wj)
+			r.cp.NextID = wj.Resp.ID
+			if wj.Key != "" {
+				r.cp.Idem[wj.Key] = StoredResponse{Status: 200, Resp: wj.Resp}
+			}
+		case wj.Type == "job":
+		case wj.Type == "header":
+			var h ReplayHeader
+			if err := json.Unmarshal(p, &h); err != nil {
+				return recovered{}, fmt.Errorf("serve: wal header: %w", err)
+			}
+			if err := checkHeader(h, ReplayHeader{}, "wal"); err != nil {
+				return recovered{}, err
+			}
+		case wj.Type == "reject":
+			if _, ok := r.cp.Idem[wj.Key]; !ok {
+				r.cp.Idem[wj.Key] = StoredResponse{Status: 200, Resp: wj.Resp}
+				r.rejects++
+			}
+		default:
+			return recovered{}, fmt.Errorf("serve: wal record %d has unknown type %q", n+1, wj.Type)
+		}
+	}
+	var err error
+	r.jobs, err = refJobs(r.cp.Jobs)
+	return r, err
+}
+
+// refCheckpoint is recoverCheckpoint with encoding/json alone.
+func refCheckpoint(payload []byte, want ReplayHeader) (recovered, error) {
+	var cp Checkpoint
+	if err := json.Unmarshal(payload, &cp); err != nil {
+		return recovered{}, fmt.Errorf("serve: checkpoint: %w", err)
+	}
+	if cp.Type != "checkpoint" {
+		return recovered{}, fmt.Errorf("serve: checkpoint file holds type %q", cp.Type)
+	}
+	if err := checkHeader(cp.Header, want, "checkpoint"); err != nil {
+		return recovered{}, err
+	}
+	jobs, err := refJobs(cp.Jobs)
+	return recovered{cp: cp, jobs: jobs}, err
+}
+
+// checkAdopted fails when a record recovery adopts as it was read is not
+// byte for byte what the WAL encoder writes for the decoded record.
+func checkAdopted(t testing.TB, recs []WALJob) {
+	t.Helper()
+	for k := range recs {
+		if recs[k].raw == nil {
+			continue
+		}
+		fresh := recs[k]
+		fresh.raw = nil
+		want, err := json.Marshal(&fresh)
+		if err != nil {
+			t.Fatalf("record %d: %v", k, err)
+		}
+		enc, ok := appendWALJob(nil, &fresh)
+		if !bytes.Equal(recs[k].raw, want) || !ok || !bytes.Equal(enc, want) {
+			t.Fatalf("record %d adopted as %s; the WAL encoder writes %s (appendWALJob %s, %v)", k, recs[k].raw, want, enc, ok)
+		}
+	}
+}
+
+// withoutRaw returns recs with the adopted bytes dropped, for comparing
+// decoded values.
+func withoutRaw(recs []WALJob) []WALJob {
+	out := slices.Clone(recs)
+	for k := range out {
+		out[k].raw = nil
+	}
+	return out
+}
+
+// sameRecovery compares a recovery decode with its encoding/json reference:
+// on success the whole recovered state, on failure that both refuse and,
+// when exactErr, with the same error text.
+func sameRecovery(t testing.TB, what string, got recovered, err error, want recovered, wantErr error, exactErr bool) {
+	t.Helper()
+	switch {
+	case (err == nil) != (wantErr == nil):
+		t.Fatalf("%s: recovery err=%v; encoding/json err=%v", what, err, wantErr)
+	case err != nil:
+		if exactErr && err.Error() != wantErr.Error() {
+			t.Fatalf("%s: recovery refused with\n  %v\nencoding/json with\n  %v", what, err, wantErr)
+		}
+	default:
+		checkAdopted(t, got.cp.Jobs)
+		if g, w := got.normalized(), want.normalized(); !reflect.DeepEqual(g, w) {
+			t.Fatalf("%s: recovered\n got %+v\nwant %+v", what, g, w)
+		}
+	}
+}
+
+// sameWALRecord holds decodeWALJob, the record scan, to json.Unmarshal of
+// the whole record. A record both decode must decode to the same value. The
+// scan may accept a record json.Unmarshal refuses only when the job member,
+// the one part it delimits without validating, is itself not valid JSON;
+// recovery refuses such a record when it decodes or checks that member.
+func sameWALRecord(t testing.TB, data []byte) {
+	t.Helper()
+	var got, want WALJob
+	err := decodeWALJob(data, &got)
+	wantErr := json.Unmarshal(data, &want)
+	switch {
+	case err != nil && wantErr == nil:
+		t.Fatalf("decodeWALJob(%q): %v; json.Unmarshal accepts it", data, err)
+	case err == nil && wantErr != nil && json.Valid(got.Job):
+		t.Fatalf("decodeWALJob(%q) accepted it with a valid job member; json.Unmarshal: %v", data, wantErr)
+	case err == nil && wantErr == nil:
+		checkAdopted(t, []WALJob{got})
+		if got.raw = nil; !reflect.DeepEqual(got, want) {
+			t.Fatalf("decodeWALJob(%q) = %+v; json.Unmarshal: %+v", data, got, want)
+		}
+	}
+}
+
+// sameCheckpointRecord is sameWALRecord for decodeCheckpoint: a checkpoint
+// both decode decodes to the same value — header, clock, next ID,
+// fingerprint, checkpoint count, idempotency table, summary and every job
+// record — and the scan accepts one json.Unmarshal refuses only when some
+// job member is not valid JSON.
+func sameCheckpointRecord(t testing.TB, data []byte) {
+	t.Helper()
+	var got, want Checkpoint
+	err := decodeCheckpoint(data, &got)
+	wantErr := json.Unmarshal(data, &want)
+	switch {
+	case err != nil && wantErr == nil:
+		t.Fatalf("decodeCheckpoint(%q): %v; json.Unmarshal accepts it", data, err)
+	case err == nil && wantErr != nil:
+		if !slices.ContainsFunc(got.Jobs, func(wj WALJob) bool { return !json.Valid(wj.Job) }) {
+			t.Fatalf("decodeCheckpoint(%q) accepted it with every job member valid; json.Unmarshal: %v", data, wantErr)
+		}
+	case err == nil:
+		checkAdopted(t, got.Jobs)
+		if got.Jobs = withoutRaw(got.Jobs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("decodeCheckpoint(%q)\n got %+v\nwant %+v", data, got, want)
+		}
+	}
+}
+
+// TestDecodeCheckpointMatchesUnmarshal: on every encoder case the record
+// scan decodes the whole checkpoint as json.Unmarshal does, and recovery's
+// decode — record scan plus job decode — recovers the same state from it
+// as encoding/json: header, clock, next ID, fingerprint, checkpoint count,
+// idempotency table, summary, records and jobs. The fast path (not the
+// fallback) is what scans the canonical cases, and it adopts exactly the
+// records it can prove canonical.
 func TestDecodeCheckpointMatchesUnmarshal(t *testing.T) {
 	for n, cp := range codecCheckpoints(t) {
 		payload, err := json.Marshal(cp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var want, got Checkpoint
-		if err := json.Unmarshal(payload, &want); err != nil {
-			t.Fatal(err)
-		}
-		if err := decodeCheckpoint(payload, &got); err != nil {
-			t.Fatalf("case %d: decodeCheckpoint: %v", n, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("case %d: decodeCheckpoint\n got %+v\nwant %+v", n, got, want)
-		}
+		sameCheckpointRecord(t, payload)
+		got, err := recoverCheckpoint(payload, cp.Header)
+		want, wantErr := refCheckpoint(payload, cp.Header)
+		sameRecovery(t, fmt.Sprintf("case %d", n), got, err, want, wantErr, true)
 		var fast Checkpoint
-		if ok := parseCheckpointFast(payload, &fast); ok != (n < 2 || n == 3) {
+		ok := parseCheckpointFast(payload, &fast)
+		if ok != (n < 2 || n == 3) {
 			t.Errorf("case %d: parseCheckpointFast ok=%v", n, ok)
+		}
+		for k := range fast.Jobs {
+			if ok && fast.Jobs[k].raw == nil {
+				t.Errorf("case %d: canonical record %d not adopted", n, k)
+			}
 		}
 		if h, ok := checkpointHeaderPrefix(frameRecord(payload)); ok != (n != 4) || ok && h != cp.Header {
 			t.Errorf("case %d: checkpointHeaderPrefix = %+v, %v", n, h, ok)
@@ -192,8 +442,13 @@ func TestDecodeCheckpointMatchesUnmarshal(t *testing.T) {
 }
 
 // TestDecodeWALJobMatchesUnmarshal: every WAL job record the encoder
-// writes, plus hand-made records off the canonical shape, decodes exactly
-// as json.Unmarshal decodes it — same accept/reject, same value.
+// writes, plus hand-made records off the canonical shape, is decoded by
+// recovery — record scan plus job decode — exactly as encoding/json
+// decodes it: same accept/reject with the same error, same recovered
+// state. Each record is read both as a record recovery replays and as one
+// the checkpoint already covers, whose job member nothing decodes and which
+// must still be refused when malformed; and the record scan on its own
+// decodes it as json.Unmarshal does (sameWALRecord).
 func TestDecodeWALJobMatchesUnmarshal(t *testing.T) {
 	var recs []string
 	cps := codecCheckpoints(t)
@@ -205,6 +460,8 @@ func TestDecodeWALJobMatchesUnmarshal(t *testing.T) {
 		recs = append(recs, string(b))
 	}
 	canonical := len(cps[1].Jobs)
+	job := string(cps[2].Jobs[0].Job)
+	resp := `{"id":1,"release":0,"decision":"admitted","commitment":"on-admission"}`
 	recs = append(recs,
 		`{"type":"job","resp":{"release":1,"decision":"admitted"},"job":{"id":1}} `,
 		` {"type":"job","resp":{"release":1,"decision":"admitted"},"job":{}}`,
@@ -224,22 +481,40 @@ func TestDecodeWALJobMatchesUnmarshal(t *testing.T) {
 		`{"type":"job","resp":{"release":1,"decision":"admitted"}}`,
 		`[]`,
 		``,
+		// Malformed job members the structural scan delimits: only the job
+		// decode (or, for a covered record, the check in readWAL) sees them.
+		`{"type":"job","resp":`+resp+`,"job":{"id":1,"release":0,"graph":{"work":[1],"edges":[]},"profit":{"kind":"step","value":1,"deadline":4]}}`,
+		`{"type":"job","resp":`+resp+`,"job":{"id":1,"release":0,"graph":{"work":[1 2],"edges":[]}}}`,
+		`{"type":"job","resp":`+resp+`,"job":{"id":1,"release":0,"x":"\q"}}`,
+		`{"type":"job","resp":`+resp+`,"job":{"id":1,"release":0,"x":[}]}}`,
+		`{"type":"job","resp":`+resp+`,"job":{"id":1,"release":0,"x":"}"}`,
+		`{"type":"job","resp":`+resp+`,"job":{"id":1,"release":0,,}}`,
+		// Well-formed records whose bytes are not what the encoder writes:
+		// decoded on the fast path, but re-encoded, not adopted.
+		`{"type":"job","resp":{"id":1,"release":0,"decision":"admitted","plan":{"alloc":1,"x":0.50,"density":1,"good":true}},"job":`+job+`}`,
+		`{"type":"job","resp":{"id":1,"release":0,"decision":"admitted","plan":{"alloc":1,"x":1e2,"density":1,"good":true}},"job":`+job+`}`,
+		`{"type":"job","resp":{"id":1,"release":-0,"decision":"admitted"},"job":`+job+`}`,
+		`{"type":"job","resp":{"id":1,"release":0,"decision":"admitted","reason":""},"job":`+job+`}`,
+		`{"type":"job","resp":{"id":1,"release":0,"decision":"admitted","replayed":false},"job":`+job+`}`,
+		`{"type":"job","key":"","resp":`+resp+`,"job":`+job+`}`,
+		`{"type":"job","key":"a<b","resp":`+resp+`,"job":`+job+`}`,
+		`{"type":"job","resp":`+resp+`,"job":{"id":1, "release":0}}`,
+		`{"type":"job","resp":`+resp+`,"job":{"id":1,"release":0,"x":"a&b"}}`,
+		`{"type":"job","resp":`+resp+`,"job":`+strings.Replace(job, `,`, `, `, 1)+`}`,
+		`{"type":"job","resp":`+resp+`,"job":`+strings.Replace(job, `,`, `,"note":"a&b",`, 1)+`}`,
 	)
 	for n, rec := range recs {
-		var want, got WALJob
-		wantErr := json.Unmarshal([]byte(rec), &want)
-		gotErr := decodeWALJob([]byte(rec), &got)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Errorf("%q: decodeWALJob err=%v, json.Unmarshal err=%v", rec, gotErr, wantErr)
-			continue
+		for _, base := range []int{-1, math.MaxInt} {
+			payloads := [][]byte{[]byte(rec)}
+			got, err := recoverWAL(payloads, base)
+			want, wantErr := refWAL(payloads, base)
+			sameRecovery(t, fmt.Sprintf("%q (base %d)", rec, base), got, err, want, wantErr, true)
 		}
-		if wantErr == nil && !reflect.DeepEqual(got, want) {
-			t.Errorf("%q: decodeWALJob\n got %+v\nwant %+v", rec, got, want)
-		}
+		sameWALRecord(t, []byte(rec))
 		var fast WALJob
 		end, ok := parseWALJobFast([]byte(rec), 0, &fast)
-		if n < canonical && (!ok || end != len(rec)) {
-			t.Errorf("%q: canonical record fell back", rec)
+		if n < canonical && (!ok || end != len(rec) || fast.raw == nil) {
+			t.Errorf("%q: canonical record fell back or was not adopted", rec)
 		}
 	}
 }
@@ -413,5 +688,81 @@ func TestReadAnyHeaderPrefix(t *testing.T) {
 	}
 	if _, err := ReplayDir(dir); err != nil {
 		t.Fatalf("ReplayDir over a non-canonical checkpoint: %v", err)
+	}
+}
+
+// TestRecoveredHistoryAdoptsRecords: recovering a crash image the daemon
+// wrote — scalar and explicit-DAG specs, structured profits, keyed and
+// traced submissions, a checkpoint and a WAL suffix — adopts every job
+// record as it was read, re-encodes none, and fills the history with
+// exactly the checkpoint's jobs array followed by the WAL's job payloads.
+func TestRecoveredHistoryAdoptsRecords(t *testing.T) {
+	dir := t.TempDir()
+	srv, _ := newDurableServer(t, dir, nil)
+	bodies := []string{
+		`{"w":32,"l":4,"deadline":40,"profit":10}`,
+		`{"dag":{"work":[2,1,3],"edges":[[0,1],[0,2]]},"curve":{"kind":"linear","value":6,"flat":8,"zeroAt":30}}`,
+		`{"w":9,"l":3,"deadline":30,"profit":2.5}`,
+		`{"dag":{"work":[1,1],"edges":[[0,1]]},"deadline":25,"profit":1.25,"commitment":"delta"}`,
+	}
+	for i := 0; i < 12; i++ {
+		req := httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(bodies[i%len(bodies)]))
+		if i%3 == 0 {
+			req.Header.Set("Idempotency-Key", fmt.Sprintf("user-%d/job", i))
+			req.Header.Set("X-Request-Id", fmt.Sprintf("req-%d", i))
+		}
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("POST %s: %d %s", bodies[i%len(bodies)], rec.Code, rec.Body.Bytes())
+		}
+		srv.Advance(int64(i))
+		if i == 6 {
+			if err := srv.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	crash := snapshotDir(t, dir)
+	srv.Drain()
+
+	rs, err := loadState(crash, shardHeaderOf(Config{M: 4, Sched: "s", Eps: 1}, 0, 4), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.checkpointJobs == 0 || len(rs.jobs) == rs.checkpointJobs {
+		t.Fatalf("image holds %d checkpoint and %d WAL jobs, want both", rs.checkpointJobs, len(rs.jobs)-rs.checkpointJobs)
+	}
+	for k := range rs.jobs {
+		if rs.jobs[k].raw == nil {
+			t.Errorf("job record %d not adopted: %+v", k, rs.jobs[k])
+		}
+	}
+	checkAdopted(t, rs.jobs)
+
+	data, err := os.ReadFile(filepath.Join(crash, checkpointFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, _ := bytes.Cut(data, []byte(`,"jobs":[`))
+	want, _, _ := bytes.Cut(rest, []byte(`],"summary"`))
+	if i := bytes.Index(want, []byte(`],"idem"`)); i >= 0 {
+		want = want[:i]
+	}
+	payloads, _, err := scanWAL(filepath.Join(crash, walFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range payloads {
+		if bytes.HasPrefix(p, []byte(`{"type":"job"`)) {
+			want = append(append(want, ','), p...)
+		}
+	}
+	var h encodedHistory
+	if err := h.fill(rs.jobs); err != nil {
+		t.Fatal(err)
+	}
+	if got := bytes.Join(h.chunks, nil); !bytes.Equal(got, want) || h.n != len(rs.jobs) {
+		t.Fatalf("history holds\n %s\nthe image's records are\n %s", got, want)
 	}
 }

@@ -187,8 +187,9 @@ func TestSchemaCompatRecovery(t *testing.T) {
 // shard's encoded history as written, tail — to the bytes the one-buffer
 // encoder wrote: frameRecord(json.Marshal(Checkpoint)) with Jobs the history
 // decoded from the WAL records each job was first written as. It is checked
-// on a fresh start, after a live checkpoint, after crash recovery (history
-// refilled from the decoded records) and after a drain. The traffic mixes
+// on a fresh start, after a live checkpoint, at the first checkpoint after
+// crash recovery (history refilled from the records as read, or re-encoded
+// where those bytes are not the encoder's) and after a drain. The traffic mixes
 // scalar and explicit-DAG specs, keyed admits and rejects, and records
 // whose key or request ID needs escaping, which the WAL and the refill both
 // write through encoding/json.
@@ -294,6 +295,11 @@ func TestSchemaCompatCheckpointStream(t *testing.T) {
 	}
 	if rec := srv.Recovery(); rec == nil || rec.WALJobs == 0 || rec.CheckpointJobs == 0 {
 		t.Fatalf("recovery did not merge a checkpoint and a WAL suffix: %+v", rec)
+	}
+	// A start after a crash writes no checkpoint; the first one after it
+	// streams the history recovery adopted.
+	if err := srv.Checkpoint(); err != nil {
+		t.Fatal(err)
 	}
 	check("recovered", crash)
 	ts = httptest.NewServer(srv.Handler())

@@ -269,13 +269,38 @@ func (s *Server) logger() *slog.Logger {
 
 // New validates the configuration, builds the shards and their schedulers —
 // recovering each shard's pre-crash session from Config.WALDir when one is
-// there — writes the replay-log header, and starts the engine goroutines.
+// there, all shards at once — writes the replay-log header, and starts the
+// engine goroutines.
 // With a WAL directory, New returns only once every shard's recovery has
 // replayed its durable history and verified it against the checkpoint
 // fingerprint and every acknowledged admission verdict; a daemon that cannot
 // honor its commitments on any shard refuses to start rather than serve from
 // diverged state.
 func New(cfg Config) (*Server, error) {
+	s, err := newServer(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if s.cfg.WALDir != "" {
+		if err := s.openDurable(); err != nil {
+			return nil, err
+		}
+		if s.recovery != nil {
+			s.logger().Info("recovered durable state",
+				"dir", s.cfg.WALDir, "shards", s.cfg.Shards,
+				"jobs", s.recovery.Jobs, "walJobs", s.recovery.WALJobs,
+				"clock", s.recovery.Clock, "tornBytes", s.recovery.TornBytes)
+		}
+	}
+	if err := s.startEngines(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// newServer validates the configuration, fills in its defaults, and builds
+// the shards with their fresh sessions: the part of New before recovery.
+func newServer(cfg Config) (*Server, error) {
 	if cfg.Shards == 0 {
 		cfg.Shards = 1
 	}
@@ -387,28 +412,24 @@ func New(cfg Config) (*Server, error) {
 		s.shards = append(s.shards, sh)
 	}
 	s.placer = newPlacer(s.shards)
-	if cfg.WALDir != "" {
-		if err := s.openDurable(); err != nil {
-			return nil, err
-		}
-		if s.recovery != nil {
-			s.logger().Info("recovered durable state",
-				"dir", cfg.WALDir, "shards", cfg.Shards,
-				"jobs", s.recovery.Jobs, "walJobs", s.recovery.WALJobs,
-				"clock", s.recovery.Clock, "tornBytes", s.recovery.TornBytes)
-		}
-	}
+	return s, nil
+}
+
+// startEngines writes the replay-log header and starts the engine
+// goroutines: the part of New after recovery.
+func (s *Server) startEngines() error {
+	cfg := s.cfg
 	if cfg.ReplayLog != nil {
 		s.replay = &replayWriter{w: cfg.ReplayLog, shards: cfg.Shards}
 		if err := s.replay.header(cfg); err != nil {
-			return nil, fmt.Errorf("serve: replay log: %w", err)
+			return fmt.Errorf("serve: replay log: %w", err)
 		}
 	}
 	s.ready.Store(true)
 	for _, sh := range s.shards {
 		go sh.engineLoop()
 	}
-	return s, nil
+	return nil
 }
 
 // openDurable lays out the WAL directory for the configured shard count and
@@ -444,19 +465,59 @@ func (s *Server) openDurable() error {
 				dir, name, s.cfg.Shards)
 		}
 	}
-	for i, sh := range s.shards {
-		sub := filepath.Join(dir, shardDirName(i))
-		if err := os.MkdirAll(sub, 0o755); err != nil {
+	for i := range s.shards {
+		if err := os.MkdirAll(filepath.Join(dir, shardDirName(i)), 0o755); err != nil {
 			return fmt.Errorf("serve: wal dir: %w", err)
 		}
-		if err := sh.openDurable(sub); err != nil {
-			for _, prev := range s.shards[:i] {
-				prev.wal.close()
-			}
+	}
+	// Shards share nothing mutable during recovery (each has its own
+	// session, scheduler, registries, history and WAL directory), so they
+	// recover concurrently.
+	err = eachShard(len(s.shards), func(i int) error {
+		if err := s.shards[i].openDurable(filepath.Join(dir, shardDirName(i))); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
+		}
+		return nil
+	})
+	if err != nil {
+		for _, sh := range s.shards {
+			if sh.wal != nil {
+				sh.wal.close()
+			}
+		}
+		return err
+	}
+	for _, sh := range s.shards {
+		if ri := sh.recovery; ri != nil {
+			s.logger().Info("shard recovered", "shard", sh.idx,
+				"jobs", ri.Jobs, "walJobs", ri.WALJobs, "clock", ri.Clock, "tornBytes", ri.TornBytes)
 		}
 	}
 	s.recovery = mergeRecovery(s.shards)
+	return nil
+}
+
+// eachShard runs fn(0) … fn(n-1), each on its own goroutine, waits for all
+// of them, and returns the error of the lowest i that failed (nil when none
+// did): the one fan-out of recovery, checkpointing and sharded replay. fn
+// wraps its own error, so the caller gets the same text whichever shard
+// finishes first.
+func eachShard(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := range n {
+		go func() {
+			defer wg.Done()
+			errs[i] = fn(i)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -569,15 +630,16 @@ func (s *Server) engineError() string {
 func (s *Server) Recovery() *RecoveryInfo { return s.recovery }
 
 // Checkpoint forces an engine-state checkpoint on every shard through its
-// mailbox, in shard order, and returns the first failure. It errors when the
-// server has no WAL directory, is degraded, or has drained. Deterministic-
-// time embeddings and tests use it; a live daemon checkpoints on its own
-// cadence (Config.CheckpointInterval).
+// mailbox, all shards at once, and returns the failure of the lowest-index
+// shard that failed. It errors when the server has no WAL directory, is
+// degraded, or has drained. Deterministic-time embeddings and tests use it;
+// a live daemon checkpoints on its own cadence (Config.CheckpointInterval).
 func (s *Server) Checkpoint() error {
 	if s.cfg.WALDir == "" {
 		return fmt.Errorf("serve: no WAL directory configured")
 	}
-	for _, sh := range s.shards {
+	return eachShard(len(s.shards), func(i int) error {
+		sh := s.shards[i]
 		msg := checkpointMsg{reply: make(chan error, 1)}
 		select {
 		case sh.reqs <- msg:
@@ -586,21 +648,16 @@ func (s *Server) Checkpoint() error {
 		}
 		select {
 		case err := <-msg.reply:
-			if err != nil {
-				return err
-			}
+			return err
 		case <-sh.engineDone:
 			select {
 			case err := <-msg.reply:
-				if err != nil {
-					return err
-				}
+				return err
 			default:
 				return fmt.Errorf("serve: checkpoint after drain")
 			}
 		}
-	}
-	return nil
+	})
 }
 
 // Drain stops admission, fast-forwards every shard until its committed jobs

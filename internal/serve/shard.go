@@ -163,13 +163,18 @@ func (h *encodedHistory) write(p []byte) {
 	}
 }
 
-// fill appends decoded records, each encoded as the WAL writes a job record:
-// appendWALJob, or json.Marshal when it declines. It runs once, on a
-// recovered history, so it then trims the last chunk to its length: a
-// restarted shard carries no slack until it accepts another job.
+// fill appends decoded records as the WAL writes a job record: the bytes a
+// record was read from when they are exactly that (WALJob.raw), else
+// encoded with appendWALJob, or json.Marshal when it declines. It runs
+// once, on a recovered history, so it then trims the last chunk to its
+// length: a restarted shard carries no slack until it accepts another job.
 func (h *encodedHistory) fill(recs []WALJob) error {
 	var scratch []byte
 	for k := range recs {
+		if recs[k].raw != nil {
+			h.add(recs[k].raw)
+			continue
+		}
 		if b, ok := appendWALJob(scratch[:0], &recs[k]); ok {
 			scratch = b
 			h.add(b)
@@ -769,10 +774,15 @@ func (sh *shard) checkpointNow() error {
 }
 
 // openDurable recovers any durable state in dir into this shard's fresh
-// session, opens its WAL for appending, and seals the recovered history
-// under a fresh checkpoint so every start leaves a normalized directory —
-// unless the directory is already sealed, as a clean drain leaves it.
-// Runs before the engine goroutine starts.
+// session and opens its WAL for appending. Only a directory with no
+// checkpoint yet — a fresh one — gets a checkpoint at start, which leaves it
+// normalized. A recovered directory is already a checkpoint plus the WAL
+// written since, which is what a running shard leaves between checkpoints,
+// so a start does not rewrite the history: the recovered records stay in
+// the WAL, and the next interval checkpoint (one interval from now) or the
+// drain writes the checkpoint. Runs before the engine goroutine starts,
+// concurrently with the other shards' recovery: they share nothing it
+// touches.
 func (sh *shard) openDurable(dir string) error {
 	sh.walDir = dir
 	var t0 time.Time
@@ -799,8 +809,11 @@ func (sh *shard) openDurable(dir string) error {
 		if err := sh.hist.fill(rs.jobs); err != nil {
 			return err
 		}
-		// The decoded records, and the file buffers their job bytes view,
-		// are garbage from here on.
+		if recoveredHistoryHook != nil {
+			recoveredHistoryHook(dir, &sh.hist, rs.jobs)
+		}
+		// The decoded records, and the file buffers their bytes view, are
+		// garbage from here on.
 		rs.jobs = nil
 	}
 	w, err := openWAL(dir, sh.srv.cfg.Fsync, sh.srv.cfg.FsyncInterval)
@@ -809,23 +822,27 @@ func (sh *shard) openDurable(dir string) error {
 	}
 	w.obs = sh.obsReg
 	sh.wal = w
-	if rs != nil && rs.sealed {
-		// A clean drain (or a start that found nothing to replay) left
-		// exactly this: a checkpoint would rewrite and fsync the same
-		// jobs, idempotency table and fingerprint.
+	sh.publishPressure()
+	if rs != nil && rs.hasCheckpoint && rs.walHeader {
 		sh.lastCheckpoint = time.Now()
 		sh.lastCkptClock = rs.checkpointClk
-		sh.publishPressure()
+		sh.ckptDirty = !rs.sealed
 		return nil
 	}
 	sh.ckptDirty = true // force the normalizing checkpoint even on a fresh dir
 	if err := sh.checkpointNow(); err != nil {
 		w.close()
+		sh.wal = nil
 		return err
 	}
-	sh.publishPressure()
 	return nil
 }
+
+// recoveredHistoryHook, when set, sees every recovered shard's history right
+// after fill, with its directory and the records it was filled from. Tests
+// set it to check the bytes fill adopted against a fresh encoding; it is nil
+// otherwise. Shards recover concurrently, so it must be safe for that.
+var recoveredHistoryHook func(dir string, h *encodedHistory, recs []WALJob)
 
 // finalize is the drain's second phase for this shard: fast-forward the
 // session until every committed job has completed or expired, seal the

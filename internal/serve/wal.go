@@ -93,8 +93,9 @@ func parseFrame(line []byte) ([]byte, error) {
 
 // scanWAL reads every intact framed record from path and truncates the file
 // at the first torn or corrupt one (a crash mid-append leaves at most one).
-// It returns the payloads in order and how many tail bytes were cut. A
-// missing file is zero records, not an error.
+// It returns the payloads in order, as views into one buffer holding the
+// whole file, and how many tail bytes were cut. A missing file is zero
+// records, not an error.
 func scanWAL(path string) (payloads [][]byte, torn int64, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if os.IsNotExist(err) {
@@ -119,8 +120,7 @@ func scanWAL(path string) (payloads [][]byte, torn int64, err error) {
 		if perr != nil {
 			break
 		}
-		// Keep a copy: data is one backing array for the whole file.
-		payloads = append(payloads, append([]byte(nil), payload...))
+		payloads = append(payloads, payload)
 		off += nl + 1
 		validEnd = int64(off)
 	}

@@ -16,9 +16,12 @@ import (
 //	pid 2 "jobs" — one thread per job (tid = job id) carrying "run ×N"
 //	  execution spans (split whenever the grant size changes) and the job's
 //	  decision events as instants.
+//
+// Probe time series go on as counter tracks: machine.* on pid 1, job.* on
+// pid 2.
 const (
-	perfettoPIDMachine = 1
-	perfettoPIDJobs    = 2
+	PerfettoPIDMachine = 1
+	PerfettoPIDJobs    = 2
 )
 
 // Perfetto converts a recorded trace plus an optional decision-event stream
@@ -34,22 +37,22 @@ func Perfetto(tr *sim.Trace, jobs []*sim.Job, events []telemetry.Event) (*teleme
 		return nil, fmt.Errorf("trace: invalid processor count %d", tr.M)
 	}
 	ct := telemetry.NewChromeTrace()
-	ct.AddProcessName(perfettoPIDMachine, "machine")
-	ct.AddProcessName(perfettoPIDJobs, "jobs")
+	ct.AddProcessName(PerfettoPIDMachine, "machine")
+	ct.AddProcessName(PerfettoPIDJobs, "jobs")
 	for p := 0; p < tr.M; p++ {
-		ct.AddThreadName(perfettoPIDMachine, p, fmt.Sprintf("proc %d", p))
+		ct.AddThreadName(PerfettoPIDMachine, p, fmt.Sprintf("proc %d", p))
 	}
-	ct.AddThreadName(perfettoPIDMachine, tr.M, "events")
+	ct.AddThreadName(PerfettoPIDMachine, tr.M, "events")
 
 	jobIDs := make(map[int]bool, len(jobs))
 	for _, j := range jobs {
 		jobIDs[j.ID] = true
-		ct.AddThreadName(perfettoPIDJobs, j.ID, fmt.Sprintf("job %d", j.ID))
+		ct.AddThreadName(PerfettoPIDJobs, j.ID, fmt.Sprintf("job %d", j.ID))
 	}
 	for _, ev := range events {
 		if ev.Job >= 0 && !jobIDs[ev.Job] {
 			jobIDs[ev.Job] = true
-			ct.AddThreadName(perfettoPIDJobs, ev.Job, fmt.Sprintf("job %d", ev.Job))
+			ct.AddThreadName(PerfettoPIDJobs, ev.Job, fmt.Sprintf("job %d", ev.Job))
 		}
 	}
 
@@ -71,14 +74,14 @@ func Perfetto(tr *sim.Trace, jobs []*sim.Job, events []telemetry.Event) (*teleme
 
 	closeProc := func(p int, endT int64) {
 		if prevOcc[p] >= 0 {
-			ct.AddSpan(perfettoPIDMachine, p, fmt.Sprintf("J%d", prevOcc[p]), "exec",
+			ct.AddSpan(PerfettoPIDMachine, p, fmt.Sprintf("J%d", prevOcc[p]), "exec",
 				spanStart[p], endT-spanStart[p]+1, map[string]any{"job": prevOcc[p]})
 		}
 		prevOcc[p] = -1
 	}
 	closeJob := func(id int, endT int64) {
 		js := jobRun[id]
-		ct.AddSpan(perfettoPIDJobs, id, fmt.Sprintf("run ×%d", js.procs), "exec",
+		ct.AddSpan(PerfettoPIDJobs, id, fmt.Sprintf("run ×%d", js.procs), "exec",
 			js.start, endT-js.start+1, nil)
 		delete(jobRun, id)
 	}
@@ -167,11 +170,11 @@ func Perfetto(tr *sim.Trace, jobs []*sim.Job, events []telemetry.Event) (*teleme
 		}
 		switch {
 		case ev.Job >= 0:
-			ct.AddInstant(perfettoPIDJobs, ev.Job, string(ev.Kind), "decision", ev.T, args)
+			ct.AddInstant(PerfettoPIDJobs, ev.Job, string(ev.Kind), "decision", ev.T, args)
 		case ev.Proc >= 0:
-			ct.AddInstant(perfettoPIDMachine, ev.Proc, string(ev.Kind), "fault", ev.T, args)
+			ct.AddInstant(PerfettoPIDMachine, ev.Proc, string(ev.Kind), "fault", ev.T, args)
 		default:
-			ct.AddInstant(perfettoPIDMachine, tr.M, string(ev.Kind), "machine", ev.T, args)
+			ct.AddInstant(PerfettoPIDMachine, tr.M, string(ev.Kind), "machine", ev.T, args)
 		}
 	}
 	ct.SortStable()
