@@ -1,12 +1,13 @@
 // Command spaa-serve runs the scheduler as a long-lived HTTP daemon: job
 // specs POSTed to /v1/jobs (or in bulk to /v1/jobs:batch, up to -max-batch
 // specs per request) get an immediate admit/reject verdict from the serving
-// scheduler's admission test, simulated time advances with the wall clock,
-// and every accepted arrival lands in a replay log that re-simulates
-// bit-identically offline (spaa-sim over the logged instance). With an
-// event-safe scheduler the daemon idles on an event-jump timer instead of a
-// fixed ticker (-clock overrides the discipline), so a quiet shard burns no
-// CPU between events.
+// scheduler's admission test, and simulated time advances with the wall
+// clock. With -wal-dir every accepted arrival is written once to its shard's
+// write-ahead log, which survives a crash and re-simulates bit-identically
+// offline through serve.ReplayDir (-fsync=off keeps it at page-cache cost
+// when only the record is wanted). With an event-safe scheduler the daemon
+// idles on an event-jump timer instead of a fixed ticker (-clock overrides
+// the discipline), so a quiet shard burns no CPU between events.
 //
 // -commitment selects the admission contract: the default on-admission makes
 // verdicts durable but non-binding, while the binding policies (delta,
@@ -78,7 +79,6 @@ func main() {
 		speedStr  = flag.String("speed", "1", "machine speed (int, p/q, or float)")
 		tick      = flag.Duration("tick", serve.DefaultTickInterval, "wall-clock duration of one simulated tick")
 		queue     = flag.Int("queue", 64, "submission mailbox depth (full queue answers 429)")
-		replay    = flag.String("replay", "", "append accepted arrivals to this replay log file")
 		walDir    = flag.String("wal-dir", "", "write-ahead log directory; enables durable commitment and crash recovery")
 		fsyncStr  = flag.String("fsync", "always", "WAL fsync policy: always, interval, or off")
 		fsyncInt  = flag.Duration("fsync-interval", serve.DefaultFsyncInterval, "flush cadence under -fsync=interval")
@@ -136,15 +136,6 @@ func main() {
 		Logger:             logger,
 		TraceDepth:         *traceDeep,
 	}
-	var logFile *os.File
-	if *replay != "" {
-		logFile, err = os.Create(*replay)
-		if err != nil {
-			cliflags.Fail("spaa-serve", err)
-		}
-		cfg.ReplayLog = logFile
-	}
-
 	srv, err := serve.New(cfg)
 	if err != nil {
 		cliflags.Fail("spaa-serve", err)
@@ -185,11 +176,6 @@ func main() {
 	if debugSrv != nil {
 		if err := debugSrv.Shutdown(ctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			logger.Error("debug shutdown", "err", err)
-		}
-	}
-	if logFile != nil {
-		if err := logFile.Close(); err != nil {
-			logger.Error("replay log close", "err", err)
 		}
 	}
 	out, err := json.MarshalIndent(res, "", "  ")

@@ -263,7 +263,7 @@ func NewSession(cfg SimConfig, jobs []*Job, sched Scheduler) (*Session, error) {
 }
 
 // MarshalJob renders one job in the instance wire format — the form the
-// serving replay log stores, so logged sessions re-simulate offline.
+// serving WAL stores, so logged sessions re-simulate offline.
 func MarshalJob(j *Job) ([]byte, error) { return workload.MarshalJob(j) }
 
 // UnmarshalJob parses and validates one job in the instance wire format.

@@ -212,7 +212,7 @@ func ExampleSchedulerS_Admission() {
 }
 
 // ExampleMarshalJob round-trips a job through the instance wire format —
-// one line of the serving replay log.
+// the job member of one serving WAL record.
 func ExampleMarshalJob() {
 	fn, err := dagsched.StepProfit(5, 9)
 	if err != nil {

@@ -1,8 +1,9 @@
 package serve
 
 import (
-	"bytes"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -160,15 +161,16 @@ func TestClockTickerWakeups(t *testing.T) {
 
 // TestClockJumpReplayIdentity drives the ticker and jump disciplines through
 // the same submission sequence under a frozen wall tick (interval = 1h, the
-// clock moved only by explicit Advance) and requires byte-identical replay
-// logs: the jump loop's burst catch-up must be indistinguishable from
-// tick-by-tick advance.
+// clock moved only by explicit Advance) and requires byte-identical drained
+// checkpoints: the jump loop's burst catch-up must be indistinguishable from
+// tick-by-tick advance. Each drained Result must also equal ReplayDir of its
+// WAL directory.
 func TestClockJumpReplayIdentity(t *testing.T) {
 	run := func(mode ClockMode) string {
-		var replay bytes.Buffer
+		dir := t.TempDir()
 		srv, err := New(Config{
 			M: 4, QueueDepth: 64, TickInterval: time.Hour, Clock: mode,
-			ReplayLog: &replay,
+			WALDir: dir, Fsync: FsyncOff,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -187,16 +189,20 @@ func TestClockJumpReplayIdentity(t *testing.T) {
 			}
 			srv.Advance(int64((i + 1) * 3))
 		}
-		srv.Drain()
-		return replay.String()
+		assertReplayIdentical(t, dir, srv.Drain())
+		cp, err := os.ReadFile(filepath.Join(dir, checkpointFileName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(cp)
 	}
 	ticker := run(ClockTicker)
 	jump := run(ClockJump)
 	if ticker != jump {
-		t.Fatalf("replay logs diverge between clock modes\nticker:\n%s\njump:\n%s", ticker, jump)
+		t.Fatalf("drained checkpoints diverge between clock modes\nticker:\n%s\njump:\n%s", ticker, jump)
 	}
-	if !strings.Contains(ticker, `"type"`) {
-		t.Fatalf("replay log looks empty: %q", ticker)
+	if !strings.Contains(ticker, `"type":"job"`) {
+		t.Fatalf("drained checkpoint holds no job records: %q", ticker)
 	}
 }
 

@@ -316,7 +316,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 const maxIdempotencyKeyLen = 128
 
 // maxRequestIDLen bounds the X-Request-Id header: client-supplied IDs are
-// recorded in WAL and route records, so they must stay small too.
+// recorded in WAL records, so they must stay small too.
 const maxRequestIDLen = 128
 
 func (s *Server) handleJobsPost(w http.ResponseWriter, r *http.Request) {

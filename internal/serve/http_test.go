@@ -251,42 +251,29 @@ func TestHTTPDegradedSurfaces(t *testing.T) {
 	}
 }
 
-// TestReplayLogErrorDegrades covers the satellite bugfix: a replay-log write
-// failure is no longer swallowed — it surfaces as a degraded daemon.
-func TestReplayLogErrorDegrades(t *testing.T) {
-	srv, ts := newTestServer(t, Config{M: 2, ReplayLog: &failAfterWriter{n: 1}})
-
-	// The header consumed the one successful write; the first job append fails.
-	code, _ := postRaw(t, ts, `{"w":8,"l":2,"deadline":30,"profit":2}`, nil)
-	if code != 200 {
-		t.Fatalf("submit: code=%d (the job itself was committed)", code)
+func TestSynthesizeDAG(t *testing.T) {
+	cases := []struct{ w, l int64 }{
+		{1, 1}, {5, 1}, {4, 4}, {7, 2}, {20, 4}, {32, 4}, {100, 3}, {17, 16},
 	}
-	if got := srv.Degraded(); !strings.Contains(got, "replay log append") {
-		t.Fatalf("Degraded() = %q, want replay log append failure", got)
+	for _, tc := range cases {
+		g, err := synthesizeDAG(tc.w, tc.l)
+		if err != nil {
+			t.Fatalf("synthesize(%d,%d): %v", tc.w, tc.l, err)
+		}
+		if g.TotalWork() != tc.w || g.Span() != tc.l {
+			t.Errorf("synthesize(%d,%d): W=%d L=%d", tc.w, tc.l, g.TotalWork(), g.Span())
+		}
 	}
-	if code := getJSON(t, ts.URL+"/healthz", nil); code != 503 {
-		t.Fatalf("healthz after replay-log failure = %d, want 503", code)
+	for _, tc := range []struct{ w, l int64 }{{0, 0}, {1, 2}, {0, 1}, {-3, 1}} {
+		if _, err := synthesizeDAG(tc.w, tc.l); err == nil {
+			t.Errorf("synthesize(%d,%d) accepted", tc.w, tc.l)
+		}
 	}
-	var stats StatsResponse
-	getJSON(t, ts.URL+"/v1/stats", &stats)
-	if stats.Telemetry.Counters["serve.replay_error"] != 1 {
-		t.Fatalf("serve.replay_error = %v, want 1", stats.Telemetry.Counters["serve.replay_error"])
+	// The node cap rejects absurd scalar specs instead of materializing them.
+	if _, err := synthesizeDAG(1<<20, 1); err == nil {
+		t.Error("giant block accepted")
+	}
+	if _, err := synthesizeDAG(1<<30, 2); err == nil {
+		t.Error("giant fringe accepted")
 	}
 }
-
-// failAfterWriter accepts n writes and fails every one after.
-type failAfterWriter struct{ n int }
-
-func (f *failAfterWriter) Write(p []byte) (int, error) {
-	if f.n > 0 {
-		f.n--
-		return len(p), nil
-	}
-	return 0, errDiskGone
-}
-
-var errDiskGone = &diskError{"disk gone"}
-
-type diskError struct{ msg string }
-
-func (e *diskError) Error() string { return e.msg }

@@ -70,7 +70,6 @@ var (
 	descVerdicts   = obs.Desc{Name: "serve_submissions_total", Help: "Admission verdicts acknowledged, by shard and verdict.", Kind: obs.Counter}
 	descIdem       = obs.Desc{Name: "serve_idempotent_replays_total", Help: "Retries answered from the idempotency table.", Kind: obs.Counter}
 	descBadReq     = obs.Desc{Name: "serve_bad_request_total", Help: "Submissions rejected for malformed specs.", Kind: obs.Counter}
-	descReplayErr  = obs.Desc{Name: "serve_replay_error_total", Help: "Replay-log append failures, by shard.", Kind: obs.Counter}
 	descDegrEvents = obs.Desc{Name: "serve_degraded_events_total", Help: "Durability failures observed, by shard.", Kind: obs.Counter}
 	descCkpts      = obs.Desc{Name: "serve_checkpoints_total", Help: "Checkpoints taken, by shard (monotone across restarts).", Kind: obs.Counter}
 	descRecoveries = obs.Desc{Name: "serve_recoveries_total", Help: "Times this shard's durable state was recovered at start.", Kind: obs.Counter}
@@ -157,7 +156,6 @@ func (s *Server) buildExposition(replies []shardStatsReply) *obs.Exposition {
 		e.AddInt(descVerdicts, c["serve.rejected"], "shard", shard, "verdict", string(DecisionRejected))
 		e.AddInt(descIdem, c["serve.idempotent_replays"], "shard", shard)
 		e.AddInt(descBadReq, c["serve.bad_request"], "shard", shard)
-		e.AddInt(descReplayErr, c["serve.replay_error"], "shard", shard)
 		e.AddInt(descDegrEvents, c["serve.degraded_events"], "shard", shard)
 		e.AddInt(descCkpts, c["serve.checkpoints"], "shard", shard)
 		e.AddInt(descRecoveries, c["serve.recoveries"], "shard", shard)

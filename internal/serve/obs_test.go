@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"hash/fnv"
 	"io"
@@ -214,17 +213,15 @@ func TestMetricsScrapeValues(t *testing.T) {
 var hexID = regexp.MustCompile(`^[0-9a-f]{16}$`)
 
 // TestRequestIDPropagation traces one client-supplied X-Request-Id through
-// the whole pipeline: echoed on the response, stamped into the shard's WAL
-// record and the replay log's route record, captured in the trace ring, and
-// exported as a Perfetto span — while server-generated IDs stay ephemeral
-// (never persisted), keeping the durable bytes identical to an untraced run.
+// the whole pipeline: echoed on the response, stamped into the WAL record of
+// the shard that owns the job, captured in the trace ring, and exported as a
+// Perfetto span — while server-generated IDs stay ephemeral (never
+// persisted), keeping the durable bytes identical to an untraced run.
 func TestRequestIDPropagation(t *testing.T) {
 	dir := t.TempDir()
-	var replayBuf bytes.Buffer
 	srv, err := New(Config{
 		M: 4, Shards: 2, TickInterval: -1,
 		WALDir: dir, Fsync: FsyncAlways, CheckpointInterval: -1,
-		ReplayLog: &replayBuf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -261,9 +258,9 @@ func TestRequestIDPropagation(t *testing.T) {
 	if !strings.Contains(wals, `"reqId":"`+reqID+`"`) {
 		t.Error("client-supplied request ID missing from the WAL")
 	}
-	// The route record in the replay log carries it too.
-	if !strings.Contains(replayBuf.String(), `"reqId":"`+reqID+`"`) {
-		t.Error("client-supplied request ID missing from the replay log route record")
+	// It is the record of this job, on the shard its ID stripe names.
+	if dj, ok := durableJobs(t, dir)[jr.ID]; !ok || dj.rec.ReqID != reqID || dj.shard != (jr.ID-1)%2 {
+		t.Errorf("durable record of job %d = %+v (present %v), want reqId %q on shard %d", jr.ID, dj, ok, reqID, (jr.ID-1)%2)
 	}
 	// The trace ring captured the request with its stages.
 	var found bool
@@ -326,8 +323,26 @@ func TestRequestIDPropagation(t *testing.T) {
 	if strings.Contains(walBytes(t, dir), genID) {
 		t.Error("server-generated request ID leaked into the WAL")
 	}
-	if strings.Contains(replayBuf.String(), genID) {
-		t.Error("server-generated request ID leaked into the replay log")
+	// Nor does the drain's checkpoint of any shard carry it, while the
+	// client-supplied one survives there.
+	srv.Drain()
+	cps, err := filepath.Glob(filepath.Join(dir, "shard-*", checkpointFileName))
+	if err != nil || len(cps) != 2 {
+		t.Fatalf("drained checkpoints = %v (%v), want one per shard", cps, err)
+	}
+	var drained strings.Builder
+	for _, p := range cps {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drained.Write(data)
+	}
+	if strings.Contains(drained.String(), genID) {
+		t.Error("server-generated request ID leaked into a drained checkpoint")
+	}
+	if !strings.Contains(drained.String(), `"reqId":"`+reqID+`"`) {
+		t.Error("client-supplied request ID missing from the drained checkpoints")
 	}
 }
 
@@ -422,10 +437,10 @@ func TestReadyzReasonBodies(t *testing.T) {
 // TestPlacerDecisionCountersMatchRoutes drives skewed keyed traffic at a
 // sharded daemon and cross-checks three accountings of the same routing
 // decisions: the placer's atomic counters, the /metrics exposition, and the
-// replay log's route records.
+// shard WAL each job's record landed in.
 func TestPlacerDecisionCountersMatchRoutes(t *testing.T) {
-	var replayBuf bytes.Buffer
-	srv, err := New(Config{M: 4, Shards: 2, TickInterval: -1, ReplayLog: &replayBuf})
+	dir := t.TempDir()
+	srv, err := New(Config{M: 4, Shards: 2, TickInterval: -1, WALDir: dir, Fsync: FsyncOff})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,23 +498,21 @@ func TestPlacerDecisionCountersMatchRoutes(t *testing.T) {
 		t.Errorf("placer decisions sum to %v, want %d", got, len(keys)+unkeyed)
 	}
 
-	// Every keyed job's route record lands on the shard FNV affinity picked.
-	_, jobs, shardOf, err := readRouted(bytes.NewReader(replayBuf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Every keyed job's record lands in the WAL of the shard FNV affinity
+	// picked.
+	jobs := durableJobs(t, dir)
 	if len(jobs) != len(keys)+unkeyed {
-		t.Fatalf("replay log holds %d jobs, want %d", len(jobs), len(keys)+unkeyed)
+		t.Fatalf("WALs hold %d jobs, want %d", len(jobs), len(keys)+unkeyed)
 	}
 	for id, want := range idToShard {
-		if got, ok := shardOf[id]; !ok || got != want {
-			t.Errorf("job %d routed to shard %d (present %v), keyed affinity says %d", id, got, ok, want)
+		if dj, ok := jobs[id]; !ok || dj.shard != want {
+			t.Errorf("job %d recorded by shard %d (present %v), keyed affinity says %d", id, dj.shard, ok, want)
 		}
 	}
-	// Route records agree with the ID stripe (shard i owns IDs ≡ i+1 mod N).
-	for id, sh := range shardOf {
-		if want := (id - 1) % 2; sh != want {
-			t.Errorf("route record: job %d on shard %d, stripe says %d", id, sh, want)
+	// Each shard's WAL agrees with the ID stripe (shard i owns IDs ≡ i+1 mod N).
+	for id, dj := range jobs {
+		if want := (id - 1) % 2; dj.shard != want {
+			t.Errorf("job %d in shard %d's WAL, stripe says %d", id, dj.shard, want)
 		}
 	}
 }

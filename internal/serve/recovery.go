@@ -28,6 +28,27 @@ import (
 // recovered state is not bit-identical to the pre-crash engine and the
 // daemon refuses to start rather than break an acknowledged commitment.
 
+// ReplayHeader is the first record of every WAL and the header of every
+// checkpoint: everything needed to reconstruct the serving configuration
+// offline. Speed is the rational in its "p/q" (or bare "p") string form,
+// which ParseSpeed round-trips. Shards is the shard count, absent for the
+// unsharded layout; in a shard's header Shard is its 0-based index and M
+// its capacity slice.
+type ReplayHeader struct {
+	Type   string  `json:"type"` // always "header"
+	M      int     `json:"m"`
+	Sched  string  `json:"sched"`
+	Eps    float64 `json:"eps"`
+	Speed  string  `json:"speed"`
+	Shards int     `json:"shards,omitempty"`
+	Shard  int     `json:"shard,omitempty"`
+	// Commitment is the daemon-wide commitment policy, present only when it
+	// is binding (delta or on-arrival). The non-binding policies do not
+	// change admission or the schedule, so they stay off the header and old
+	// durable directories replay unchanged.
+	Commitment string `json:"commitment,omitempty"`
+}
+
 // WALJob is the WAL record of one accepted submission: the instance-wire job
 // plus the acknowledged response. Decision and commitment live inside Resp;
 // recovery re-derives the decision and refuses to start on a mismatch.
@@ -444,10 +465,14 @@ func (rs *recoveredState) info() *RecoveryInfo {
 // ReplayDir re-simulates a WAL directory offline — checkpoint plus log
 // suffix, exactly the history a recovering daemon replays — with the batch
 // engine and returns the Result. A sharded directory (shard-<i>/ subdirs) is
-// replayed shard by shard over the same capacity partition and merged. The
-// counterpart of Replay for durable logs; the chaos harness uses it to
-// compare a crash-recover-drain lifecycle against a crash-free run over the
-// same history.
+// replayed shard by shard over the same capacity partition and merged.
+// Because each shard stamps releases from its own clock and assigns
+// ascending IDs on its stripe inside its engine goroutine, the batch run
+// over each shard's history reproduces that shard's Result bit-identically,
+// so ReplayDir of a drained directory equals the drained Result (modulo the
+// Result.Engine label, which names the engine that executed). The chaos
+// harness uses it to compare a crash-recover-drain lifecycle against a
+// crash-free run over the same history.
 func ReplayDir(dir string) (*sim.Result, error) {
 	if fi, err := os.Stat(filepath.Join(dir, shardDirName(0))); err == nil && fi.IsDir() {
 		return replayShardedDir(dir)
@@ -459,8 +484,8 @@ func ReplayDir(dir string) (*sim.Result, error) {
 	return res, nil
 }
 
-// replayShardedDir replays every shard-<i>/ of a sharded WAL directory, all
-// shards at once, and merges the Results. The shard count comes from the
+// replayShardedDir replays every shard-<i>/ of a sharded WAL directory,
+// through eachShard's bounded fan-out, and merges the Results. The shard count comes from the
 // first shard's durable header; every subdirectory must agree with it.
 func replayShardedDir(dir string) (*sim.Result, error) {
 	hdr0, err := readAnyHeader(filepath.Join(dir, shardDirName(0)))
@@ -486,7 +511,7 @@ func replayShardedDir(dir string) (*sim.Result, error) {
 	if n > len(entries) {
 		// The header declares a shard that is not there, so some replay
 		// fails. Replay one shard at a time up to the first failure rather
-		// than start a goroutine per declared shard.
+		// than attempt every declared shard.
 		for i := range n {
 			if err := replay(i); err != nil {
 				return nil, err
@@ -535,6 +560,39 @@ func replayOneDir(dir string, stride, idx int) (*sim.Result, error) {
 		return nil, err
 	}
 	return sim.RunAuto(sim.Config{M: hdr.M, Speed: speed}, jobs, sched)
+}
+
+// mergeResults folds per-shard Results into the daemon-level aggregate.
+// Additive fields sum; Ticks is the latest shard's end; Jobs concatenate
+// sorted by ID (globally unique across the stripes). Deterministic for a
+// given result slice, and used identically by the drain path and ReplayDir,
+// so a drained Result and its offline replay compare bit-exact. A single
+// result passes through untouched.
+func mergeResults(rs []*sim.Result) *sim.Result {
+	if len(rs) == 1 {
+		return rs[0]
+	}
+	out := &sim.Result{
+		Scheduler: rs[0].Scheduler,
+		Speed:     rs[0].Speed,
+		Engine:    rs[0].Engine,
+	}
+	for _, r := range rs {
+		if r.Engine != out.Engine {
+			out.Engine = "sharded"
+		}
+		out.M += r.M
+		out.Ticks = max(out.Ticks, r.Ticks)
+		out.TotalProfit += r.TotalProfit
+		out.OfferedProfit += r.OfferedProfit
+		out.Completed += r.Completed
+		out.Expired += r.Expired
+		out.BusyProcTicks += r.BusyProcTicks
+		out.IdleProcTicks += r.IdleProcTicks
+		out.Jobs = append(out.Jobs, r.Jobs...)
+	}
+	slices.SortFunc(out.Jobs, func(a, b sim.JobStat) int { return a.ID - b.ID })
+	return out
 }
 
 // readAnyHeader extracts the serving header from the checkpoint or, failing

@@ -135,17 +135,7 @@ func TestRecoveryRoundTrip(t *testing.T) {
 	// its drain must match the offline replay of its own directory.
 	drain()
 	res2 := srv2.Drain()
-	replayed, err := ReplayDir(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := *res2, *replayed
-	a.Engine, b.Engine = "", ""
-	aj, _ := json.Marshal(&a)
-	bj, _ := json.Marshal(&b)
-	if !bytes.Equal(aj, bj) {
-		t.Fatalf("recovered drain diverges from offline replay:\nserved:   %s\nreplayed: %s", aj, bj)
-	}
+	assertReplayIdentical(t, snap, res2)
 }
 
 func TestRecoveryAfterCheckpointTruncatesWAL(t *testing.T) {
@@ -206,6 +196,35 @@ func TestRecoveryTornTail(t *testing.T) {
 	rec := srv2.Recovery()
 	if rec == nil || rec.Jobs != 1 || rec.TornBytes == 0 {
 		t.Fatalf("recovery info = %+v, want 1 job and a torn tail", rec)
+	}
+}
+
+// TestReplayDirErrors: the offline replayer refuses a directory with no
+// durable state, a WAL that does not start with its header, and a WAL
+// record that is not JSON, naming what it could not read.
+func TestReplayDirErrors(t *testing.T) {
+	walDir := func(payloads ...string) string {
+		dir := t.TempDir()
+		var data []byte
+		for _, p := range payloads {
+			data = append(data, frameRecord([]byte(p))...)
+		}
+		if err := os.WriteFile(filepath.Join(dir, walFileName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	const header = `{"type":"header","m":2,"sched":"s","eps":1,"speed":"1"}`
+	cases := []struct{ name, dir, want string }{
+		{"empty directory", t.TempDir(), "holds no durable state"},
+		{"job before header", walDir(`{"type":"job","resp":{"id":1},"job":{}}`, header), `wal starts with type "job", want header`},
+		{"header not JSON", walDir(`not json`), "invalid character"},
+		{"record not JSON", walDir(header, `not a record`), "serve: wal record 2: "},
+	}
+	for _, tc := range cases {
+		if _, err := ReplayDir(tc.dir); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }
 
@@ -397,25 +416,7 @@ func TestRecoveredDrainMatchesOfflineReplay(t *testing.T) {
 
 	srv2, _ := newDurableServer(t, snap, nil)
 	res := srv2.Drain()
-	replayed, err := ReplayDir(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := *res, *replayed
-	a.Engine, b.Engine = "", ""
-	// The recovered daemon's registry carries serving counters the batch
-	// replay does not; compare the simulation result only.
-	aj, err := json.Marshal(&a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bj, err := json.Marshal(&b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(aj, bj) {
-		t.Fatalf("recovered drain diverges from offline replay:\nrecovered: %s\nreplayed:  %s", aj, bj)
-	}
+	assertReplayIdentical(t, snap, res)
 }
 
 // postLocal sends one request straight into the daemon's handler.
@@ -481,17 +482,7 @@ func TestRecoverSparseBatchesAfterIdleShards(t *testing.T) {
 		t.Fatalf("recovery info = %+v", rec)
 	}
 	res := srv2.Drain()
-	replayed, err := ReplayDir(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := *res, *replayed
-	a.Engine, b.Engine = "", ""
-	aj, _ := json.Marshal(&a)
-	bj, _ := json.Marshal(&b)
-	if !bytes.Equal(aj, bj) {
-		t.Fatalf("recovered drain diverges from offline replay:\nrecovered: %s\nreplayed:  %s", aj, bj)
-	}
+	assertReplayIdentical(t, snap, res)
 }
 
 // TestCleanDrainRestartLeavesCheckpoint: a drain seals the directory with a

@@ -15,20 +15,24 @@
 // ticks track real time while the ordering of submissions against ticks stays
 // whatever each mailbox serialized.
 //
-// Every accepted arrival is appended to a shared replay log (header line +
-// one instance-wire job per line; sharded sessions interleave a route record
-// before each job). Because each shard stamps server-assigned IDs on its own
-// stripe and runs the exact code path batch Run uses, re-simulating the
-// logged job set offline — shard by shard, over the same capacity partition —
-// reproduces the serving session's merged Result bit-identically.
+// With Config.WALDir set, every accepted arrival is written once, to its
+// shard's WAL (a header record, then one framed record per arrival; shard i
+// of N owns the IDs ≡ i+1 mod N). Because each shard stamps server-assigned
+// IDs on its own stripe and runs the exact code path batch Run uses,
+// ReplayDir — which re-simulates each shard's durable history offline over
+// the same capacity partition — reproduces the serving session's merged
+// Result bit-identically. Under FsyncOff the WAL is the offline-analysis
+// record at page-cache cost.
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -68,12 +72,6 @@ type Config struct {
 	// answered with 429. 0 means 64. The depth is per shard, so a sharded
 	// daemon holds Shards×QueueDepth queued submissions at most.
 	QueueDepth int
-	// ReplayLog, when non-nil, receives the session's replay log: a header
-	// line followed by every accepted arrival in the instance wire format
-	// (with a shard-route record per arrival when Shards > 1). Shards
-	// serialize their appends with a mutex. For durability across crashes
-	// use WALDir instead; ReplayLog is the offline-analysis tap.
-	ReplayLog io.Writer
 	// WALDir, when non-empty, makes the daemon crash-safe: every
 	// acknowledged submission is framed, checksummed, and appended to a
 	// write-ahead log before it is committed, engine state is checkpointed
@@ -238,7 +236,6 @@ type Server struct {
 	policy sim.Commitment // parsed Config.Commitment
 	shards []*shard
 	placer *placer
-	replay *replayWriter // shared; shards serialize appends on its mutex
 
 	recovery *RecoveryInfo // aggregated across shards; nil on a fresh start
 
@@ -269,8 +266,7 @@ func (s *Server) logger() *slog.Logger {
 
 // New validates the configuration, builds the shards and their schedulers —
 // recovering each shard's pre-crash session from Config.WALDir when one is
-// there, all shards at once — writes the replay-log header, and starts the
-// engine goroutines.
+// there, several shards at once — and starts the engine goroutines.
 // With a WAL directory, New returns only once every shard's recovery has
 // replayed its durable history and verified it against the checkpoint
 // fingerprint and every acknowledged admission verdict; a daemon that cannot
@@ -292,9 +288,7 @@ func New(cfg Config) (*Server, error) {
 				"clock", s.recovery.Clock, "tornBytes", s.recovery.TornBytes)
 		}
 	}
-	if err := s.startEngines(); err != nil {
-		return nil, err
-	}
+	s.startEngines()
 	return s, nil
 }
 
@@ -415,21 +409,13 @@ func newServer(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// startEngines writes the replay-log header and starts the engine
-// goroutines: the part of New after recovery.
-func (s *Server) startEngines() error {
-	cfg := s.cfg
-	if cfg.ReplayLog != nil {
-		s.replay = &replayWriter{w: cfg.ReplayLog, shards: cfg.Shards}
-		if err := s.replay.header(cfg); err != nil {
-			return fmt.Errorf("serve: replay log: %w", err)
-		}
-	}
+// startEngines starts the engine goroutines: the part of New after
+// recovery.
+func (s *Server) startEngines() {
 	s.ready.Store(true)
 	for _, sh := range s.shards {
 		go sh.engineLoop()
 	}
-	return nil
 }
 
 // openDurable lays out the WAL directory for the configured shard count and
@@ -497,19 +483,23 @@ func (s *Server) openDurable() error {
 	return nil
 }
 
-// eachShard runs fn(0) … fn(n-1), each on its own goroutine, waits for all
-// of them, and returns the error of the lowest i that failed (nil when none
-// did): the one fan-out of recovery, checkpointing and sharded replay. fn
-// wraps its own error, so the caller gets the same text whichever shard
-// finishes first.
+// eachShard runs fn(0) … fn(n-1) on at most GOMAXPROCS goroutines, waits
+// for all of them, and returns the error of the lowest i that failed (nil
+// when none did): the one fan-out of recovery and sharded replay. Each fn
+// holds one shard's file buffers and decoded history, so the cap keeps peak
+// memory to the shards that can run at once. fn wraps its own error, so the
+// caller gets the same text whichever shard finishes first.
 func eachShard(n int, fn func(i int) error) error {
 	errs := make([]error, n)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := range n {
+	for range min(n, runtime.GOMAXPROCS(0)) {
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = fn(i)
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				errs[i] = fn(i)
+			}
 		}()
 	}
 	wg.Wait()
@@ -638,27 +628,37 @@ func (s *Server) Checkpoint() error {
 	if s.cfg.WALDir == "" {
 		return fmt.Errorf("serve: no WAL directory configured")
 	}
-	return eachShard(len(s.shards), func(i int) error {
-		sh := s.shards[i]
-		msg := checkpointMsg{reply: make(chan error, 1)}
+	// Post to every mailbox before waiting on any reply, so each shard
+	// checkpoints on its own engine goroutine while the others do.
+	replies := make([]chan error, len(s.shards))
+	for i, sh := range s.shards {
+		replies[i] = make(chan error, 1)
 		select {
-		case sh.reqs <- msg:
+		case sh.reqs <- checkpointMsg{reply: replies[i]}:
 		case <-sh.engineDone:
-			return fmt.Errorf("serve: checkpoint after drain")
+			replies[i] <- errCheckpointDrained
 		}
+	}
+	var first error
+	for i, sh := range s.shards {
+		var err error
 		select {
-		case err := <-msg.reply:
-			return err
+		case err = <-replies[i]:
 		case <-sh.engineDone:
 			select {
-			case err := <-msg.reply:
-				return err
+			case err = <-replies[i]:
 			default:
-				return fmt.Errorf("serve: checkpoint after drain")
+				err = errCheckpointDrained
 			}
 		}
-	})
+		if first == nil {
+			first = err
+		}
+	}
+	return first
 }
+
+var errCheckpointDrained = errors.New("serve: checkpoint after drain")
 
 // Drain stops admission, fast-forwards every shard until its committed jobs
 // have completed or expired, seals the shards, and returns the merged final
@@ -744,7 +744,7 @@ type submitMsg struct {
 // orders every access, so no lock is needed.
 type submitTrace struct {
 	reqID       string
-	persist     bool // client-supplied X-Request-Id: record in WAL/route records
+	persist     bool // client-supplied X-Request-Id: record in the WAL
 	enqueued    time.Time
 	dequeued    time.Time
 	walAppended time.Time
@@ -841,7 +841,7 @@ func decideAdmission(adm admitter, j *sim.Job, policy sim.Commitment) (DecisionS
 	case d.Reason == "not-delta-good":
 		// The job can never pass the freshness test either: it is infeasible
 		// for S at any later point, so it is not committed (and not logged —
-		// the WAL and replay log hold accepted arrivals).
+		// the WAL holds accepted arrivals).
 		return DecisionRejected, d.Reason, plan
 	case j.Commitment.Resolve(policy) == sim.CommitmentOnArrival:
 		// Would be parked, but the arrival verdict must be final: reject

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -228,11 +230,11 @@ func TestServeBackpressure(t *testing.T) {
 }
 
 // TestServeConcurrentSubmissions hammers the daemon from parallel clients
-// (run under -race), drains, and checks the replay log re-simulates the
-// serving session bit-identically.
+// (run under -race), drains, and checks the WAL re-simulates the serving
+// session bit-identically.
 func TestServeConcurrentSubmissions(t *testing.T) {
-	var replayLog bytes.Buffer
-	srv, ts := newTestServer(t, Config{M: 4, QueueDepth: 256, ReplayLog: &replayLog})
+	dir := t.TempDir()
+	srv, ts := newTestServer(t, Config{M: 4, QueueDepth: 256, WALDir: dir, Fsync: FsyncOff})
 
 	const clients, perClient = 8, 25
 	var mu sync.Mutex
@@ -301,15 +303,15 @@ func TestServeConcurrentSubmissions(t *testing.T) {
 		t.Fatalf("completed %d + expired %d != accepted %d", res.Completed, res.Expired, accepted)
 	}
 
-	assertReplayIdentical(t, &replayLog, res)
+	assertReplayIdentical(t, dir, res)
 }
 
 // TestServeDrainUnderLoad drains while submitters are still pounding the
 // API; every in-flight request must resolve to 200, 429, or 503, and the
 // final result must cover exactly the accepted jobs.
 func TestServeDrainUnderLoad(t *testing.T) {
-	var replayLog bytes.Buffer
-	srv, ts := newTestServer(t, Config{M: 2, QueueDepth: 8, ReplayLog: &replayLog})
+	dir := t.TempDir()
+	srv, ts := newTestServer(t, Config{M: 2, QueueDepth: 8, WALDir: dir, Fsync: FsyncOff})
 
 	const clients, perClient = 6, 40
 	var mu sync.Mutex
@@ -360,32 +362,128 @@ func TestServeDrainUnderLoad(t *testing.T) {
 	if len(res.Jobs) != accepted {
 		t.Fatalf("result has %d jobs, clients saw %d accepted", len(res.Jobs), accepted)
 	}
-	assertReplayIdentical(t, &replayLog, res)
+	assertReplayIdentical(t, dir, res)
 }
 
-// assertReplayIdentical re-simulates the replay log offline and compares the
-// Result byte-for-byte with the serving session's, modulo the Engine label
-// (the offline rerun may auto-route to the evented engine, which existing
-// equivalence tests pin to identical statistics).
-func assertReplayIdentical(t *testing.T, log *bytes.Buffer, served *sim.Result) {
+// TestWALDoesNotChangeSchedule: the WAL only records. One deterministic
+// script — direct, placer-routed and keyed submissions (one retried), a
+// per-job commitment, explicit Advance — gets the same verdicts and drains
+// to the same Result on a daemon without a WAL directory as on one writing
+// its WAL with FsyncOff, sharded and unsharded, and that Result equals
+// ReplayDir of the second daemon's directory.
+func TestWALDoesNotChangeSchedule(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			run := func(dir string) ([]string, *sim.Result) {
+				srv, err := New(Config{M: 6, Shards: shards, TickInterval: -1, WALDir: dir, Fsync: FsyncOff})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var verdicts []string
+				for i := 0; i < 40; i++ {
+					spec := JobSpec{
+						W: int64(3 + i%23), L: int64(1 + i%3), Deadline: int64(6 + i%19),
+						Profit: ScalarProfit(float64(1 + i%6)),
+					}
+					if i%7 == 3 {
+						spec.Commitment = CommitmentDelta
+					}
+					var rep submitReply
+					switch {
+					case i%4 == 1:
+						rep = submitDirect(t, srv, spec, fmt.Sprintf("key-%d", i%12))
+					case i%4 == 2:
+						rep = submitDirect(t, srv, spec, "")
+					default:
+						rep = submitToShard(t, srv.shards[i%shards], spec, "")
+					}
+					verdicts = append(verdicts, fmt.Sprintf("%d %s %d %d %v", rep.status, rep.resp.Decision, rep.resp.ID, rep.resp.Release, rep.resp.Replayed))
+					if i%5 == 4 {
+						srv.Advance(int64(2 * i))
+					}
+				}
+				return verdicts, srv.Drain()
+			}
+			plainVerdicts, plain := run("")
+			dir := t.TempDir()
+			walVerdicts, durable := run(dir)
+			if !slices.Equal(plainVerdicts, walVerdicts) {
+				t.Fatalf("verdicts differ:\nwithout WAL: %v\nwith WAL:    %v", plainVerdicts, walVerdicts)
+			}
+			if a, b := resultJSON(t, plain), resultJSON(t, durable); !bytes.Equal(a, b) {
+				t.Fatalf("WAL changes the schedule:\nwithout WAL: %s\nwith WAL:    %s", a, b)
+			}
+			assertReplayIdentical(t, dir, plain)
+		})
+	}
+}
+
+// assertReplayIdentical re-simulates the WAL directory dir offline with
+// ReplayDir and compares the Result byte-for-byte with the served one,
+// modulo the Engine label.
+func assertReplayIdentical(t *testing.T, dir string, served *sim.Result) {
 	t.Helper()
-	replayed, err := Replay(bytes.NewReader(log.Bytes()))
+	replayed, err := ReplayDir(dir)
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	a, b := *served, *replayed
-	a.Engine, b.Engine = "", ""
-	aj, err := json.Marshal(&a)
+	if a, b := resultJSON(t, served), resultJSON(t, replayed); !bytes.Equal(a, b) {
+		t.Fatalf("offline replay diverges from serving session:\nserved:   %s\nreplayed: %s", a, b)
+	}
+}
+
+// resultJSON encodes a Result without its Engine label, which names the
+// engine that executed: a serving session and its offline replay may step
+// under different disciplines with identical statistics.
+func resultJSON(t *testing.T, r *sim.Result) []byte {
+	t.Helper()
+	c := *r
+	c.Engine = ""
+	b, err := json.Marshal(&c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bj, err := json.Marshal(&b)
+	return b
+}
+
+// durableJob is one job record of a durable history and the shard whose
+// directory holds it.
+type durableJob struct {
+	shard int
+	rec   WALJob
+}
+
+// durableJobs reads the durable history under dir — each shard's checkpoint
+// plus its WAL suffix, as recovery reads it — keyed by job ID. The shard is
+// the one named in the directory's header (0 for the unsharded layout).
+func durableJobs(t *testing.T, dir string) map[int]durableJob {
+	t.Helper()
+	dirs, err := filepath.Glob(filepath.Join(dir, "shard-*"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(aj, bj) {
-		t.Fatalf("offline replay diverges from serving session:\nserved:   %s\nreplayed: %s", aj, bj)
+	if len(dirs) == 0 {
+		dirs = []string{dir}
 	}
+	out := make(map[int]durableJob)
+	for _, d := range dirs {
+		h, err := readAnyHeader(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stride := max(h.Shards, 1)
+		rs, err := loadState(d, h, h.Shard+1-stride)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, wj := range rs.jobs {
+			if _, dup := out[wj.Resp.ID]; dup {
+				t.Fatalf("job %d recorded twice", wj.Resp.ID)
+			}
+			out[wj.Resp.ID] = durableJob{shard: h.Shard, rec: wj}
+		}
+	}
+	return out
 }
 
 func TestServeDrainIdempotent(t *testing.T) {
@@ -414,8 +512,8 @@ func TestServeConfigErrors(t *testing.T) {
 // is released at the clock the shard was advanced to, not at the tick its
 // last job finished, and so cannot complete before it was sent.
 func TestIdleShardStampsCurrentClock(t *testing.T) {
-	var log bytes.Buffer
-	srv, ts := newTestServer(t, Config{M: 4, ReplayLog: &log})
+	dir := t.TempDir()
+	srv, ts := newTestServer(t, Config{M: 4, WALDir: dir, Fsync: FsyncOff})
 	if code, first := postJob(t, ts, `{"w":4,"l":1,"deadline":10}`); code != http.StatusOK || first.Release != 0 {
 		t.Fatalf("first job: status %d, %+v", code, first)
 	}
@@ -437,5 +535,5 @@ func TestIdleShardStampsCurrentClock(t *testing.T) {
 	if !found {
 		t.Fatalf("job %d missing from the drained Result", second.ID)
 	}
-	assertReplayIdentical(t, &log, res)
+	assertReplayIdentical(t, dir, res)
 }

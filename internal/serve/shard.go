@@ -256,7 +256,7 @@ func (sh *shard) handle(m any) bool {
 	case checkpointMsg:
 		switch {
 		case sh.quiesced:
-			msg.reply <- fmt.Errorf("serve: checkpoint after drain")
+			msg.reply <- errCheckpointDrained
 		case sh.srv.degraded.Load() != nil:
 			msg.reply <- fmt.Errorf("serve: degraded: %s", sh.srv.Degraded())
 		default:
@@ -352,8 +352,8 @@ func (sh *shard) handleSubmit(spec JobSpec, key string, tr *submitTrace) submitR
 // handleBatch commits one placer group — every item a batch routed to this
 // shard, in batch order — under a single WAL group-commit window: each item
 // runs the full processSubmit path (idempotency, admission, WAL append,
-// session arrival, replay log), but the per-record fsync of FsyncAlways is
-// suspended until the whole group is written, so the group pays one flush.
+// session arrival), but the per-record fsync of FsyncAlways is suspended
+// until the whole group is written, so the group pays one flush.
 // The records land contiguously in the WAL because this goroutine owns it.
 // No verdict leaves the engine before the group sync succeeds, so the
 // on-admission commitment still holds record by record; if the final sync
@@ -399,7 +399,7 @@ func (sh *shard) handleBatch(items []batchItem, tr *submitTrace) batchReply {
 
 // reqIDOf is the request ID a durable record should carry: the trace's ID
 // when the client supplied it, "" otherwise (server-generated IDs are
-// ephemeral, keeping header-less WAL and replay-log bytes unchanged).
+// ephemeral, keeping header-less WAL bytes unchanged).
 func reqIDOf(tr *submitTrace) string {
 	if tr == nil || !tr.persist {
 		return ""
@@ -529,7 +529,7 @@ func (sh *shard) marshalJobWire(e *scalarEntry, job *sim.Job) (json.RawMessage, 
 // processSubmit resolves idempotent retries, takes the admit/reject decision,
 // persists it to this shard's WAL (write-ahead: before the session commit,
 // so an acknowledged verdict is never lost to a crash), and commits the
-// arrival to the session and the shared replay log.
+// arrival to the session.
 func (sh *shard) processSubmit(spec JobSpec, key string, tr *submitTrace) submitReply {
 	if sh.srv.draining.Load() || sh.quiesced {
 		return submitReply{status: 503, err: "draining", reason: reasonDraining}
@@ -635,16 +635,6 @@ func (sh *shard) processSubmit(spec JobSpec, key string, tr *submitTrace) submit
 	sh.reg.Inc("serve."+string(resp.Decision), 1)
 	if key != "" {
 		sh.idem[key] = StoredResponse{Status: 200, Resp: resp}
-	}
-	if sh.srv.replay != nil {
-		if err := sh.srv.replay.appendJob(sh.idx, job, reqIDOf(tr)); err != nil {
-			// The offline-analysis tap failed: the record is lost, which
-			// breaks the log's bit-identical replay guarantee. Count it and
-			// surface the degraded state on /healthz instead of dropping
-			// the error silently.
-			sh.reg.Inc("serve.replay_error", 1)
-			sh.degrade("replay log append", err)
-		}
 	}
 	sh.publishPressure()
 	if resp.Decision == DecisionParked {

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -87,11 +88,8 @@ func TestShardedRecoveryMatchesSerial(t *testing.T) {
 	if *serial.recovery != *parallel.recovery {
 		t.Fatalf("merged recovery: serial %+v, concurrent %+v", *serial.recovery, *parallel.recovery)
 	}
-	for _, s := range []*Server{serial, parallel} {
-		if err := s.startEngines(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	serial.startEngines()
+	parallel.startEngines()
 	replayed, err := ReplayDir(img)
 	if err != nil {
 		t.Fatal(err)
@@ -102,6 +100,50 @@ func TestShardedRecoveryMatchesSerial(t *testing.T) {
 		res.Engine = replayed.Engine
 		if got, _ := json.Marshal(&res); !bytes.Equal(got, want) {
 			t.Fatalf("%s recovery drains to\n %s\nthe offline replay to\n %s", name, got, want)
+		}
+	}
+}
+
+// TestEachShardBoundedByGOMAXPROCS: recovery and sharded replay run at most
+// GOMAXPROCS shards at once, each exactly once, and still report the error
+// of the lowest failing shard.
+func TestEachShardBoundedByGOMAXPROCS(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		var running, peak atomic.Int32
+		calls := make([]atomic.Int32, 8)
+		err := eachShard(len(calls), func(i int) error {
+			n := running.Add(1)
+			defer running.Add(-1)
+			for {
+				if p := peak.Load(); n <= p || peak.CompareAndSwap(p, n) {
+					break
+				}
+			}
+			calls[i].Add(1)
+			// With room for two, the first shard waits for a second to be
+			// in flight, so a fan-out that ran one at a time would fail.
+			for deadline := time.Now().Add(5 * time.Second); i == 0 && procs > 1 && running.Load() < 2 && time.Now().Before(deadline); {
+				time.Sleep(100 * time.Microsecond)
+			}
+			time.Sleep(time.Millisecond)
+			if i == 3 || i == 6 {
+				return fmt.Errorf("shard %d failed", i)
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "shard 3 failed" {
+			t.Errorf("GOMAXPROCS=%d: err = %v, want shard 3's", procs, err)
+		}
+		if got := peak.Load(); got != int32(procs) {
+			t.Errorf("GOMAXPROCS=%d: %d shards ran at once, want %d", procs, got, procs)
+		}
+		for i := range calls {
+			if n := calls[i].Load(); n != 1 {
+				t.Errorf("GOMAXPROCS=%d: shard %d ran %d times", procs, i, n)
+			}
 		}
 	}
 }

@@ -66,12 +66,12 @@ func TestShardedIDStriping(t *testing.T) {
 	}
 }
 
-// TestShardedDrainMatchesReplay is the sharded bit-identity contract: the
-// replay log's route records partition the jobs exactly as the daemon did,
-// and the per-shard offline re-simulations merge into the drained Result.
+// TestShardedDrainMatchesReplay is the sharded bit-identity contract: each
+// shard's WAL holds exactly the IDs on its stripe, and the per-shard offline
+// re-simulations of the directory merge into the drained Result.
 func TestShardedDrainMatchesReplay(t *testing.T) {
-	var replayLog bytes.Buffer
-	srv, err := New(Config{M: 8, Shards: 4, TickInterval: -1, ReplayLog: &replayLog})
+	dir := t.TempDir()
+	srv, err := New(Config{M: 8, Shards: 4, TickInterval: -1, WALDir: dir, Fsync: FsyncOff})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +81,8 @@ func TestShardedDrainMatchesReplay(t *testing.T) {
 		spec := JobSpec{W: w, L: l, Deadline: int64(20 + i%9), Profit: ScalarProfit(float64(1 + i%5))}
 		sh := srv.shards[i%4]
 		if i%3 == 0 {
-			// Mix in placer-routed traffic so route records, not the stripe
-			// pattern, carry the partition.
+			// Mix in placer-routed traffic so the shard that committed each
+			// job, not the loop index, decides where its record lands.
 			sh = srv.placer.route("")
 		}
 		if rep := submitToShard(t, sh, spec, ""); rep.status != 200 {
@@ -92,58 +92,30 @@ func TestShardedDrainMatchesReplay(t *testing.T) {
 			srv.Advance(int64(i))
 		}
 	}
-	res := srv.Drain()
-
-	h, jobs, err := ReadReplay(bytes.NewReader(replayLog.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Shards != 4 || h.M != 8 {
-		t.Fatalf("replay header = %+v, want shards=4 m=8", h)
-	}
+	// Before the drain folds them into checkpoints, the records are in the
+	// WALs: shard i owns the IDs ≡ i+1 mod 4.
+	jobs := durableJobs(t, dir)
 	if len(jobs) != 24 {
-		t.Fatalf("replay log holds %d jobs, want 24", len(jobs))
+		t.Fatalf("WALs hold %d jobs, want 24", len(jobs))
 	}
-	replayed, err := Replay(bytes.NewReader(replayLog.Bytes()))
-	if err != nil {
-		t.Fatal(err)
+	for id, dj := range jobs {
+		if want := (id - 1) % 4; dj.shard != want {
+			t.Errorf("job %d in shard %d's WAL, stripe says %d", id, dj.shard, want)
+		}
 	}
-	a, b := *res, *replayed
-	a.Engine, b.Engine = "", ""
-	aj, _ := json.Marshal(&a)
-	bj, _ := json.Marshal(&b)
-	if !bytes.Equal(aj, bj) {
-		t.Fatalf("sharded drain diverges from replay:\nserved:   %s\nreplayed: %s", aj, bj)
+	for i := range 4 {
+		h, err := readAnyHeader(filepath.Join(dir, shardDirName(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Shards != 4 || h.Shard != i || h.M != 2 {
+			t.Fatalf("shard %d header = %+v, want shard %d of 4 with m=2", i, h, i)
+		}
 	}
+	res := srv.Drain()
+	assertReplayIdentical(t, dir, res)
 	if res.M != 8 {
 		t.Fatalf("merged result M = %d, want 8", res.M)
-	}
-}
-
-// TestUnshardedReplayLogBytesUnchanged pins the -shards=1 byte-identity
-// promise at the log level: a single-shard daemon writes no shards field and
-// no route records, exactly the pre-sharding format.
-func TestUnshardedReplayLogBytesUnchanged(t *testing.T) {
-	var replayLog bytes.Buffer
-	srv, err := New(Config{M: 4, TickInterval: -1, ReplayLog: &replayLog})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep := submitToShard(t, srv.shards[0], JobSpec{W: 8, L: 2, Deadline: 30, Profit: ScalarProfit(2)}, ""); rep.status != 200 {
-		t.Fatalf("submit: %+v", rep)
-	}
-	srv.Drain()
-	lines := strings.Split(strings.TrimSpace(replayLog.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("single-shard log has %d lines, want header + job:\n%s", len(lines), replayLog.String())
-	}
-	if strings.Contains(lines[0], "shards") || strings.Contains(lines[0], "shard") {
-		t.Fatalf("single-shard header leaks shard fields: %s", lines[0])
-	}
-	for _, l := range lines[1:] {
-		if strings.Contains(l, `"type":"route"`) {
-			t.Fatalf("single-shard log holds a route record: %s", l)
-		}
 	}
 }
 
@@ -266,14 +238,13 @@ func TestShardedStatsWALAggregate(t *testing.T) {
 
 // TestShardedQuiesceBlocksLateSubmissions is the two-phase drain regression
 // (satellite 6): once a shard has quiesced, a submission can no longer commit
-// — it gets 503 and leaves the shard's WAL and replay log untouched — so a
-// signal landing mid-drain can never interleave an arrival into a log another
-// shard is finalizing.
+// — it gets 503 and leaves the shard's WAL untouched — so a signal landing
+// mid-drain can never interleave an arrival into a log another shard is
+// finalizing.
 func TestShardedQuiesceBlocksLateSubmissions(t *testing.T) {
-	var replayLog bytes.Buffer
 	dir := t.TempDir()
 	srv, err := New(Config{
-		M: 4, Shards: 2, TickInterval: -1, ReplayLog: &replayLog,
+		M: 4, Shards: 2, TickInterval: -1,
 		WALDir: dir, Fsync: FsyncAlways, CheckpointInterval: -1,
 	})
 	if err != nil {
@@ -287,7 +258,6 @@ func TestShardedQuiesceBlocksLateSubmissions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	logBefore := replayLog.Len()
 
 	// Drain phase 1 only: quiesce shard 0 the way Drain does, then model the
 	// mid-drain race — a submission arriving while other shards finalize.
@@ -297,6 +267,9 @@ func TestShardedQuiesceBlocksLateSubmissions(t *testing.T) {
 	rep := submitToShard(t, srv.shards[0], JobSpec{W: 4, L: 2, Deadline: 30, Profit: ScalarProfit(2)}, "late-key")
 	if rep.status != 503 || rep.err != "draining" {
 		t.Fatalf("post-quiesce submit = %+v, want 503 draining", rep)
+	}
+	if mid, err := os.ReadFile(walPath); err != nil || !bytes.Equal(mid, before) {
+		t.Fatalf("WAL changed after quiesce (%v):\nbefore: %s\nafter:  %s", err, before, mid)
 	}
 	// Reads still work between the phases.
 	look := lookupMsg{id: 1, reply: make(chan lookupReply, 1)}
@@ -317,9 +290,6 @@ func TestShardedQuiesceBlocksLateSubmissions(t *testing.T) {
 	// that no job record for the late submission ever landed.
 	if bytes.Contains(after, []byte("late-key")) || bytes.Contains(before, []byte("late-key")) {
 		t.Fatal("late submission reached the WAL")
-	}
-	if got := replayLog.Len(); got != logBefore {
-		t.Fatalf("replay log grew %d bytes after quiesce", got-logBefore)
 	}
 }
 
@@ -375,17 +345,7 @@ func TestShardedRecoveryRoundTrip(t *testing.T) {
 	}
 	res := srv2.Drain()
 	drain2()
-	replayed, err := ReplayDir(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := *res, *replayed
-	a.Engine, b.Engine = "", ""
-	aj, _ := json.Marshal(&a)
-	bj, _ := json.Marshal(&b)
-	if !bytes.Equal(aj, bj) {
-		t.Fatalf("sharded recovery drain diverges from offline replay:\nserved:   %s\nreplayed: %s", aj, bj)
-	}
+	assertReplayIdentical(t, snap, res)
 }
 
 // TestShardedLayoutDrift: a WAL directory written under one partition

@@ -270,17 +270,7 @@ func TestV2SpecsSurviveRecovery(t *testing.T) {
 	}
 
 	res := srv2.Drain()
-	replayed, err := ReplayDir(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := *res, *replayed
-	a.Engine, b.Engine = "", ""
-	aj, _ := json.Marshal(&a)
-	bj, _ := json.Marshal(&b)
-	if !bytes.Equal(aj, bj) {
-		t.Fatalf("recovered drain diverges from offline replay:\nrecovered: %s\nreplayed:  %s", aj, bj)
-	}
+	assertReplayIdentical(t, snap, res)
 }
 
 // TestRecoveryRefusesCommitmentDowngrade: durable state written under a

@@ -122,8 +122,8 @@ func (in *Instance) UnmarshalJSON(data []byte) error {
 }
 
 // MarshalJob renders one job in the instance wire format (one element of an
-// instance's "jobs" array). The serving replay log stores one job per line
-// in exactly this form, so a replayed session feeds sim.RunAuto the same
+// instance's "jobs" array). The serving WAL stores each accepted job in
+// exactly this form, so a replayed session feeds sim.RunAuto the same
 // bytes an instance file would.
 func MarshalJob(j *sim.Job) ([]byte, error) {
 	pj, err := encodeProfit(j.Profit)

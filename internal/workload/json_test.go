@@ -9,7 +9,7 @@ import (
 )
 
 // TestJobWireRoundTrip checks MarshalJob/UnmarshalJob preserve a job across
-// the wire byte-identically on re-marshal — the replay-log contract.
+// the wire byte-identically on re-marshal — the WAL replay contract.
 func TestJobWireRoundTrip(t *testing.T) {
 	fns := []profit.Fn{
 		mustFn(t)(profit.NewStep(10, 25)),
