@@ -27,7 +27,8 @@ check: fmt vet build test bench-guard obs-guard wire-guard api-check schema-comp
 # Crash-safety harness: SIGKILL the serving daemon under concurrent load at
 # seeded points, restart it over the same WAL directory, and verify no
 # acknowledged job is lost, no rejected job resurrects, duplicate retries
-# collapse, and the recovered state matches a crash-free replay bit for bit.
+# collapse, the recovered state matches a crash-free replay bit for bit, and a
+# checkpoint of the recovered crash image is exactly the encoded history.
 chaos:
 	go test -race -run 'TestChaos' -count=1 ./internal/serve/
 

@@ -38,6 +38,7 @@ type DAG struct {
 
 	totalWork int64
 	span      int64
+	sources   int      // nodes without predecessors: an unstarted job's ready count
 	order     []NodeID // cached topological order
 }
 
@@ -156,8 +157,11 @@ func build(work []int64, edges [][2]NodeID) (*DAG, error) {
 		return nil, ErrCycle
 	}
 	g.order = order
-	for _, w := range g.work {
+	for v, w := range g.work {
 		g.totalWork += w
+		if len(g.preds(NodeID(v))) == 0 {
+			g.sources++
+		}
 	}
 	// Longest path over the topological order.
 	down := make([]int64, n) // down[v] = longest path starting at v (inclusive)

@@ -8,7 +8,12 @@ import "fmt"
 // engine applies work to ready nodes through Apply; completed nodes release
 // their successors.
 type State struct {
-	g            *DAG
+	g *DAG
+
+	// The per-node arrays stay nil until the state is first used (alloc), so
+	// a job that is released but never runs — parked, then expired — holds
+	// none of them. Until then ReadyCount and RemainingSpan answer from the
+	// graph.
 	remaining    []int64
 	missingPreds []int32
 
@@ -23,23 +28,29 @@ type State struct {
 }
 
 // NewState returns a fresh execution state for g: nothing executed, sources
-// ready. The per-node arrays share two backing allocations, one per element
-// type; each is capped at n so nothing can grow into its neighbour.
+// ready. It allocates only the State; the per-node arrays follow on first
+// use.
 func NewState(g *DAG) *State {
-	n := g.NumNodes()
+	return &State{g: g, downDirty: true}
+}
+
+// alloc allocates the per-node arrays on first use. They share two backing
+// allocations, one per element type; each is capped at n so nothing can
+// grow into its neighbour.
+func (s *State) alloc() {
+	n := s.g.NumNodes()
+	if s.remaining != nil || n == 0 {
+		return
+	}
 	i64 := make([]int64, 2*n)
 	i32 := make([]int32, 2*n)
-	s := &State{
-		g:            g,
-		remaining:    i64[:n:n],
-		missingPreds: i32[:n:n],
-		readyPos:     i32[n:],
-		downDirty:    true,
-		down:         i64[n:],
-	}
-	copy(s.remaining, g.work)
+	s.remaining = i64[:n:n]
+	s.missingPreds = i32[:n:n]
+	s.readyPos = i32[n:]
+	s.down = i64[n:]
+	copy(s.remaining, s.g.work)
 	for v := 0; v < n; v++ {
-		s.missingPreds[v] = int32(len(g.preds(NodeID(v))))
+		s.missingPreds[v] = int32(len(s.g.preds(NodeID(v))))
 		s.readyPos[v] = -1
 	}
 	for v := 0; v < n; v++ {
@@ -47,7 +58,6 @@ func NewState(g *DAG) *State {
 			s.pushReady(NodeID(v))
 		}
 	}
-	return s
 }
 
 // DAG returns the underlying immutable graph.
@@ -55,19 +65,33 @@ func (s *State) DAG() *DAG { return s.g }
 
 // ReadyCount returns the number of currently ready (unfinished, all
 // predecessors complete) nodes.
-func (s *State) ReadyCount() int { return len(s.ready) }
+func (s *State) ReadyCount() int {
+	if s.remaining == nil {
+		return s.g.sources
+	}
+	return len(s.ready)
+}
 
 // ReadyNodes appends the current ready set to dst and returns it. The order
 // is unspecified; use a PickPolicy for a deterministic choice.
 func (s *State) ReadyNodes(dst []NodeID) []NodeID {
+	s.alloc()
 	return append(dst, s.ready...)
 }
 
 // IsReady reports whether node v is currently ready.
-func (s *State) IsReady(v NodeID) bool { return s.readyPos[v] >= 0 }
+func (s *State) IsReady(v NodeID) bool {
+	s.alloc()
+	return s.readyPos[v] >= 0
+}
 
 // Remaining returns the unprocessed work of node v.
-func (s *State) Remaining(v NodeID) int64 { return s.remaining[v] }
+func (s *State) Remaining(v NodeID) int64 {
+	if s.remaining == nil {
+		return s.g.work[v]
+	}
+	return s.remaining[v]
+}
 
 // Done reports whether every node has completed.
 func (s *State) Done() bool { return s.completedNodes == s.g.NumNodes() }
@@ -92,6 +116,7 @@ func (s *State) Apply(v NodeID, units int64) int64 {
 	if units <= 0 {
 		panic(fmt.Sprintf("dag: Apply with non-positive units %d", units))
 	}
+	s.alloc()
 	if s.readyPos[v] < 0 {
 		panic(fmt.Sprintf("dag: Apply to non-ready node %d", v))
 	}
@@ -122,6 +147,7 @@ func (s *State) Apply(v NodeID, units int64) int64 {
 // ready nodes and a finished node leaves the ready set), so ResetNode
 // panics on a completed node: that indicates an engine bug.
 func (s *State) ResetNode(v NodeID) int64 {
+	s.alloc()
 	if s.readyPos[v] < 0 {
 		panic(fmt.Sprintf("dag: ResetNode on non-ready node %d", v))
 	}
@@ -139,6 +165,9 @@ func (s *State) ResetNode(v NodeID) int64 {
 // chain of unprocessed work through incomplete nodes. For an untouched job
 // this equals Span(); for a done job it is zero.
 func (s *State) RemainingSpan() int64 {
+	if s.remaining == nil {
+		return s.g.span
+	}
 	s.refreshDown()
 	best := int64(0)
 	for _, v := range s.ready {
@@ -153,6 +182,7 @@ func (s *State) RemainingSpan() int64 {
 // the remaining work of) node v. Only meaningful for incomplete nodes; used
 // by clairvoyant and adversarial node-pick policies.
 func (s *State) DownLength(v NodeID) int64 {
+	s.alloc()
 	s.refreshDown()
 	return s.down[v]
 }

@@ -282,13 +282,32 @@ func TestExecutedWorkAccounting(t *testing.T) {
 	}
 }
 
-// TestNewStateAllocations pins NewState at one allocation per element type
-// of its per-node arrays, plus the State itself and its ready set, and checks
-// the carved arrays start from the graph's work without aliasing it.
+// stateSink keeps the states TestNewStateAllocations counts on the heap.
+var stateSink *State
+
+// TestNewStateAllocations pins NewState at the State alone, and its first
+// use at one more allocation per element type of its per-node arrays plus
+// its ready set. Before first use the state answers ReadyCount and
+// RemainingSpan from the graph; the test also checks the carved arrays
+// start from the graph's work without aliasing it.
 func TestNewStateAllocations(t *testing.T) {
 	g := ForkJoin(3, 4, 2)
-	if n := testing.AllocsPerRun(100, func() { NewState(g) }); n != 4 {
-		t.Errorf("NewState: %v allocations, want 4", n)
+	if n := testing.AllocsPerRun(100, func() { stateSink = NewState(g) }); n != 1 {
+		t.Errorf("NewState: %v allocations, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		stateSink = NewState(g)
+		if stateSink.ReadyCount() != 1 || stateSink.RemainingSpan() != g.Span() {
+			t.Fatal("an unused state disagrees with its graph")
+		}
+	}); n != 1 {
+		t.Errorf("NewState with ReadyCount and RemainingSpan: %v allocations, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		stateSink = NewState(g)
+		stateSink.IsReady(0)
+	}); n != 4 {
+		t.Errorf("NewState and first use: %v allocations, want 4", n)
 	}
 	s := NewState(g)
 	for v := 0; v < g.NumNodes(); v++ {

@@ -307,7 +307,7 @@ func TestWALGroupCommitWindow(t *testing.T) {
 	}
 	w.beginBatch()
 	for i := 0; i < 3; i++ {
-		if _, err := w.append(map[string]int{"i": i}); err != nil {
+		if err := w.append(map[string]int{"i": i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -321,7 +321,7 @@ func TestWALGroupCommitWindow(t *testing.T) {
 		t.Fatal("endBatch must flush the window")
 	}
 	// After the window closes, appends flush per record again.
-	if _, err := w.append(map[string]int{"i": 3}); err != nil {
+	if err := w.append(map[string]int{"i": 3}); err != nil {
 		t.Fatal(err)
 	}
 	if w.dirty {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,6 +11,7 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -35,7 +37,10 @@ import (
 //     load mixes per-job "commitment":"delta" specs in) is re-acknowledged
 //     with the same commitment string after recovery — never downgraded;
 //   - the recovered session is bit-identical: draining the restarted daemon
-//     matches an offline replay of the durable directory.
+//     matches an offline replay of the durable directory;
+//   - the history streams as it was written: a copy of the crash image,
+//     recovered in this process and checkpointed, holds exactly
+//     frameRecord(json.Marshal(cp)) with cp.Jobs the image's history.
 
 const (
 	chaosChildEnv  = "SPAA_CHAOS_CHILD"
@@ -412,6 +417,7 @@ func runChaos(t *testing.T, seed int64, shards int) {
 	if len(acked) == 0 {
 		t.Fatal("chaos run acked nothing before the kill; nothing to verify")
 	}
+	checkCrashImageCheckpoint(t, dir, shards)
 
 	// Restart over the same directory.
 	child2 := startChaosChild(t, dir, shards)
@@ -541,4 +547,77 @@ func runChaos(t *testing.T, seed int64, shards int) {
 	if string(aj) != string(bj) {
 		t.Errorf("recovered session diverges from crash-free replay:\nserved:   %s\nreplayed: %s", aj, bj)
 	}
+}
+
+// checkCrashImageCheckpoint recovers a copy of the crash image in dir in
+// this process, forces a checkpoint, and holds every shard's checkpoint to
+// frameRecord(json.Marshal(cp)) with cp.Jobs the history an encoding/json
+// decode of the image holds: the copy streamed from a SIGKILLed daemon's
+// files is exactly what the one encoder writes.
+func checkCrashImageCheckpoint(t *testing.T, dir string, shards int) {
+	t.Helper()
+	img := snapshotDir(t, dir)
+	m, subdirs := chaosChildM, []string{img}
+	if shards > 1 {
+		m, subdirs = chaosShardedM, nil
+		for i := 0; i < shards; i++ {
+			subdirs = append(subdirs, filepath.Join(img, shardDirName(i)))
+		}
+	}
+	hists := make([][]WALJob, shards)
+	for i, sub := range subdirs {
+		hists[i] = refHistory(t, sub, i+1-shards)
+	}
+	srv, err := New(Config{M: m, Shards: shards, TickInterval: -1, WALDir: img, Fsync: FsyncOff, CheckpointInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Drain()
+	if err := srv.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for i, sub := range subdirs {
+		if err := checkCheckpointOf(sub, hists[i]); err != nil {
+			t.Errorf("shard %d: %v", i, err)
+		}
+	}
+}
+
+// refHistory decodes the job history of a durable directory with
+// encoding/json alone: the checkpoint's jobs, then the WAL's job records
+// with IDs above the checkpoint's (baseID without one).
+func refHistory(t *testing.T, dir string, baseID int) []WALJob {
+	t.Helper()
+	var jobs []WALJob
+	nextID := baseID
+	data, err := os.ReadFile(filepath.Join(dir, checkpointFileName))
+	switch {
+	case err == nil:
+		payload, err := parseFrame(bytes.TrimSuffix(data, []byte("\n")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cp Checkpoint
+		if err := json.Unmarshal(payload, &cp); err != nil {
+			t.Fatal(err)
+		}
+		jobs, nextID = cp.Jobs, cp.NextID
+	case !os.IsNotExist(err):
+		t.Fatal(err)
+	}
+	payloads, _, err := scanWAL(filepath.Join(dir, walFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range payloads {
+		var wj WALJob
+		if err := json.Unmarshal(p, &wj); err != nil {
+			t.Fatal(err)
+		}
+		if wj.Type == "job" && wj.Resp.ID > nextID {
+			jobs = append(jobs, wj)
+			nextID = wj.Resp.ID
+		}
+	}
+	return jobs
 }

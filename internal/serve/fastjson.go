@@ -249,9 +249,8 @@ func appendFrame(b, payload []byte) []byte {
 // a value the scanner cannot vouch for — makes the caller decode that record
 // with json.Unmarshal instead, so what recovery reads never depends on which
 // path read it. The checkpoint encoder writes only what surrounds the jobs
-// array — the array itself is the shard's encodedHistory, the WAL payloads
-// as they were first written — and hands the header, idempotency table and
-// telemetry summary to json.Marshal.
+// array — the array itself is streamed from disk (checkpoint.go) — and hands
+// the header, idempotency table and telemetry summary to json.Marshal.
 
 // wireString converts a decoded string, sharing the constant for the values
 // nearly every record repeats, so a recovered history does not hold one
@@ -397,9 +396,8 @@ func canonInt(span []byte) bool {
 // caller must therefore decode rec.Job with a jobDecoder, which validates
 // as it decodes, or check it with json.Valid, before trusting the record.
 // When the record's bytes are exactly what appendWALJob writes for the
-// decoded value (canon; see parseJobResponseFast), rec.raw is set to them:
-// the encoded history adopts those bytes instead of encoding the record
-// again.
+// decoded value (canon; see parseJobResponseFast), rec.raw is set to them,
+// so a checkpoint copies them instead of encoding the record again.
 func parseWALJobFast(data []byte, i int, rec *WALJob) (int, bool) {
 	var ok bool
 	var s []byte
@@ -454,68 +452,94 @@ func parseWALJobFast(data []byte, i int, rec *WALJob) (int, bool) {
 // server writes, json.Unmarshal for anything else (including every record
 // the fast path cannot delimit, so the error is encoding/json's). A record
 // the fast path decodes carries an unvalidated job member; see
-// parseWALJobFast for what the caller owes it.
+// parseWALJobFast for what the caller owes it. A job record adopts data
+// (rec.raw) when it is exactly what the WAL encoder writes for it.
 func decodeWALJob(data []byte, rec *WALJob) error {
-	if end, ok := parseWALJobFast(data, 0, rec); ok && fastjson.SkipSpace(data, end) == len(data) {
-		return nil
+	if end, ok := parseWALJobFast(data, 0, rec); !ok || fastjson.SkipSpace(data, end) != len(data) {
+		*rec = WALJob{}
+		if err := json.Unmarshal(data, rec); err != nil {
+			return err
+		}
 	}
-	*rec = WALJob{}
-	return json.Unmarshal(data, rec)
+	if rec.Type == "job" {
+		adopt(rec, data)
+	}
+	return nil
+}
+
+// ckptBody is where a checkpoint payload holds its jobs array body:
+// payload[start:end], the records between '[' and ']'. Only the fast
+// decoder locates it (known).
+type ckptBody struct {
+	start, end int
+	known      bool
 }
 
 // parseCheckpointFast decodes a Checkpoint in its struct field order. The
 // header, idempotency table and summary spans go to json.Unmarshal (small,
 // and maps); the jobs array — nearly all of the bytes — is scanned record
 // by record with parseWALJobFast, whose job members are delimited but not
-// validated.
-func parseCheckpointFast(data []byte, cp *Checkpoint) bool {
-	var ok bool
+// validated. A record off that shape is delimited with
+// fastjson.SkipStructure and decoded alone by json.Unmarshal, so the others
+// keep their bytes and the array body stays located. Every record adopts
+// its bytes when they are exactly what the WAL encoder writes for it.
+func parseCheckpointFast(data []byte, cp *Checkpoint) (body ckptBody, ok bool) {
 	var s []byte
 	var v int64
 	i := 0
 	if i, ok = fastjson.HasLit(data, i, `{"type":`); !ok {
-		return false
+		return body, false
 	}
 	if s, i, ok = fastjson.ParseString(data, i); !ok {
-		return false
+		return body, false
 	}
 	cp.Type = string(s)
 	if i, ok = fastjson.HasLit(data, i, `,"header":`); !ok {
-		return false
+		return body, false
 	}
 	if i, ok = unmarshalSpan(data, i, &cp.Header); !ok {
-		return false
+		return body, false
 	}
 	if i, ok = fastjson.HasLit(data, i, `,"clock":`); !ok {
-		return false
+		return body, false
 	}
 	if cp.Clock, i, ok = fastjson.ParseInt(data, i); !ok {
-		return false
+		return body, false
 	}
 	if i, ok = fastjson.HasLit(data, i, `,"nextId":`); !ok {
-		return false
+		return body, false
 	}
 	if v, i, ok = fastjson.ParseInt(data, i); !ok {
-		return false
+		return body, false
 	}
 	cp.NextID = int(v)
+	body = ckptBody{start: i, end: i, known: true}
 	if next, has := fastjson.HasLit(data, i, `,"jobs":[`); has {
 		i = next
+		body.start = i
 		cp.Jobs = []WALJob{}
 		if next, has := fastjson.HasLit(data, i, `]`); has {
+			body.end = i
 			i = next
 		} else {
 			for {
 				cp.Jobs = append(cp.Jobs, WALJob{})
-				if i, ok = parseWALJobFast(data, i, &cp.Jobs[len(cp.Jobs)-1]); !ok {
-					return false
+				rec := &cp.Jobs[len(cp.Jobs)-1]
+				start := i
+				if i, ok = parseWALJobFast(data, start, rec); !ok {
+					*rec = WALJob{}
+					if i, ok = unmarshalSpan(data, start, rec); !ok {
+						return body, false
+					}
 				}
+				adopt(rec, data[start:i])
 				if next, has := fastjson.HasLit(data, i, `,`); has {
 					i = next
 					continue
 				}
+				body.end = i
 				if i, ok = fastjson.HasLit(data, i, `]`); !ok {
-					return false
+					return body, false
 				}
 				break
 			}
@@ -523,31 +547,31 @@ func parseCheckpointFast(data []byte, cp *Checkpoint) bool {
 	}
 	if next, has := fastjson.HasLit(data, i, `,"idem":`); has {
 		if i, ok = unmarshalSpan(data, next, &cp.Idem); !ok {
-			return false
+			return body, false
 		}
 	}
 	if i, ok = fastjson.HasLit(data, i, `,"summary":`); !ok {
-		return false
+		return body, false
 	}
 	if i, ok = unmarshalSpan(data, i, &cp.Summary); !ok {
-		return false
+		return body, false
 	}
 	if i, ok = fastjson.HasLit(data, i, `,"fingerprint":`); !ok {
-		return false
+		return body, false
 	}
 	if cp.Fingerprint, i, ok = fastjson.ParseUint(data, i); !ok {
-		return false
+		return body, false
 	}
 	if i, ok = fastjson.HasLit(data, i, `,"checkpoints":`); !ok {
-		return false
+		return body, false
 	}
 	if cp.Checkpoints, i, ok = fastjson.ParseInt(data, i); !ok {
-		return false
+		return body, false
 	}
 	if i, ok = fastjson.HasLit(data, i, `}`); !ok {
-		return false
+		return body, false
 	}
-	return fastjson.SkipSpace(data, i) == len(data)
+	return body, fastjson.SkipSpace(data, i) == len(data)
 }
 
 // unmarshalSpan decodes the JSON object or array at data[i] into v with
@@ -564,12 +588,12 @@ func unmarshalSpan(data []byte, i int, v any) (int, bool) {
 // decodeCheckpoint decodes a checkpoint payload: the fast path for the shape
 // the server writes, json.Unmarshal for anything else. As with
 // decodeWALJob, the job members of a fast-path decode are not validated.
-func decodeCheckpoint(data []byte, cp *Checkpoint) error {
-	if parseCheckpointFast(data, cp) {
-		return nil
+func decodeCheckpoint(data []byte, cp *Checkpoint) (ckptBody, error) {
+	if body, ok := parseCheckpointFast(data, cp); ok {
+		return body, nil
 	}
 	*cp = Checkpoint{}
-	return json.Unmarshal(data, cp)
+	return ckptBody{}, json.Unmarshal(data, cp)
 }
 
 // checkpointHeaderPrefix reads the serving header from the start of a
@@ -596,7 +620,7 @@ func checkpointHeaderPrefix(data []byte) (ReplayHeader, bool) {
 // appendCheckpointHead appends the part of json.Marshal(cp) before the
 // first record of its jobs array — through `,"jobs":[` when jobs is set, else
 // through the nextId member — and appendCheckpointTail the part after the
-// last record. cp.Jobs itself is not read: the caller supplies the records.
+// last record. cp.Jobs itself is not read: the caller streams the records.
 func appendCheckpointHead(b []byte, cp *Checkpoint, jobs bool) ([]byte, error) {
 	b = append(b, `{"type":`...)
 	b, err := appendMarshal(b, cp.Type)
@@ -637,36 +661,6 @@ func appendCheckpointTail(b []byte, cp *Checkpoint, jobs bool) ([]byte, error) {
 	b = append(b, `,"checkpoints":`...)
 	b = strconv.AppendInt(b, cp.Checkpoints, 10)
 	return append(b, '}'), nil
-}
-
-// checkpointFrame appends to parts cp's checkpoint.json line, with hist as
-// its jobs array, in pieces: the frame prefix and head, hist's chunks as
-// they are, and the tail with the newline. Their concatenation is
-// frameRecord of json.Marshal(cp) with cp.Jobs the decoded history (pinned
-// by TestAppendCheckpointMatchesMarshal); the checksum is accumulated over
-// the pieces, so no buffer the size of the history is built.
-func checkpointFrame(parts [][]byte, cp *Checkpoint, hist *encodedHistory) ([][]byte, error) {
-	jobs := hist.n > 0
-	head, err := appendCheckpointHead(make([]byte, 9, 512), cp, jobs)
-	if err != nil {
-		return nil, err
-	}
-	tail, err := appendCheckpointTail(nil, cp, jobs)
-	if err != nil {
-		return nil, err
-	}
-	crc := crc32.Update(0, walCRC, head[9:])
-	for _, c := range hist.chunks {
-		crc = crc32.Update(crc, walCRC, c)
-	}
-	crc = crc32.Update(crc, walCRC, tail)
-	for k := 0; k < 8; k++ {
-		head[k] = hexDigits[(crc>>(28-4*k))&0xf]
-	}
-	head[8] = ' '
-	parts = append(parts, head)
-	parts = append(parts, hist.chunks...)
-	return append(parts, append(tail, '\n')), nil
 }
 
 func appendMarshal(b []byte, v any) ([]byte, error) {

@@ -86,7 +86,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		var whole, fast Checkpoint
 		wholeErr := json.Unmarshal(data, &whole)
 		hdr := whole.Header
-		if wholeErr != nil && decodeCheckpoint(data, &fast) == nil {
+		if _, err := decodeCheckpoint(data, &fast); wholeErr != nil && err == nil {
 			hdr = fast.Header
 		}
 		got, err := recoverCheckpoint(data, hdr)

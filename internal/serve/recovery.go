@@ -1,12 +1,15 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
+	"strings"
 
 	"dagsched/internal/cliflags"
 	"dagsched/internal/fastjson"
@@ -67,9 +70,10 @@ type WALJob struct {
 	// appendWALJob need not scan it again. Set only by the submit path
 	// (scalarEntry.plainWire); never encoded.
 	jobPlain bool
-	// raw is the record as it was read, when those bytes are exactly what
-	// appendWALJob writes for it (parseWALJobFast); nil otherwise. Set only
-	// by recovery, so a recovered history keeps the bytes it read.
+	// raw is the record as it was read — the whole WAL payload, or its
+	// span of a checkpoint's jobs array — when those bytes are exactly what
+	// the WAL encoder writes for it (adopt); nil otherwise. Set only by
+	// recovery: a checkpoint copies such bytes as they are.
 	raw []byte
 }
 
@@ -142,6 +146,14 @@ type recoveredState struct {
 	// checkpoint and an intact WAL holding only its header record — so
 	// nothing was replayed from the WAL and a start need not rewrite it.
 	sealed bool
+	// ckpt locates the history in the checkpoint file, and verbatim says
+	// the directory is what a running shard leaves: a checkpoint whose jobs
+	// array is located, a WAL behind its header, and the history on disk
+	// exactly as the WAL encoder writes it, with every job record of the
+	// WAL in it once. Then the next checkpoint streams the history from
+	// the two files as they are (see checkpoint.go).
+	ckpt     ckptFile
+	verbatim bool
 }
 
 // headerOf renders a serving config as the durable header record: the
@@ -225,13 +237,15 @@ func loadState(dir string, want ReplayHeader, baseID int) (*recoveredState, erro
 		return nil, fmt.Errorf("serve: wal: %w", err)
 	}
 	rs.tornBytes = torn
-	if err := rs.readWAL(payloads, want); err != nil {
+	walVerbatim, err := rs.readWAL(payloads, want)
+	if err != nil {
 		return nil, err
 	}
 	if !rs.hasCheckpoint && len(payloads) == 0 {
 		return nil, nil // nothing durable yet: fresh start
 	}
 	rs.sealed = rs.hasCheckpoint && rs.walHeader && torn == 0 && len(payloads) == 1
+	rs.verbatim = rs.verbatim && rs.walHeader && walVerbatim
 	for _, wj := range rs.jobs[rs.checkpointJobs:] {
 		if wj.Resp.Release > rs.clock {
 			rs.clock = wj.Resp.Release
@@ -245,17 +259,20 @@ func newRecoveredState(baseID int) *recoveredState {
 }
 
 // readCheckpoint decodes a checkpoint file's contents into the history's
-// prefix.
+// prefix, and says whether a checkpoint can copy its jobs array as it is.
 func (rs *recoveredState) readCheckpoint(data []byte, want ReplayHeader) error {
-	if n := len(data); n > 0 && data[n-1] == '\n' {
-		data = data[:n-1]
+	size := len(data)
+	nl := size > 0 && data[size-1] == '\n'
+	if nl {
+		data = data[:size-1]
 	}
 	payload, err := parseFrame(data)
 	if err != nil {
 		return fmt.Errorf("serve: checkpoint corrupt: %w", err)
 	}
 	var cp Checkpoint
-	if err := decodeCheckpoint(payload, &cp); err != nil {
+	body, err := decodeCheckpoint(payload, &cp)
+	if err != nil {
 		return fmt.Errorf("serve: checkpoint: %w", err)
 	}
 	if cp.Type != "checkpoint" {
@@ -277,23 +294,30 @@ func (rs *recoveredState) readCheckpoint(data []byte, want ReplayHeader) error {
 	for k, v := range cp.Idem {
 		rs.idem[k] = v
 	}
+	const prefix = 9 // the frame's "crc32c-hex8 "
+	rs.ckpt = ckptFile{size: int64(size), start: int64(prefix + body.start), end: int64(prefix + body.end), n: len(cp.Jobs)}
+	rs.verbatim = nl && body.known && !slices.ContainsFunc(cp.Jobs, func(wj WALJob) bool { return wj.raw == nil })
 	return nil
 }
 
 // readWAL merges the WAL's record payloads behind the checkpoint: job
 // records it does not cover join the history, keyed verdicts the
-// idempotency table.
-func (rs *recoveredState) readWAL(payloads [][]byte, want ReplayHeader) error {
+// idempotency table. It reports whether a checkpoint can copy the WAL's job
+// records as they are: each one the copy would take (jobPrefix) is a record
+// the history holds, as the WAL encoder writes it.
+func (rs *recoveredState) readWAL(payloads [][]byte, want ReplayHeader) (verbatim bool, err error) {
 	rs.jobs = slices.Grow(rs.jobs, len(payloads))
+	verbatim = true
 	for n, payload := range payloads {
 		// Every record decodes as a WALJob: job records, nearly every line,
 		// through the fast decoder; a reject record carries the same key,
 		// reqId and resp fields; the header is re-read as a ReplayHeader.
 		var wj WALJob
 		if err := decodeWALJob(payload, &wj); err != nil {
-			return fmt.Errorf("serve: wal record %d: %w", n+1, err)
+			return false, fmt.Errorf("serve: wal record %d: %w", n+1, err)
 		}
 		if wj.Type == "job" && wj.Resp.ID > rs.nextID {
+			verbatim = verbatim && wj.raw != nil
 			rs.jobs = append(rs.jobs, wj)
 			rs.walRecords = append(rs.walRecords, n+1)
 			rs.nextID = wj.Resp.ID
@@ -304,16 +328,19 @@ func (rs *recoveredState) readWAL(payloads [][]byte, want ReplayHeader) error {
 		}
 		// Not replayed, so nothing else will validate its job member.
 		if len(wj.Job) > 0 && !json.Valid(wj.Job) {
-			return fmt.Errorf("serve: wal record %d: %w", n+1, json.Unmarshal(payload, new(WALJob)))
+			return false, fmt.Errorf("serve: wal record %d: %w", n+1, json.Unmarshal(payload, new(WALJob)))
 		}
+		// A record the copy would take for a job the history does not hold:
+		// one the checkpoint covers (crash between rename and reset).
+		verbatim = verbatim && !bytes.HasPrefix(payload, jobPrefix)
 		switch wj.Type {
 		case "header":
 			var h ReplayHeader
 			if err := json.Unmarshal(payload, &h); err != nil {
-				return fmt.Errorf("serve: wal header: %w", err)
+				return false, fmt.Errorf("serve: wal header: %w", err)
 			}
 			if err := checkHeader(h, want, "wal"); err != nil {
-				return err
+				return false, err
 			}
 			if n == 0 {
 				rs.walHeader = true
@@ -327,10 +354,10 @@ func (rs *recoveredState) readWAL(payloads [][]byte, want ReplayHeader) error {
 			rs.idem[wj.Key] = StoredResponse{Status: 200, Resp: wj.Resp}
 			rs.suffixRejects++
 		default:
-			return fmt.Errorf("serve: wal record %d has unknown type %q", n+1, wj.Type)
+			return false, fmt.Errorf("serve: wal record %d has unknown type %q", n+1, wj.Type)
 		}
 	}
-	return nil
+	return verbatim, nil
 }
 
 // replayInto re-feeds the durable history through a fresh session exactly as
@@ -485,8 +512,10 @@ func ReplayDir(dir string) (*sim.Result, error) {
 }
 
 // replayShardedDir replays every shard-<i>/ of a sharded WAL directory,
-// through eachShard's bounded fan-out, and merges the Results. The shard count comes from the
-// first shard's durable header; every subdirectory must agree with it.
+// through eachShard's bounded fan-out, and merges the Results. The shard
+// count comes from the first shard's durable header; every declared shard
+// must have its subdirectory, which is checked before anything is sized by
+// the count.
 func replayShardedDir(dir string) (*sim.Result, error) {
 	hdr0, err := readAnyHeader(filepath.Join(dir, shardDirName(0)))
 	if err != nil {
@@ -500,24 +529,26 @@ func replayShardedDir(dir string) (*sim.Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
+	present := make(map[int]bool, len(entries))
+	for _, e := range entries {
+		if i, err := strconv.Atoi(strings.TrimPrefix(e.Name(), "shard-")); err == nil && e.IsDir() && e.Name() == shardDirName(i) {
+			present[i] = true
+		}
+	}
+	for i := 0; i < n; i++ { // stops at the first missing shard: within len(entries)+1 steps
+		if !present[i] {
+			return nil, fmt.Errorf("serve: replay shard %d: %s holds no %s", i, dir, shardDirName(i))
+		}
+	}
 	results := make([]*sim.Result, n)
-	replay := func(i int) error {
+	err = eachShard(n, func(i int) error {
 		var err error
 		if results[i], err = replayOneDir(filepath.Join(dir, shardDirName(i)), n, i); err != nil {
 			return fmt.Errorf("serve: replay shard %d: %w", i, err)
 		}
 		return nil
-	}
-	if n > len(entries) {
-		// The header declares a shard that is not there, so some replay
-		// fails. Replay one shard at a time up to the first failure rather
-		// than attempt every declared shard.
-		for i := range n {
-			if err := replay(i); err != nil {
-				return nil, err
-			}
-		}
-	} else if err := eachShard(n, replay); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	return mergeResults(results), nil
@@ -623,7 +654,7 @@ func readAnyHeader(dir string) (ReplayHeader, error) {
 			return zero, fmt.Errorf("serve: checkpoint corrupt: %w", err)
 		}
 		var cp Checkpoint
-		if err := decodeCheckpoint(payload, &cp); err != nil {
+		if _, err := decodeCheckpoint(payload, &cp); err != nil {
 			return zero, err
 		}
 		return cp.Header, nil

@@ -518,7 +518,7 @@ func TestCleanDrainRestartLeavesCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		var cp Checkpoint
-		if err := decodeCheckpoint(payload, &cp); err != nil {
+		if _, err := decodeCheckpoint(payload, &cp); err != nil {
 			t.Fatal(err)
 		}
 		return cp.Fingerprint

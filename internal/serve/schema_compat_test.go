@@ -184,12 +184,12 @@ func TestSchemaCompatRecovery(t *testing.T) {
 }
 
 // TestSchemaCompatCheckpointStream pins the streamed checkpoint — head, the
-// shard's encoded history as written, tail — to the bytes the one-buffer
-// encoder wrote: frameRecord(json.Marshal(Checkpoint)) with Jobs the history
-// decoded from the WAL records each job was first written as. It is checked
-// on a fresh start, after a live checkpoint, at the first checkpoint after
-// crash recovery (history refilled from the records as read, or re-encoded
-// where those bytes are not the encoder's) and after a drain. The traffic mixes
+// history copied from the previous checkpoint.json and the WAL, tail — to
+// the bytes the one-buffer encoder wrote: frameRecord(json.Marshal(Checkpoint))
+// with Jobs the history decoded from the WAL records each job was first
+// written as. It is checked on a fresh start, after a live checkpoint, at
+// the first checkpoint after crash recovery (streamed from the files as
+// recovery found them) and after a drain. The traffic mixes
 // scalar and explicit-DAG specs, keyed admits and rejects, and records
 // whose key or request ID needs escaping, which the WAL and the refill both
 // write through encoding/json.

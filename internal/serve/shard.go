@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"slices"
+	"path/filepath"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -72,16 +72,20 @@ type shard struct {
 	obsReg *telemetry.Registry
 
 	// Durability state, engine goroutine only (nil/empty without WALDir).
+	// The accepted job records are on disk only: the jobs array of
+	// checkpoint.json (ckpt locates it), then the walJobs job records the
+	// WAL holds behind its header. A checkpoint streams both (checkpoint.go).
 	walDir         string
 	header         ReplayHeader // the durable header this shard writes
 	wal            *wal
-	hist           encodedHistory            // accepted job records, as checkpointed
+	ckpt           ckptFile
+	walJobs        int
+	ckptOut        ckptStream
 	idem           map[string]StoredResponse // idempotency table (kept even without WAL)
 	checkpoints    int64                     // lifetime checkpoint count
 	lastCheckpoint time.Time
 	lastCkptClock  int64
-	ckptDirty      bool     // records appended since the last checkpoint
-	ckptParts      [][]byte // checkpointFrame's output, reused across checkpoints
+	ckptDirty      bool // records appended since the last checkpoint
 
 	// wireCache memoizes everything a scalar spec derives: the synthesized
 	// DAG and profit function (shared across jobs — the DAG is immutable
@@ -113,83 +117,6 @@ type shard struct {
 	// reached 1), so the placer's second choice should spill past us.
 	pressure atomic.Uint64
 	bandFull atomic.Bool
-}
-
-// encodedHistory is a durable shard's accepted job records as the body of
-// the checkpoint's "jobs" array: each record's WAL payload, the bytes the
-// WAL wrote for it, comma-separated, in acceptance order. That is the whole
-// invariant — history bytes = WAL job payloads in acceptance order = the
-// checkpoint's jobs array — so a checkpoint writes the chunks as they are
-// and encodes no job again. Chunks are never moved once written, and a
-// record may span two. A new chunk holds a quarter of the history so far,
-// within [histChunkMin, histChunkMax], so a short history carries at most
-// the slack of a growing slice and a long one at most one chunk's. Engine
-// goroutine only.
-type encodedHistory struct {
-	chunks [][]byte // every chunk but the last is full
-	size   int      // bytes held
-	n      int      // records held
-}
-
-const (
-	histChunkMin = 4 << 10
-	histChunkMax = 256 << 10
-)
-
-var histSep = []byte{','}
-
-// add appends one record's JSON payload.
-func (h *encodedHistory) add(payload []byte) {
-	if h.n > 0 {
-		h.write(histSep)
-	}
-	h.write(payload)
-	h.n++
-}
-
-func (h *encodedHistory) write(p []byte) {
-	for len(p) > 0 {
-		k := len(h.chunks) - 1
-		if k < 0 || len(h.chunks[k]) == cap(h.chunks[k]) {
-			// slices.Grow hands out the allocation's whole size class.
-			h.chunks = append(h.chunks, slices.Grow([]byte(nil), min(max(h.size/4, histChunkMin), histChunkMax)))
-			k++
-		}
-		c := h.chunks[k]
-		m := copy(c[len(c):cap(c)], p)
-		h.chunks[k] = c[:len(c)+m]
-		h.size += m
-		p = p[m:]
-	}
-}
-
-// fill appends decoded records as the WAL writes a job record: the bytes a
-// record was read from when they are exactly that (WALJob.raw), else
-// encoded with appendWALJob, or json.Marshal when it declines. It runs
-// once, on a recovered history, so it then trims the last chunk to its
-// length: a restarted shard carries no slack until it accepts another job.
-func (h *encodedHistory) fill(recs []WALJob) error {
-	var scratch []byte
-	for k := range recs {
-		if recs[k].raw != nil {
-			h.add(recs[k].raw)
-			continue
-		}
-		if b, ok := appendWALJob(scratch[:0], &recs[k]); ok {
-			scratch = b
-			h.add(b)
-			continue
-		}
-		b, err := json.Marshal(&recs[k])
-		if err != nil {
-			return err
-		}
-		h.add(b)
-	}
-	if k := len(h.chunks) - 1; k >= 0 {
-		h.chunks[k] = append([]byte(nil), h.chunks[k]...)
-	}
-	return nil
 }
 
 // baseID is lastID before the shard has assigned anything: one stride below
@@ -580,7 +507,7 @@ func (sh *shard) processSubmit(spec JobSpec, key string, tr *submitTrace) submit
 			// Make the verdict durable so a retry after a crash collapses
 			// onto it instead of re-opening the decision.
 			if sh.wal != nil {
-				if _, err := sh.wal.append(WALReject{Type: "reject", Key: key, ReqID: reqIDOf(tr), Resp: resp}); err != nil {
+				if err := sh.wal.append(WALReject{Type: "reject", Key: key, ReqID: reqIDOf(tr), Resp: resp}); err != nil {
 					sh.degrade("wal append", err)
 					return submitReply{status: 503, err: "degraded: " + sh.srv.Degraded(), reason: reasonDegraded}
 				}
@@ -604,8 +531,7 @@ func (sh *shard) processSubmit(spec JobSpec, key string, tr *submitTrace) submit
 		if sh.obsReg != nil {
 			ta = time.Now()
 		}
-		payload, err := sh.wal.append(rec)
-		if err != nil {
+		if err := sh.wal.append(rec); err != nil {
 			// Not durable, so not committed and not acknowledged: the
 			// session never sees the job and the client may retry safely.
 			sh.degrade("wal append", err)
@@ -617,7 +543,7 @@ func (sh *shard) processSubmit(spec JobSpec, key string, tr *submitTrace) submit
 		if tr != nil {
 			tr.walAppended = time.Now()
 		}
-		sh.hist.add(payload)
+		sh.walJobs++
 		sh.ckptDirty = true
 	}
 	if err := sh.sess.Arrive(job); err != nil {
@@ -718,10 +644,15 @@ func (sh *shard) maybeCheckpoint(now time.Time) {
 // checkpointNow folds this shard's accepted history, idempotency table,
 // telemetry summary, and session fingerprint into an atomically replaced
 // checkpoint.json in the shard's WAL directory, then truncates its WAL back
-// to the header. The history's bytes are written as they are; only the
-// head and tail around them are encoded. Engine goroutine only (or before it
-// starts).
-func (sh *shard) checkpointNow() error {
+// to the header. The history is streamed from the current checkpoint.json
+// and the WAL as it is on disk; only the head and tail around it are
+// encoded. Engine goroutine only (or before it starts).
+func (sh *shard) checkpointNow() error { return sh.checkpoint(sh.histLen(), sh.copyHistory) }
+
+// checkpoint writes a checkpoint whose jobs array is the n records body
+// writes: checkpointNow's stream, or the normalizing checkpoint's encoding
+// of the decoded history at start (openDurable).
+func (sh *shard) checkpoint(n int, body func(*ckptStream) error) error {
 	var t0 time.Time
 	if sh.obsReg != nil {
 		t0 = time.Now()
@@ -740,19 +671,15 @@ func (sh *shard) checkpointNow() error {
 		Fingerprint: sh.sess.Fingerprint(),
 		Checkpoints: sh.checkpoints,
 	}
-	parts, err := checkpointFrame(sh.ckptParts[:0], &cp, &sh.hist)
+	next, err := sh.ckptOut.write(sh.walDir, &cp, n, body)
 	if err != nil {
 		return err
 	}
-	err = writeFileAtomic(sh.walDir, checkpointFileName, parts...)
-	clear(parts)
-	sh.ckptParts = parts[:0]
-	if err != nil {
-		return err
-	}
+	sh.ckpt = next
 	if err := sh.wal.reset(cp.Header); err != nil {
 		return err
 	}
+	sh.walJobs = 0
 	sh.lastCheckpoint = time.Now()
 	sh.lastCkptClock = cp.Clock
 	sh.ckptDirty = false
@@ -760,19 +687,36 @@ func (sh *shard) checkpointNow() error {
 	if sh.obsReg != nil {
 		sh.obsReg.Observe("serve.checkpoint_us", float64(time.Since(t0).Microseconds()))
 	}
+	if checkpointHook != nil {
+		checkpointHook(sh)
+	}
 	return nil
 }
 
+// histLen is the number of job records this shard has accepted, recovered
+// ones included.
+func (sh *shard) histLen() int { return sh.ckpt.n + sh.walJobs }
+
+// copyHistory streams the history into the next checkpoint: the current
+// checkpoint's jobs array, then the WAL's job records.
+func (sh *shard) copyHistory(c *ckptStream) error {
+	if err := c.copyCheckpointJobs(filepath.Join(sh.walDir, checkpointFileName), sh.ckpt); err != nil {
+		return err
+	}
+	return c.copyWALJobs(filepath.Join(sh.walDir, walFileName), sh.walJobs)
+}
+
 // openDurable recovers any durable state in dir into this shard's fresh
-// session and opens its WAL for appending. Only a directory with no
-// checkpoint yet — a fresh one — gets a checkpoint at start, which leaves it
-// normalized. A recovered directory is already a checkpoint plus the WAL
-// written since, which is what a running shard leaves between checkpoints,
-// so a start does not rewrite the history: the recovered records stay in
-// the WAL, and the next interval checkpoint (one interval from now) or the
-// drain writes the checkpoint. Runs before the engine goroutine starts,
-// concurrently with the other shards' recovery: they share nothing it
-// touches.
+// session and opens its WAL for appending. A recovered directory that is a
+// checkpoint plus the WAL written since, as a running shard leaves it
+// between checkpoints, is not rewritten: the recovered records stay where
+// they are, and the next interval checkpoint (one interval from now) or the
+// drain streams them into a checkpoint. Any other directory gets a
+// checkpoint at start, which leaves it normalized: a fresh one, and a
+// recovered one whose history the stream cannot copy as it is (see
+// recoveredState.verbatim), which is encoded from the decoded records. Runs
+// before the engine goroutine starts, concurrently with the other shards'
+// recovery: they share nothing it touches.
 func (sh *shard) openDurable(dir string) error {
 	sh.walDir = dir
 	var t0 time.Time
@@ -783,6 +727,7 @@ func (sh *shard) openDurable(dir string) error {
 	if err != nil {
 		return err
 	}
+	var recs []WALJob // the history to encode at start, when it cannot stream
 	if rs != nil {
 		if err := rs.replayInto(sh.sess, sh.adm, sh.reg, sh.srv.policy); err != nil {
 			return err
@@ -796,14 +741,17 @@ func (sh *shard) openDurable(dir string) error {
 			sh.obsReg.Observe("serve.recovery_duration_us", float64(time.Since(t0).Microseconds()))
 			sh.obsReg.Inc("serve.recovery_replayed", int64(len(rs.jobs)))
 		}
-		if err := sh.hist.fill(rs.jobs); err != nil {
-			return err
+		if rs.verbatim {
+			sh.ckpt = rs.ckpt
+			sh.walJobs = len(rs.jobs) - rs.checkpointJobs
+		} else {
+			recs = rs.jobs
 		}
-		if recoveredHistoryHook != nil {
-			recoveredHistoryHook(dir, &sh.hist, rs.jobs)
+		if recoveredHook != nil {
+			recoveredHook(sh, rs.jobs)
 		}
 		// The decoded records, and the file buffers their bytes view, are
-		// garbage from here on.
+		// garbage from here on (once recs is encoded).
 		rs.jobs = nil
 	}
 	w, err := openWAL(dir, sh.srv.cfg.Fsync, sh.srv.cfg.FsyncInterval)
@@ -813,14 +761,14 @@ func (sh *shard) openDurable(dir string) error {
 	w.obs = sh.obsReg
 	sh.wal = w
 	sh.publishPressure()
-	if rs != nil && rs.hasCheckpoint && rs.walHeader {
+	if rs != nil && rs.verbatim {
 		sh.lastCheckpoint = time.Now()
 		sh.lastCkptClock = rs.checkpointClk
 		sh.ckptDirty = !rs.sealed
 		return nil
 	}
 	sh.ckptDirty = true // force the normalizing checkpoint even on a fresh dir
-	if err := sh.checkpointNow(); err != nil {
+	if err := sh.checkpoint(len(recs), func(c *ckptStream) error { return c.encodeJobs(recs) }); err != nil {
 		w.close()
 		sh.wal = nil
 		return err
@@ -828,11 +776,16 @@ func (sh *shard) openDurable(dir string) error {
 	return nil
 }
 
-// recoveredHistoryHook, when set, sees every recovered shard's history right
-// after fill, with its directory and the records it was filled from. Tests
-// set it to check the bytes fill adopted against a fresh encoding; it is nil
-// otherwise. Shards recover concurrently, so it must be safe for that.
-var recoveredHistoryHook func(dir string, h *encodedHistory, recs []WALJob)
+// Test hooks, nil otherwise: recoveredHook sees every recovered shard with
+// the records it decoded, before anything else is written; checkpointHook
+// every checkpoint a shard completes. Tests set them to hold the history on
+// disk, and the first checkpoint after a recovery, to a fresh encoding of
+// those records. Shards recover concurrently, so they must be safe for
+// that.
+var (
+	recoveredHook  func(sh *shard, recs []WALJob)
+	checkpointHook func(sh *shard)
+)
 
 // finalize is the drain's second phase for this shard: fast-forward the
 // session until every committed job has completed or expired, seal the

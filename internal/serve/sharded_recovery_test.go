@@ -249,8 +249,9 @@ func TestShardedCheckpointFanOut(t *testing.T) {
 }
 
 // TestShardedReplayMissingShard: a sharded directory whose shard-0 header
-// declares a shard that is not there is refused with the missing shard's
-// own replay error, the same text one-at-a-time replay gives.
+// declares a shard that is not there is refused, naming the missing shard,
+// and so is one whose header declares more shards than any slice could
+// hold, before anything is sized by that count.
 func TestShardedReplayMissingShard(t *testing.T) {
 	img := shardedCrashImage(t)
 	if _, err := ReplayDir(img); err != nil {
@@ -261,5 +262,21 @@ func TestShardedReplayMissingShard(t *testing.T) {
 	}
 	if _, err := ReplayDir(img); err == nil || !strings.HasPrefix(err.Error(), "serve: replay shard 2: ") {
 		t.Fatalf("ReplayDir without shard 2: err = %v, want shard 2's replay error", err)
+	}
+
+	// A CRC-valid shard-0 header declaring 2⁵⁰ shards.
+	huge := t.TempDir()
+	for i := 0; i < 2; i++ {
+		sub := filepath.Join(huge, shardDirName(i))
+		if err := os.MkdirAll(sub, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		hdr := fmt.Sprintf(`{"type":"header","m":2,"sched":"s","eps":1,"speed":"1","shards":1125899906842624,"shard":%d}`, i)
+		if err := os.WriteFile(filepath.Join(sub, walFileName), frameRecord([]byte(hdr)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := ReplayDir(huge); err == nil || !strings.HasPrefix(err.Error(), "serve: replay shard 2: ") {
+		t.Fatalf("ReplayDir of a header declaring 2⁵⁰ shards: err = %v, want shard 2's error", err)
 	}
 }
