@@ -125,7 +125,8 @@ examples:
 # splitter and verdict encoder, and recovery's record decode — record scan
 # plus job decode, where job records are validated — each against the
 # encoding/json code it stands in for; interned against per-job replay
-# decode; the WAL scanner against arbitrary bytes). Their inputs are whole
+# decode; the WAL scanner against arbitrary bytes; the single submit
+# endpoint against a batch of one). Their inputs are whole
 # records and files, so minimizing each new input is capped at 100 runs:
 # left at its 60-second default it takes most of a 10-second pass.
 fuzz:
@@ -138,6 +139,7 @@ fuzz:
 	go test -run XXX -fuzz='^FuzzParseJobSpecFast$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/serve/
 	go test -run XXX -fuzz='^FuzzSplitJSONArray$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/serve/
 	go test -run XXX -fuzz='^FuzzAppendJobResponse$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/serve/
+	go test -run XXX -fuzz='^FuzzSingleMatchesBatchOfOne$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/serve/
 	go test -run XXX -fuzz='^FuzzDecodeWALJob$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/serve/
 	go test -run XXX -fuzz='^FuzzDecodeCheckpoint$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/serve/
 	go test -run XXX -fuzz='^FuzzJobDecoderInterned$$' -fuzztime=10s -fuzzminimizetime=100x ./internal/serve/

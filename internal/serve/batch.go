@@ -2,27 +2,23 @@ package serve
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"strconv"
-	"time"
 
 	"dagsched/internal/fastjson"
-	"dagsched/internal/obs"
 )
 
 // POST /v1/jobs:batch amortizes the wire overhead the single-job endpoint
 // pays per submission: one HTTP request and one body parse carry up to
 // Config.MaxBatchItems specs, the placer groups them per shard, and each
 // shard group crosses its engine mailbox as ONE message. The engine then
-// processes the group in a single group-commit window — under FsyncAlways
-// the whole group shares one WAL flush instead of one per record — and the
-// per-item verdicts come back in request order, byte-identical to what the
-// same specs submitted sequentially would have received. Items fail
+// commits the group with one WAL write — under FsyncAlways the whole group
+// shares one fsync instead of one per submission — and the per-item
+// verdicts come back in request order, byte-identical to what the same
+// specs submitted sequentially would have received: a single submission
+// takes the same path as a group of one (Server.submit). Items fail
 // individually: a malformed spec 400s its slot, a full shard mailbox 429s
 // its group, and the rest of the batch proceeds.
 
@@ -120,163 +116,59 @@ func splitJSONArray(data []byte) ([][]byte, error) {
 }
 
 func (s *Server) handleBatchPost(w http.ResponseWriter, r *http.Request) {
-	received := time.Now()
-	reqID := r.Header.Get("X-Request-Id")
-	if len(reqID) > maxRequestIDLen {
-		writeError(w, http.StatusBadRequest, reasonBadRequest,
-			fmt.Sprintf("request id longer than %d bytes", maxRequestIDLen))
+	items, ok := s.submit(w, r, true, "", s.parseBatch)
+	if !ok {
 		return
 	}
-	if reqID == "" {
-		reqID = obs.NewRequestID()
-	}
-	w.Header().Set("X-Request-Id", reqID)
-	limit := s.cfg.MaxBodyBytes
-	if limit <= 0 {
-		limit = DefaultMaxBodyBytes
-	}
-	// A batch may carry MaxBatchItems specs, so its body budget scales with
-	// the per-job limit rather than being squeezed into it.
-	limit *= int64(s.cfg.MaxBatchItems)
-	rb := getWireBuf()
-	defer putWireBuf(rb)
-	var err error
-	rb.b, err = readAllInto(rb.b, http.MaxBytesReader(w, r.Body, limit))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, reasonTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-			return
+	results := make([]BatchItemResult, len(items))
+	for k := range items {
+		if rep := &items[k].rep; rep.status == http.StatusOK {
+			results[k] = BatchItemResult{Status: rep.status, Response: &rep.resp}
+		} else {
+			results[k] = BatchItemResult{Status: rep.status, Error: rep.err, Reason: rep.reason}
 		}
-		writeError(w, http.StatusBadRequest, reasonBadRequest, err.Error())
-		return
-	}
-	elems, err := splitJSONArray(rb.b)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, reasonBadRequest, err.Error())
-		return
-	}
-	if len(elems) == 0 {
-		writeError(w, http.StatusBadRequest, reasonBadRequest, "empty batch")
-		return
-	}
-	if len(elems) > s.cfg.MaxBatchItems {
-		writeError(w, http.StatusRequestEntityTooLarge, reasonTooLarge,
-			fmt.Sprintf("batch of %d items exceeds max-batch %d", len(elems), s.cfg.MaxBatchItems))
-		return
-	}
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, reasonDraining, "draining")
-		return
-	}
-
-	// Parse each element (fast path first) and group the survivors per shard.
-	// Keyed items route by key exactly as on the single-job endpoint, so
-	// duplicate keys within one batch land on the same shard in order and the
-	// later ones collapse onto the stored verdict.
-	results := make([]BatchItemResult, len(elems))
-	groups := make([][]batchItem, len(s.shards))
-	for idx, e := range elems {
-		spec, keyView, ok := parseJobSpecFast(e, true)
-		key := string(keyView) // copied: it outlives the pooled body buffer
-		if !ok {
-			var it BatchItem
-			dec := json.NewDecoder(bytes.NewReader(e))
-			dec.DisallowUnknownFields()
-			if derr := dec.Decode(&it); derr != nil {
-				results[idx] = BatchItemResult{Status: http.StatusBadRequest, Error: derr.Error(), Reason: reasonBadRequest}
-				continue
-			}
-			spec, key = it.JobSpec, it.Key
-		}
-		if len(key) > maxIdempotencyKeyLen {
-			results[idx] = BatchItemResult{
-				Status: http.StatusBadRequest,
-				Error:  fmt.Sprintf("idempotency key longer than %d bytes", maxIdempotencyKeyLen),
-				Reason: reasonBadRequest,
-			}
-			continue
-		}
-		sh, _ := s.placer.routeTraced(key)
-		groups[sh.idx] = append(groups[sh.idx], batchItem{spec: spec, key: key, idx: idx})
-	}
-
-	// Dispatch every shard group, then collect. Sending all before awaiting
-	// any lets the shards work their groups concurrently.
-	type dispatched struct {
-		sh    *shard
-		items []batchItem
-		reply chan batchReply
-	}
-	var (
-		sent []dispatched
-		tr   *submitTrace // carried by the first dispatched group only
-	)
-	for gi, group := range groups {
-		if len(group) == 0 {
-			continue
-		}
-		sh := s.shards[gi]
-		var gtr *submitTrace
-		if tr == nil {
-			gtr = &submitTrace{reqID: reqID, enqueued: time.Now()}
-		}
-		msg := batchMsg{items: group, tr: gtr, reply: make(chan batchReply, 1)}
-		select {
-		case sh.reqs <- msg:
-			if gtr != nil {
-				tr = gtr
-			}
-			sent = append(sent, dispatched{sh: sh, items: group, reply: msg.reply})
-		default:
-			// This shard is behind; backpressure its items, not the batch.
-			for _, it := range group {
-				results[it.idx] = BatchItemResult{Status: http.StatusTooManyRequests, Error: "submission queue full", Reason: reasonQueueFull}
-			}
-		}
-	}
-	for _, d := range sent {
-		rep, ok := await(d.sh, d.reply)
-		if !ok {
-			// Enqueued but never dequeued: the engine drained first.
-			for _, it := range d.items {
-				results[it.idx] = BatchItemResult{Status: http.StatusServiceUnavailable, Error: "draining", Reason: reasonDraining}
-			}
-			continue
-		}
-		for k, it := range d.items {
-			r := rep.replies[k]
-			if r.status == http.StatusOK {
-				resp := r.resp
-				results[it.idx] = BatchItemResult{Status: http.StatusOK, Response: &resp}
-			} else {
-				results[it.idx] = BatchItemResult{Status: r.status, Error: r.err, Reason: cmp.Or(r.reason, reasonInternal)}
-			}
-		}
-	}
-
-	now := time.Now()
-	s.metrics.observe("serve.http.jobs_batch_us", float64(now.Sub(received).Microseconds()))
-	s.metrics.observe("serve.http.batch_items", float64(len(elems)))
-	rt := obs.ReqTrace{ID: reqID, Shard: -1, Route: "batch", Stages: make([]obs.Stage, 0, 4)}
-	rt.Stages = append(rt.Stages, obs.Stage{Name: "received", At: received})
-	if tr != nil {
-		for _, st := range []obs.Stage{
-			{Name: "dequeued", At: tr.dequeued},
-			{Name: "committed", At: tr.committed},
-		} {
-			if !st.At.IsZero() {
-				rt.Stages = append(rt.Stages, st)
-			}
-		}
-	}
-	rt.Stages = append(rt.Stages, obs.Stage{Name: "replied", At: now})
-	s.traces.Add(rt)
-	if lg := s.logger(); lg.Enabled(r.Context(), slog.LevelDebug) {
-		lg.Debug("batch", "reqId", reqID, "items", len(elems), "us", now.Sub(received).Microseconds())
 	}
 	writeBatchResponse(w, results)
+}
+
+// parseBatch splits a batch body into its items and parses each (fast path
+// first). A malformed item gets its 400 verdict here and is not dispatched.
+func (s *Server) parseBatch(body []byte) ([]batchItem, int, string) {
+	elems, err := splitJSONArray(body)
+	if err != nil {
+		return nil, http.StatusBadRequest, err.Error()
+	}
+	if len(elems) == 0 {
+		return nil, http.StatusBadRequest, "empty batch"
+	}
+	if len(elems) > s.cfg.MaxBatchItems {
+		return nil, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("batch of %d items exceeds max-batch %d", len(elems), s.cfg.MaxBatchItems)
+	}
+	items := make([]batchItem, len(elems))
+	for k, e := range elems {
+		it := &items[k]
+		spec, keyView, ok := parseJobSpecFast(e, true)
+		it.spec, it.key = spec, string(keyView) // copied: it outlives the pooled body buffer
+		if !ok {
+			var bi BatchItem
+			dec := json.NewDecoder(bytes.NewReader(e))
+			dec.DisallowUnknownFields()
+			if derr := dec.Decode(&bi); derr != nil {
+				it.rep = submitReply{status: http.StatusBadRequest, err: derr.Error(), reason: reasonBadRequest}
+				continue
+			}
+			it.spec, it.key = bi.JobSpec, bi.Key
+		}
+		if len(it.key) > maxIdempotencyKeyLen {
+			it.rep = submitReply{
+				status: http.StatusBadRequest,
+				err:    fmt.Sprintf("idempotency key longer than %d bytes", maxIdempotencyKeyLen),
+				reason: reasonBadRequest,
+			}
+		}
+	}
+	return items, 0, ""
 }
 
 // writeBatchResponse renders the batch body through the fast encoder,

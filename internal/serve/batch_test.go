@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 )
@@ -16,6 +19,7 @@ type rawBatchItem struct {
 	Status   int             `json:"status"`
 	Response json.RawMessage `json:"response"`
 	Error    string          `json:"error"`
+	Reason   string          `json:"reason"`
 }
 
 func postBatch(t *testing.T, ts *httptest.Server, body string) (int, []rawBatchItem, string) {
@@ -94,13 +98,8 @@ func TestBatchPartialFailure(t *testing.T) {
 // TestBatchBackpressurePerItem: a full shard mailbox 429s the items routed to
 // it inside a 200 envelope — batch backpressure is per item, not per request.
 func TestBatchBackpressurePerItem(t *testing.T) {
-	s := &Server{cfg: Config{M: 1, QueueDepth: 1, MaxBatchItems: 8}}
-	sh := &shard{srv: s, m: 1, stride: 1, reqs: make(chan any, 1), engineDone: make(chan struct{})}
-	s.shards = []*shard{sh}
-	s.placer = newPlacer(s.shards)
-	sh.reqs <- struct{}{} // engine is "busy"; the mailbox is now full
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	srv, ts := newTestServer(t, Config{M: 1, QueueDepth: 1, MaxBatchItems: 8})
+	defer holdEngine(srv.shards[0])() // engine is "busy"; the mailbox is now full
 
 	code, items, _ := postBatch(t, ts, `[{"w":4,"l":2,"deadline":9,"profit":1},{"w":4,"l":2,"deadline":9,"profit":1}]`)
 	if code != 200 {
@@ -114,22 +113,27 @@ func TestBatchBackpressurePerItem(t *testing.T) {
 }
 
 // TestBatchEnvelopeErrors: the envelope-level error table — bad JSON shape,
-// empty batch, too many items, oversized body.
+// empty batch, too many items, oversized body — plus a per-job body limit
+// whose batch multiple overflows int64: the batch limit saturates, so a
+// one-item batch is answered like the single post.
 func TestBatchEnvelopeErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{M: 2, MaxBatchItems: 4, MaxBodyBytes: 256})
+	_, huge := newTestServer(t, Config{M: 2, MaxBodyBytes: math.MaxInt64 / 512})
 	cases := []struct {
 		name, body string
 		wantCode   int
+		ts         *httptest.Server // nil: the 256-byte, 4-item daemon
 	}{
-		{"not an array", `{"w":1}`, 400},
-		{"empty batch", `[]`, 400},
-		{"empty batch spaced", `  [  ]  `, 400},
-		{"unterminated", `[{"w":1}`, 400},
-		{"too many items", `[{},{},{},{},{}]`, 413},
-		{"oversized body", "[" + strings.Repeat(`{"w":1,"l":1},`, 100) + `{"w":1,"l":1}]`, 413},
+		{"not an array", `{"w":1}`, 400, nil},
+		{"empty batch", `[]`, 400, nil},
+		{"empty batch spaced", `  [  ]  `, 400, nil},
+		{"unterminated", `[{"w":1}`, 400, nil},
+		{"too many items", `[{},{},{},{},{}]`, 413, nil},
+		{"oversized body", "[" + strings.Repeat(`{"w":1,"l":1},`, 100) + `{"w":1,"l":1}]`, 413, nil},
+		{"saturated body limit", `[{"w":4,"l":2,"deadline":9,"profit":1}]`, 200, huge},
 	}
 	for _, tc := range cases {
-		code, _, msg := postBatch(t, ts, tc.body)
+		code, _, msg := postBatch(t, cmp.Or(tc.ts, ts), tc.body)
 		if code != tc.wantCode {
 			t.Errorf("%s: code=%d (%s), want %d", tc.name, code, msg, tc.wantCode)
 		}
@@ -183,7 +187,8 @@ func TestBatchDuplicateKeys(t *testing.T) {
 }
 
 // TestBatchMatchesSequentialBytes: the same specs produce byte-identical
-// verdicts whether they arrive in one batch or as sequential single posts.
+// verdicts, and byte-identical WALs, whether they arrive in one batch or as
+// sequential single posts.
 func TestBatchMatchesSequentialBytes(t *testing.T) {
 	specs := []string{
 		`{"w":32,"l":4,"deadline":40,"profit":10}`,
@@ -194,7 +199,8 @@ func TestBatchMatchesSequentialBytes(t *testing.T) {
 	}
 
 	// Sequential server: one post per spec, keep the raw bodies.
-	_, seqTS := newTestServer(t, Config{M: 4})
+	seqDir, batchDir := t.TempDir(), t.TempDir()
+	_, seqTS := newTestServer(t, Config{M: 4, WALDir: seqDir, Fsync: FsyncOff})
 	sequential := make([]string, len(specs))
 	for i, spec := range specs {
 		resp, err := http.Post(seqTS.URL+"/v1/jobs", "application/json", strings.NewReader(spec))
@@ -210,7 +216,7 @@ func TestBatchMatchesSequentialBytes(t *testing.T) {
 	}
 
 	// Batch server: identical config, all specs in one request.
-	_, batchTS := newTestServer(t, Config{M: 4})
+	_, batchTS := newTestServer(t, Config{M: 4, WALDir: batchDir, Fsync: FsyncOff})
 	code, items, _ := postBatch(t, batchTS, "["+strings.Join(specs, ",")+"]")
 	if code != 200 || len(items) != len(specs) {
 		t.Fatalf("batch: code=%d items=%d", code, len(items))
@@ -223,6 +229,15 @@ func TestBatchMatchesSequentialBytes(t *testing.T) {
 		if got := string(items[i].Response); got != sequential[i] {
 			t.Errorf("item %d verdict diverges\n batch: %s\n  sequential: %s", i, got, sequential[i])
 		}
+	}
+	// Read before the drain, whose checkpoint folds the logs away: the
+	// header and the four accepted jobs (the rejected one is unkeyed).
+	seqWAL, batchWAL := walBytes(t, seqDir), walBytes(t, batchDir)
+	if n := strings.Count(seqWAL, "\n"); n != 5 {
+		t.Errorf("sequential WAL holds %d records, want 5", n)
+	}
+	if seqWAL != batchWAL {
+		t.Errorf("WALs diverge\n batch: %s\n  sequential: %s", batchWAL, seqWAL)
 	}
 }
 
@@ -296,41 +311,43 @@ func TestBatchWALGroupContiguous(t *testing.T) {
 	}
 }
 
-// TestWALGroupCommitWindow: under FsyncAlways a group-commit window defers
-// the per-record flush to endBatch, and every record in the window is on
-// disk afterwards.
+// TestWALGroupCommitWindow: under FsyncAlways appends only buffer their
+// records, and commit writes and flushes the whole group at once.
 func TestWALGroupCommitWindow(t *testing.T) {
 	dir := t.TempDir()
 	w, err := openWAL(dir, FsyncAlways, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.beginBatch()
-	for i := 0; i < 3; i++ {
-		if err := w.append(map[string]int{"i": i}); err != nil {
+	path := dir + "/" + walFileName
+	size := func() int64 {
+		fi, err := os.Stat(path)
+		if err != nil {
 			t.Fatal(err)
 		}
+		return fi.Size()
 	}
-	if !w.dirty {
-		t.Fatal("records inside the window must not have been flushed record-by-record")
-	}
-	if err := w.endBatch(); err != nil {
-		t.Fatal(err)
-	}
-	if w.dirty {
-		t.Fatal("endBatch must flush the window")
-	}
-	// After the window closes, appends flush per record again.
-	if err := w.append(map[string]int{"i": 3}); err != nil {
-		t.Fatal(err)
-	}
-	if w.dirty {
-		t.Fatal("post-window append must flush immediately under FsyncAlways")
+	for _, n := range []int{3, 1} {
+		before := size()
+		for i := 0; i < n; i++ {
+			if err := w.append(map[string]int{"i": i}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if size() != before {
+			t.Fatal("appended records reached the file before commit")
+		}
+		if err := w.commit(); err != nil {
+			t.Fatal(err)
+		}
+		if w.dirty || len(w.wbuf) != 0 {
+			t.Fatal("commit must write and flush the group")
+		}
 	}
 	if err := w.close(); err != nil {
 		t.Fatal(err)
 	}
-	payloads, torn, err := scanWAL(dir + "/" + walFileName)
+	payloads, torn, err := scanWAL(path)
 	if err != nil {
 		t.Fatal(err)
 	}

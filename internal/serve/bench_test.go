@@ -292,7 +292,7 @@ func BenchmarkSubmissionsBatchWAL(b *testing.B) {
 
 // parkEngines leaves every shard's engine goroutine idle in its select (one
 // mailbox round trip each); with the ticker disabled it stays there, so
-// calling handleSubmit/advance from the benchmark goroutine is unraced until
+// calling handleBatch/advance from the benchmark goroutine is unraced until
 // Drain's channel send orders the exit.
 func parkEngines(b *testing.B, srv *Server) {
 	b.Helper()
@@ -300,6 +300,44 @@ func parkEngines(b *testing.B, srv *Server) {
 		sync := advanceMsg{to: 0, reply: make(chan struct{})}
 		sh.reqs <- sync
 		<-sync.reply
+	}
+}
+
+// submitEngine runs one submission through sh's engine path on the calling
+// goroutine, as the group of one a POST /v1/jobs submission is: no HTTP, no
+// mailbox hop. The shard's engine must be parked (parkEngines).
+func submitEngine(sh *shard, spec JobSpec, key string) submitReply {
+	items, group := [1]batchItem{{spec: spec, key: key}}, [1]int{0}
+	sh.handleBatch(items[:], group[:], nil, "serve.submit_engine_us")
+	return items[0].rep
+}
+
+// engineArm parks srv's engines and drives b.N submissions round-robin
+// across its shards from the benchmark goroutine, reporting the
+// per-submission engine-path cost: spec build, admission query, session
+// arrival, and the WAL when srv has one. Every shard advances
+// benchAdvanceTicks per benchAdvanceEvery submissions, so the live set stays
+// at a steady size instead of growing with b.N. The round-robin mirrors what
+// the placer converges to under a uniform stream: equal load per shard. It
+// is the engine arm of the serving benchmarks and of the perf guards.
+func engineArm(b *testing.B, srv *Server) {
+	b.Helper()
+	parkEngines(b, srv)
+	spec := JobSpec{W: 16, L: 2, Deadline: 40, Profit: ScalarProfit(3)}
+	clock := int64(0)
+	n := len(srv.shards)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rep := submitEngine(srv.shards[i%n], spec, ""); rep.status != http.StatusOK {
+			b.Fatalf("status %d: %s", rep.status, rep.err)
+		}
+		if i%benchAdvanceEvery == benchAdvanceEvery-1 {
+			clock += benchAdvanceTicks
+			for _, sh := range srv.shards {
+				sh.advance(clock)
+			}
+		}
 	}
 }
 
@@ -311,53 +349,7 @@ func BenchmarkSubmissionsEngine(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer srv.Drain()
-	parkEngines(b, srv)
-
-	sh := srv.shards[0]
-	spec := JobSpec{W: 16, L: 2, Deadline: 40, Profit: ScalarProfit(3)}
-	clock := int64(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep := sh.handleSubmit(spec, "", nil)
-		if rep.status != http.StatusOK {
-			b.Fatalf("status %d: %s", rep.status, rep.err)
-		}
-		// Advance periodically so the live set stays at a steady size
-		// instead of growing with b.N.
-		if i%64 == 63 {
-			clock += 8
-			sh.advance(clock)
-		}
-	}
-}
-
-// shardedEngineLoop drives b.N submissions round-robin across a daemon's
-// shards from the benchmark goroutine (engines parked), reporting the
-// per-submission engine-path cost under that partition. The round-robin
-// mirrors what the placer converges to under a uniform stream: equal load
-// per shard.
-func shardedEngineLoop(b *testing.B, srv *Server) {
-	b.Helper()
-	parkEngines(b, srv)
-	spec := JobSpec{W: 16, L: 2, Deadline: 40, Profit: ScalarProfit(3)}
-	clock := int64(0)
-	n := len(srv.shards)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sh := srv.shards[i%n]
-		rep := sh.handleSubmit(spec, "", nil)
-		if rep.status != http.StatusOK {
-			b.Fatalf("status %d: %s", rep.status, rep.err)
-		}
-		if i%64 == 63 {
-			clock += 8
-			for _, sh := range srv.shards {
-				sh.advance(clock)
-			}
-		}
-	}
+	engineArm(b, srv)
 }
 
 // BenchmarkSubmissionsEngineSharded measures the per-submission engine cost
@@ -374,7 +366,7 @@ func BenchmarkSubmissionsEngineSharded(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer srv.Drain()
-			shardedEngineLoop(b, srv)
+			engineArm(b, srv)
 		})
 	}
 }
@@ -394,23 +386,7 @@ func BenchmarkSubmissionsWAL(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer srv.Drain()
-			parkEngines(b, srv)
-
-			sh := srv.shards[0]
-			spec := JobSpec{W: 16, L: 2, Deadline: 40, Profit: ScalarProfit(3)}
-			clock := int64(0)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep := sh.handleSubmit(spec, "", nil)
-				if rep.status != http.StatusOK {
-					b.Fatalf("status %d: %s", rep.status, rep.err)
-				}
-				if i%64 == 63 {
-					clock += 8
-					sh.advance(clock)
-				}
-			}
+			engineArm(b, srv)
 		})
 	}
 }
@@ -444,9 +420,7 @@ func BenchmarkSubmissionsWALSharded(b *testing.B) {
 				go func(sh *shard, n int) {
 					defer wg.Done()
 					for i := 0; i < n; i++ {
-						msg := submitMsg{spec: spec, reply: make(chan submitReply, 1)}
-						sh.reqs <- msg
-						if rep := <-msg.reply; rep.status != http.StatusOK {
+						if rep := submitTo(sh, spec, ""); rep.status != http.StatusOK {
 							b.Errorf("status %d: %s", rep.status, rep.err)
 							return
 						}
@@ -481,7 +455,7 @@ func TestShardedEnginePathGuard(t *testing.T) {
 				b.Fatal(err)
 			}
 			defer srv.Drain()
-			shardedEngineLoop(b, srv)
+			engineArm(b, srv)
 		})
 		return float64(r.NsPerOp())
 	}
@@ -518,7 +492,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 		spec := JobSpec{W: 16, L: 2, Deadline: 40, Profit: ScalarProfit(3)}
 		clock := int64(0)
 		for i := 0; sh.histLen() < n; i++ {
-			if rep := sh.handleSubmit(spec, "", nil); rep.status != http.StatusOK {
+			if rep := submitEngine(sh, spec, ""); rep.status != http.StatusOK {
 				b.Fatalf("status %d: %s", rep.status, rep.err)
 			}
 			if i%64 == 63 {

@@ -25,13 +25,13 @@ func diskFaultServer(t *testing.T) (*Server, string) {
 	dir := t.TempDir()
 	srv, _ := newDurableServer(t, dir, nil)
 	for i := 0; i < 4; i++ {
-		submitDirect(t, srv, JobSpec{W: 8, L: 2, Deadline: 30, Profit: ScalarProfit(2)}, "")
+		submitTo(srv.placer.route(""), JobSpec{W: 8, L: 2, Deadline: 30, Profit: ScalarProfit(2)}, "")
 	}
 	if err := srv.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if rep := submitDirect(t, srv, JobSpec{W: 6, L: 3, Deadline: 30, Profit: ScalarProfit(1)}, ""); rep.status != http.StatusOK {
+		if rep := submitTo(srv.placer.route(""), JobSpec{W: 6, L: 3, Deadline: 30, Profit: ScalarProfit(1)}, ""); rep.status != http.StatusOK {
 			t.Fatalf("submission %d: %+v", i, rep)
 		}
 	}
@@ -113,7 +113,7 @@ func TestCoveredWALRecordsNormalize(t *testing.T) {
 	dir := t.TempDir()
 	srv, _ := newDurableServer(t, dir, nil)
 	for i := 0; i < 3; i++ {
-		submitDirect(t, srv, JobSpec{W: 8, L: 2, Deadline: 30, Profit: ScalarProfit(2)}, "")
+		submitTo(srv.placer.route(""), JobSpec{W: 8, L: 2, Deadline: 30, Profit: ScalarProfit(2)}, "")
 	}
 	walPath := filepath.Join(dir, walFileName)
 	covered, err := os.ReadFile(walPath)
@@ -136,7 +136,7 @@ func TestCoveredWALRecordsNormalize(t *testing.T) {
 	if payloads, _, err := scanWAL(filepath.Join(img, walFileName)); err != nil || len(payloads) != 1 {
 		t.Fatalf("after the start the WAL holds %d records (%v), want its header", len(payloads), err)
 	}
-	submitDirect(t, srv2, JobSpec{W: 4, L: 2, Deadline: 30, Profit: ScalarProfit(1)}, "")
+	submitTo(srv2.placer.route(""), JobSpec{W: 4, L: 2, Deadline: 30, Profit: ScalarProfit(1)}, "")
 	if err := srv2.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}

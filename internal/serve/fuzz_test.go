@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -307,5 +309,76 @@ func FuzzAppendJobResponse(f *testing.F) {
 			(!hasPlan || finite(x) && finite(density)) {
 			t.Fatalf("appendJobResponse(%+v) declined a plain response", r)
 		}
+	})
+}
+
+// FuzzSingleMatchesBatchOfOne: a single submission is a batch of one. For a
+// body b that splitJSONArray reads back from [b] as exactly one element with
+// no "key" field, POST /v1/jobs b and POST /v1/jobs:batch [b] on two
+// identically fed daemons answer the same status and reason, and on 200 the
+// same verdict bytes.
+func FuzzSingleMatchesBatchOfOne(f *testing.F) {
+	for _, tc := range submitErrorCases {
+		f.Add([]byte(tc.body))
+	}
+	for _, s := range schemaCompatSpecs {
+		f.Add([]byte(s))
+	}
+	newDaemon := func() (*Server, http.Handler) {
+		srv, err := New(Config{M: 4, TickInterval: -1})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Cleanup(func() { srv.Drain() })
+		return srv, srv.Handler()
+	}
+	singleSrv, single := newDaemon()
+	batchSrv, batch := newDaemon()
+	post := func(h http.Handler, path string, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		return rec
+	}
+	var tick int64
+	f.Fuzz(func(t *testing.T, b []byte) {
+		arr := append(append([]byte{'['}, b...), ']')
+		if elems, err := splitJSONArray(arr); err != nil || len(elems) != 1 || len(arr) > DefaultMaxBodyBytes {
+			return
+		}
+		// encoding/json matches field names case-insensitively (and folds
+		// the Kelvin sign), so ask it whether the item is keyed.
+		var probe struct {
+			Key *json.RawMessage `json:"key"`
+		}
+		_ = json.NewDecoder(bytes.NewReader(b)).Decode(&probe)
+		if probe.Key != nil {
+			return
+		}
+		s := post(single, "/v1/jobs", b)
+		bt := post(batch, "/v1/jobs:batch", arr)
+		if bt.Code != http.StatusOK {
+			t.Fatalf("batch of one %q: status %d %s", arr, bt.Code, bt.Body)
+		}
+		var br struct{ Items []rawBatchItem }
+		if err := json.Unmarshal(bt.Body.Bytes(), &br); err != nil || len(br.Items) != 1 {
+			t.Fatalf("batch of one %q: body %s (%v)", arr, bt.Body, err)
+		}
+		it := br.Items[0]
+		if s.Code != it.Status {
+			t.Fatalf("%q: single %d %s; batch item %d %+v", b, s.Code, s.Body, it.Status, it)
+		}
+		if s.Code == http.StatusOK {
+			if got := strings.TrimSuffix(s.Body.String(), "\n"); got != string(it.Response) {
+				t.Fatalf("%q: single verdict %s; batch verdict %s", b, got, it.Response)
+			}
+		} else {
+			var er errorResponse
+			if err := json.Unmarshal(s.Body.Bytes(), &er); err != nil || er.Reason != it.Reason {
+				t.Fatalf("%q: single %d %s; batch item reason %q", b, s.Code, s.Body, it.Reason)
+			}
+		}
+		tick++
+		singleSrv.Advance(tick)
+		batchSrv.Advance(tick)
 	})
 }

@@ -320,125 +320,208 @@ const maxIdempotencyKeyLen = 128
 const maxRequestIDLen = 128
 
 func (s *Server) handleJobsPost(w http.ResponseWriter, r *http.Request) {
+	key := r.Header.Get("Idempotency-Key")
+	items, ok := s.submit(w, r, false, key, func(body []byte) ([]batchItem, int, string) {
+		// Scalar specs take the zero-allocation parser; anything else (dag,
+		// curve, structured profit, a commitment override, or malformed
+		// input) falls back to encoding/json, which keeps the canonical
+		// behavior and error shapes.
+		spec, _, fastOK := parseJobSpecFast(body, false)
+		if !fastOK {
+			dec := json.NewDecoder(bytes.NewReader(body))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(&spec); err != nil {
+				return nil, http.StatusBadRequest, err.Error()
+			}
+		}
+		return []batchItem{{spec: spec, key: key}}, 0, ""
+	})
+	if !ok {
+		return
+	}
+	if rep := &items[0].rep; rep.status != http.StatusOK {
+		writeError(w, rep.status, rep.reason, rep.err)
+	} else {
+		writeJobResponse(w, &rep.resp)
+	}
+}
+
+// submit is the pipeline both submit endpoints share; batch selects the
+// batch endpoint's body limit, metrics and trace. It takes the request ID,
+// checks key (POST /v1/jobs's Idempotency-Key header; "" for a batch) and
+// has parse turn the body into items. A failure up to here is answered 400
+// or 413 and not traced. Every request that reaches the draining check is
+// traced, whatever its answer: 503 draining, or the verdicts dispatch
+// awaits. ok = false means the answer is written; otherwise the caller
+// renders items.
+func (s *Server) submit(w http.ResponseWriter, r *http.Request, batch bool, key string,
+	parse func(body []byte) (items []batchItem, status int, msg string)) ([]batchItem, bool) {
 	received := time.Now()
 	reqID := r.Header.Get("X-Request-Id")
-	persist := reqID != ""
 	if len(reqID) > maxRequestIDLen {
 		writeError(w, http.StatusBadRequest, reasonBadRequest,
 			fmt.Sprintf("request id longer than %d bytes", maxRequestIDLen))
-		return
+		return nil, false
 	}
+	// Only a single submission's client-supplied ID goes into the WAL.
+	tr := &submitTrace{reqID: reqID, persist: reqID != "" && !batch}
 	if reqID == "" {
-		reqID = obs.NewRequestID()
+		tr.reqID = obs.NewRequestID()
 	}
-	w.Header().Set("X-Request-Id", reqID)
-	// finish deposits the request trace, the HTTP latency sample, and the
-	// structured submission record — every exit path of the submission route
-	// goes through it, so a 429 is as traceable as a committed job.
-	finish := func(status int, sh *shard, route string, tr *submitTrace, resp *JobResponse) {
-		now := time.Now()
-		s.metrics.observe("serve.http.jobs_us", float64(now.Sub(received).Microseconds()))
-		rt := obs.ReqTrace{ID: reqID, Shard: -1, Route: route, Stages: make([]obs.Stage, 0, 5)}
-		if sh != nil {
-			rt.Shard = sh.idx
+	w.Header().Set("X-Request-Id", tr.reqID)
+	if len(key) > maxIdempotencyKeyLen {
+		writeError(w, http.StatusBadRequest, reasonBadRequest,
+			fmt.Sprintf("idempotency key longer than %d bytes", maxIdempotencyKeyLen))
+		return nil, false
+	}
+	limit, route, hist := s.cfg.MaxBodyBytes, "", "serve.submit_engine_us"
+	if batch {
+		limit, route, hist = s.batchBodyLimit, "batch", "serve.batch_engine_us"
+	}
+	items, status, msg := readItems(w, r, limit, parse)
+	if status == http.StatusRequestEntityTooLarge {
+		writeError(w, status, reasonTooLarge, msg)
+		return nil, false
+	}
+	if status != 0 {
+		writeError(w, status, reasonBadRequest, msg)
+		return nil, false
+	}
+
+	draining := s.draining.Load()
+	shardIdx := -1
+	if !draining {
+		if rt, idx := s.dispatch(items, tr, hist); !batch {
+			route, shardIdx = rt, idx
 		}
-		rt.Stages = append(rt.Stages, obs.Stage{Name: "received", At: received})
-		if tr != nil {
-			for _, st := range []obs.Stage{
-				{Name: "dequeued", At: tr.dequeued},
-				{Name: "wal_appended", At: tr.walAppended},
-				{Name: "committed", At: tr.committed},
-			} {
-				if !st.At.IsZero() {
-					rt.Stages = append(rt.Stages, st)
-				}
+	}
+
+	// The HTTP latency sample, the trace with every stage the engine
+	// stamped, and the debug record.
+	now := time.Now()
+	us := now.Sub(received).Microseconds()
+	rt := obs.ReqTrace{ID: tr.reqID, Shard: shardIdx, Route: route, Stages: make([]obs.Stage, 0, 5)}
+	rt.Stages = append(rt.Stages, obs.Stage{Name: "received", At: received})
+	for _, st := range []obs.Stage{
+		{Name: "dequeued", At: tr.dequeued},
+		{Name: "wal_appended", At: tr.walAppended},
+		{Name: "committed", At: tr.committed},
+	} {
+		if !st.At.IsZero() {
+			rt.Stages = append(rt.Stages, st)
+		}
+	}
+	rt.Stages = append(rt.Stages, obs.Stage{Name: "replied", At: now})
+	if batch {
+		s.metrics.observe("serve.http.jobs_batch_us", float64(us))
+		s.metrics.observe("serve.http.batch_items", float64(len(items)))
+	} else {
+		s.metrics.observe("serve.http.jobs_us", float64(us))
+		status = http.StatusServiceUnavailable
+		if !draining {
+			status = items[0].rep.status
+		}
+		if status == http.StatusOK {
+			rt.JobID, rt.Decision = items[0].rep.resp.ID, string(items[0].rep.resp.Decision)
+		}
+	}
+	s.traces.Add(rt)
+	if lg := s.logger(); lg.Enabled(r.Context(), slog.LevelDebug) {
+		if batch {
+			lg.Debug("batch", "reqId", tr.reqID, "items", len(items), "us", us)
+		} else {
+			attrs := []any{"reqId", tr.reqID, "status", status, "us", us}
+			if shardIdx >= 0 {
+				attrs = append(attrs, "shard", shardIdx, "route", route)
 			}
-		}
-		rt.Stages = append(rt.Stages, obs.Stage{Name: "replied", At: now})
-		if resp != nil {
-			rt.JobID = resp.ID
-			rt.Decision = string(resp.Decision)
-		}
-		s.traces.Add(rt)
-		if lg := s.logger(); lg.Enabled(r.Context(), slog.LevelDebug) {
-			attrs := []any{"reqId", reqID, "status", status, "us", now.Sub(received).Microseconds()}
-			if sh != nil {
-				attrs = append(attrs, "shard", sh.idx, "route", route)
-			}
-			if resp != nil {
-				attrs = append(attrs, "id", resp.ID, "decision", resp.Decision)
+			if rt.Decision != "" {
+				attrs = append(attrs, "id", rt.JobID, "decision", rt.Decision)
 			}
 			lg.Debug("submission", attrs...)
 		}
 	}
-	key := r.Header.Get("Idempotency-Key")
-	if len(key) > maxIdempotencyKeyLen {
-		writeError(w, http.StatusBadRequest, reasonBadRequest,
-			fmt.Sprintf("idempotency key longer than %d bytes", maxIdempotencyKeyLen))
-		return
+	if draining {
+		writeError(w, http.StatusServiceUnavailable, reasonDraining, "draining")
+		return nil, false
 	}
-	limit := s.cfg.MaxBodyBytes
-	if limit <= 0 {
-		limit = DefaultMaxBodyBytes
+	return items, true
+}
+
+// dispatch routes each item that has no verdict yet and sends each shard its
+// group as one batchMsg, every group before awaiting any, so the shards work
+// their groups concurrently; the trace rides the first group sent. It awaits
+// the verdicts into items[k].rep and returns the placer route and shard of
+// the last item routed.
+func (s *Server) dispatch(items []batchItem, tr *submitTrace, hist string) (route string, shardIdx int) {
+	// Keyed items route by key, so duplicate keys within one batch land on
+	// the same shard in order and the later ones collapse onto the stored
+	// verdict.
+	groups := make([][]int, len(s.shards))
+	for k := range items {
+		if items[k].rep.status != 0 {
+			continue // failed its parse
+		}
+		var sh *shard
+		sh, route = s.placer.routeTraced(items[k].key)
+		shardIdx = sh.idx
+		groups[sh.idx] = append(groups[sh.idx], k)
 	}
+	type sent struct {
+		sh  *shard
+		msg batchMsg
+	}
+	var out []sent
+	for gi, group := range groups {
+		if len(group) == 0 {
+			continue
+		}
+		msg := batchMsg{items: items, group: group, hist: hist, done: make(chan struct{})}
+		if len(out) == 0 {
+			msg.tr = tr
+			tr.enqueued = time.Now()
+		}
+		select {
+		case s.shards[gi].reqs <- msg:
+			out = append(out, sent{s.shards[gi], msg})
+		default:
+			// The shard is behind: backpressure its items, don't block.
+			for _, k := range group {
+				items[k].rep = submitReply{status: http.StatusTooManyRequests, err: "submission queue full", reason: reasonQueueFull}
+			}
+		}
+	}
+	for _, o := range out {
+		_, ok := await(o.sh, o.msg.done)
+		for _, k := range o.msg.group {
+			switch rep := &items[k].rep; {
+			case !ok:
+				// Enqueued but never dequeued: the engine drained first, so
+				// nothing was committed.
+				*rep = submitReply{status: http.StatusServiceUnavailable, err: "draining", reason: reasonDraining}
+			case rep.status != http.StatusOK:
+				rep.reason = cmp.Or(rep.reason, reasonInternal)
+			}
+		}
+	}
+	return route, shardIdx
+}
+
+// readItems reads a submission body of at most limit bytes and has parse
+// turn it into items. A failure is the status and message to answer.
+func readItems(w http.ResponseWriter, r *http.Request, limit int64,
+	parse func(body []byte) ([]batchItem, int, string)) ([]batchItem, int, string) {
 	rb := getWireBuf()
 	defer putWireBuf(rb)
 	var err error
 	rb.b, err = readAllInto(rb.b, http.MaxBytesReader(w, r.Body, limit))
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return nil, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)
+	}
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, reasonTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, reasonBadRequest, err.Error())
-		return
+		return nil, http.StatusBadRequest, err.Error()
 	}
-	// Scalar specs take the zero-allocation parser; anything else (dag,
-	// curve, structured profit, a commitment override, or malformed input)
-	// falls back to encoding/json, which keeps the canonical behavior and
-	// error shapes.
-	spec, _, fastOK := parseJobSpecFast(rb.b, false)
-	if !fastOK {
-		dec := json.NewDecoder(bytes.NewReader(rb.b))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
-			writeError(w, http.StatusBadRequest, reasonBadRequest, err.Error())
-			return
-		}
-	}
-	if s.draining.Load() {
-		finish(http.StatusServiceUnavailable, nil, "", nil, nil)
-		writeError(w, http.StatusServiceUnavailable, reasonDraining, "draining")
-		return
-	}
-	sh, route := s.placer.routeTraced(key)
-	tr := &submitTrace{reqID: reqID, persist: persist, enqueued: time.Now()}
-	msg := submitMsg{spec: spec, key: key, tr: tr, reply: make(chan submitReply, 1)}
-	select {
-	case sh.reqs <- msg:
-	default:
-		// Mailbox full: the shard is behind. Backpressure, don't block.
-		finish(http.StatusTooManyRequests, sh, route, nil, nil)
-		writeError(w, http.StatusTooManyRequests, reasonQueueFull, "submission queue full")
-		return
-	}
-	rep, ok := await(sh, msg.reply)
-	if !ok {
-		// Enqueued but never dequeued: the engine drained first, so the job
-		// was not committed.
-		finish(http.StatusServiceUnavailable, sh, route, nil, nil)
-		writeError(w, http.StatusServiceUnavailable, reasonDraining, "draining")
-		return
-	}
-	if rep.status != http.StatusOK {
-		finish(rep.status, sh, route, tr, nil)
-		writeError(w, rep.status, cmp.Or(rep.reason, reasonInternal), rep.err)
-		return
-	}
-	finish(http.StatusOK, sh, route, tr, &rep.resp)
-	writeJobResponse(w, &rep.resp)
+	return parse(rb.b)
 }
 
 // writeJobResponse renders a 200 verdict through the fast encoder into a

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"net/http"
 	"os"
 	"testing"
 )
@@ -17,24 +16,12 @@ func engineCost(b2 *testing.T, instrumented bool) float64 {
 			b.Fatal(err)
 		}
 		defer srv.Drain()
-		parkEngines(b, srv)
-		sh := srv.shards[0]
 		if !instrumented {
-			sh.obsReg = nil // engine parked: only this goroutine touches it
+			// Set before engineArm's mailbox round trip, which orders it
+			// before anything the engine goroutine does next.
+			srv.shards[0].obsReg = nil
 		}
-		spec := JobSpec{W: 16, L: 2, Deadline: 40, Profit: ScalarProfit(3)}
-		clock := int64(0)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rep := sh.handleSubmit(spec, "", nil)
-			if rep.status != http.StatusOK {
-				b.Fatalf("status %d: %s", rep.status, rep.err)
-			}
-			if i%64 == 63 {
-				clock += 8
-				sh.advance(clock)
-			}
-		}
+		engineArm(b, srv)
 	})
 	return float64(r.NsPerOp())
 }

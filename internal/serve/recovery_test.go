@@ -31,12 +31,14 @@ func newDurableServer(t *testing.T, dir string, mutate func(*Config)) (*Server, 
 	return srv, func() { srv.Drain() }
 }
 
-// submitDirect pushes a spec through the placer and mailbox without HTTP.
-func submitDirect(t *testing.T, srv *Server, spec JobSpec, key string) submitReply {
-	t.Helper()
-	msg := submitMsg{spec: spec, key: key, reply: make(chan submitReply, 1)}
-	srv.placer.route(key).reqs <- msg
-	return <-msg.reply
+// submitTo pushes a spec through sh's mailbox as a group of one, without
+// HTTP: sh is srv.placer.route(key) for the placer's choice, or any shard to
+// pin per-shard effects.
+func submitTo(sh *shard, spec JobSpec, key string) submitReply {
+	msg := batchMsg{items: []batchItem{{spec: spec, key: key}}, group: []int{0}, hist: "serve.submit_engine_us", done: make(chan struct{})}
+	sh.reqs <- msg
+	<-msg.done
+	return msg.items[0].rep
 }
 
 // snapshotDir copies the WAL directory (including per-shard subdirectories)
@@ -85,7 +87,7 @@ func TestRecoveryRoundTrip(t *testing.T) {
 	}
 	var acked []submitReply
 	for i, spec := range specs {
-		rep := submitDirect(t, srv, spec, "")
+		rep := submitTo(srv.placer.route(""), spec, "")
 		if rep.status != 200 {
 			t.Fatalf("submit %d: %+v", i, rep)
 		}
@@ -126,7 +128,7 @@ func TestRecoveryRoundTrip(t *testing.T) {
 		_ = stat
 	}
 	// The next ID continues the pre-crash sequence.
-	rep := submitDirect(t, srv2, JobSpec{W: 4, L: 2, Deadline: 30, Profit: ScalarProfit(1)}, "")
+	rep := submitTo(srv2.placer.route(""), JobSpec{W: 4, L: 2, Deadline: 30, Profit: ScalarProfit(1)}, "")
 	if rep.status != 200 || rep.resp.ID != 3 {
 		t.Fatalf("post-recovery submit: %+v, want ID 3", rep)
 	}
@@ -144,7 +146,7 @@ func TestRecoveryAfterCheckpointTruncatesWAL(t *testing.T) {
 	defer drain()
 
 	for i := 0; i < 5; i++ {
-		if rep := submitDirect(t, srv, JobSpec{W: 8, L: 2, Deadline: 30, Profit: ScalarProfit(2)}, ""); rep.status != 200 {
+		if rep := submitTo(srv.placer.route(""), JobSpec{W: 8, L: 2, Deadline: 30, Profit: ScalarProfit(2)}, ""); rep.status != 200 {
 			t.Fatalf("submit %d: %+v", i, rep)
 		}
 	}
@@ -161,8 +163,8 @@ func TestRecoveryAfterCheckpointTruncatesWAL(t *testing.T) {
 		t.Fatalf("WAL holds %d records after checkpoint, want 1 (header)", len(payloads))
 	}
 	// Two more jobs land in the suffix.
-	submitDirect(t, srv, JobSpec{W: 6, L: 2, Deadline: 30, Profit: ScalarProfit(2)}, "")
-	submitDirect(t, srv, JobSpec{W: 6, L: 3, Deadline: 30, Profit: ScalarProfit(2)}, "")
+	submitTo(srv.placer.route(""), JobSpec{W: 6, L: 2, Deadline: 30, Profit: ScalarProfit(2)}, "")
+	submitTo(srv.placer.route(""), JobSpec{W: 6, L: 3, Deadline: 30, Profit: ScalarProfit(2)}, "")
 
 	snap := snapshotDir(t, dir)
 	srv2, drain2 := newDurableServer(t, snap, nil)
@@ -177,8 +179,8 @@ func TestRecoveryTornTail(t *testing.T) {
 	dir := t.TempDir()
 	srv, drain := newDurableServer(t, dir, nil)
 	defer drain()
-	submitDirect(t, srv, JobSpec{W: 8, L: 2, Deadline: 30, Profit: ScalarProfit(2)}, "")
-	submitDirect(t, srv, JobSpec{W: 12, L: 3, Deadline: 30, Profit: ScalarProfit(4)}, "")
+	submitTo(srv.placer.route(""), JobSpec{W: 8, L: 2, Deadline: 30, Profit: ScalarProfit(2)}, "")
+	submitTo(srv.placer.route(""), JobSpec{W: 12, L: 3, Deadline: 30, Profit: ScalarProfit(4)}, "")
 
 	snap := snapshotDir(t, dir)
 	// Tear the last record mid-line, as a crash mid-append would.
@@ -231,7 +233,7 @@ func TestReplayDirErrors(t *testing.T) {
 func TestRecoveryRefusesTamperedVerdict(t *testing.T) {
 	dir := t.TempDir()
 	srv, drain := newDurableServer(t, dir, nil)
-	submitDirect(t, srv, JobSpec{W: 32, L: 4, Deadline: 40, Profit: ScalarProfit(10)}, "")
+	submitTo(srv.placer.route(""), JobSpec{W: 32, L: 4, Deadline: 40, Profit: ScalarProfit(10)}, "")
 	snap := snapshotDir(t, dir)
 	drain()
 
@@ -263,7 +265,7 @@ func TestRecoveryRefusesTamperedVerdict(t *testing.T) {
 func TestRecoveryRefusesConfigDrift(t *testing.T) {
 	dir := t.TempDir()
 	srv, drain := newDurableServer(t, dir, nil)
-	submitDirect(t, srv, JobSpec{W: 8, L: 2, Deadline: 30, Profit: ScalarProfit(2)}, "")
+	submitTo(srv.placer.route(""), JobSpec{W: 8, L: 2, Deadline: 30, Profit: ScalarProfit(2)}, "")
 	snap := snapshotDir(t, dir)
 	drain()
 
@@ -280,12 +282,12 @@ func TestIdempotentRetry(t *testing.T) {
 	srv, drain := newDurableServer(t, dir, nil)
 
 	spec := JobSpec{W: 32, L: 4, Deadline: 40, Profit: ScalarProfit(10)}
-	first := submitDirect(t, srv, spec, "req-1")
+	first := submitTo(srv.placer.route("req-1"), spec, "req-1")
 	if first.status != 200 || first.resp.ID != 1 || first.resp.Replayed {
 		t.Fatalf("first submit: %+v", first)
 	}
 	// A retry with the same key collapses: same ID, same verdict, replayed.
-	retry := submitDirect(t, srv, spec, "req-1")
+	retry := submitTo(srv.placer.route("req-1"), spec, "req-1")
 	if retry.status != 200 || retry.resp.ID != 1 || !retry.resp.Replayed {
 		t.Fatalf("retry: %+v", retry)
 	}
@@ -293,7 +295,7 @@ func TestIdempotentRetry(t *testing.T) {
 		t.Fatalf("retry decision %q != original %q", retry.resp.Decision, first.resp.Decision)
 	}
 	// A keyed reject is durable too.
-	rej := submitDirect(t, srv, JobSpec{W: 100, L: 2, Deadline: 12, Profit: ScalarProfit(8)}, "req-2")
+	rej := submitTo(srv.placer.route("req-2"), JobSpec{W: 100, L: 2, Deadline: 12, Profit: ScalarProfit(8)}, "req-2")
 	if rej.status != 200 || rej.resp.Decision != DecisionRejected {
 		t.Fatalf("reject: %+v", rej)
 	}
@@ -304,11 +306,11 @@ func TestIdempotentRetry(t *testing.T) {
 	srv2, drain2 := newDurableServer(t, snap, nil)
 	defer drain2()
 
-	retry = submitDirect(t, srv2, spec, "req-1")
+	retry = submitTo(srv2.placer.route("req-1"), spec, "req-1")
 	if retry.status != 200 || retry.resp.ID != 1 || !retry.resp.Replayed {
 		t.Fatalf("post-crash retry: %+v", retry)
 	}
-	rejRetry := submitDirect(t, srv2, JobSpec{W: 100, L: 2, Deadline: 12, Profit: ScalarProfit(8)}, "req-2")
+	rejRetry := submitTo(srv2.placer.route("req-2"), JobSpec{W: 100, L: 2, Deadline: 12, Profit: ScalarProfit(8)}, "req-2")
 	if rejRetry.status != 200 || rejRetry.resp.Decision != DecisionRejected || !rejRetry.resp.Replayed {
 		t.Fatalf("post-crash reject retry: %+v — rejected job must stay rejected", rejRetry)
 	}
@@ -342,7 +344,7 @@ func TestRecoveryFreshDirIsNotRecovered(t *testing.T) {
 func TestRecoveryOfDrainedDirectory(t *testing.T) {
 	dir := t.TempDir()
 	srv, _ := newDurableServer(t, dir, nil)
-	submitDirect(t, srv, JobSpec{W: 8, L: 2, Deadline: 30, Profit: ScalarProfit(2)}, "")
+	submitTo(srv.placer.route(""), JobSpec{W: 8, L: 2, Deadline: 30, Profit: ScalarProfit(2)}, "")
 	res := srv.Drain()
 
 	// A restart over the drained directory recovers the completed history.
@@ -363,7 +365,7 @@ func TestRecoveryOfDrainedDirectory(t *testing.T) {
 func TestStatsExposeWALAndRecovery(t *testing.T) {
 	dir := t.TempDir()
 	srv, drain := newDurableServer(t, dir, nil)
-	submitDirect(t, srv, JobSpec{W: 8, L: 2, Deadline: 30, Profit: ScalarProfit(2)}, "k1")
+	submitTo(srv.placer.route("k1"), JobSpec{W: 8, L: 2, Deadline: 30, Profit: ScalarProfit(2)}, "k1")
 	snap := snapshotDir(t, dir)
 	drain()
 
@@ -401,7 +403,7 @@ func TestRecoveredDrainMatchesOfflineReplay(t *testing.T) {
 		if spec.L > spec.W {
 			spec.L = spec.W
 		}
-		submitDirect(t, srv, spec, "")
+		submitTo(srv.placer.route(""), spec, "")
 		if i%3 == 2 {
 			srv.Advance(int64(i))
 		}
@@ -494,7 +496,7 @@ func TestCleanDrainRestartLeavesCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	srv, _ := newDurableServer(t, dir, nil)
 	for i := 0; i < 5; i++ {
-		submitDirect(t, srv, JobSpec{W: 8, L: 2, Deadline: 30, Profit: ScalarProfit(2)}, "")
+		submitTo(srv.placer.route(""), JobSpec{W: 8, L: 2, Deadline: 30, Profit: ScalarProfit(2)}, "")
 	}
 	res := srv.Drain()
 
@@ -562,14 +564,15 @@ func TestCrashRestartLeavesCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	srv, _ := newDurableServer(t, dir, nil)
 	for i := 0; i < 4; i++ {
-		submitDirect(t, srv, JobSpec{W: 8, L: 2, Deadline: 30, Profit: ScalarProfit(2)}, "")
+		submitTo(srv.placer.route(""), JobSpec{W: 8, L: 2, Deadline: 30, Profit: ScalarProfit(2)}, "")
 	}
 	srv.Advance(3)
 	if err := srv.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		submitDirect(t, srv, JobSpec{W: 6, L: 3, Deadline: 30, Profit: ScalarProfit(1)}, "key-"+string(rune('a'+i)))
+		key := "key-" + string(rune('a'+i))
+		submitTo(srv.placer.route(key), JobSpec{W: 6, L: 3, Deadline: 30, Profit: ScalarProfit(1)}, key)
 	}
 	crash := snapshotDir(t, dir)
 	srv.Drain()
@@ -593,7 +596,7 @@ func TestCrashRestartLeavesCheckpoint(t *testing.T) {
 		t.Fatalf("a start after a crash rewrote the WAL:\nbefore: %q\nafter:  %q", wal, data)
 	}
 	srv2.Advance(5)
-	submitDirect(t, srv2, JobSpec{W: 4, L: 2, Deadline: 40, Profit: ScalarProfit(3)}, "key-z")
+	submitTo(srv2.placer.route("key-z"), JobSpec{W: 4, L: 2, Deadline: 40, Profit: ScalarProfit(3)}, "key-z")
 	crash2 := snapshotDir(t, crash)
 	if data, _ := os.ReadFile(walPath); !bytes.HasPrefix(data, wal) || len(data) == len(wal) {
 		t.Fatal("the restarted shard did not append behind the recovered WAL suffix")
@@ -607,7 +610,7 @@ func TestCrashRestartLeavesCheckpoint(t *testing.T) {
 	if rec := srv3.Recovery(); rec == nil || rec.Jobs != 8 || rec.WALJobs != 4 {
 		t.Fatalf("second recovery info = %+v, want 8 jobs, 4 from the WAL", rec)
 	}
-	if rep := submitDirect(t, srv3, JobSpec{}, "key-z"); !rep.resp.Replayed {
+	if rep := submitTo(srv3.placer.route("key-z"), JobSpec{}, "key-z"); !rep.resp.Replayed {
 		t.Fatalf("retry after the second crash: %+v", rep)
 	}
 	res3 := srv3.Drain()

@@ -169,6 +169,9 @@ func streamCheckpoint(dir string, cp Checkpoint, k int) ([]byte, error) {
 			return nil, err
 		}
 	}
+	if err := w.commit(); err != nil {
+		return nil, err
+	}
 	whole := cp
 	whole.Jobs = nil
 	out, err := c.write(dir, &whole, len(cp.Jobs), func(c *ckptStream) error {
@@ -706,7 +709,7 @@ func TestInternedReplayMatchesPerJobDecode(t *testing.T) {
 func TestReadAnyHeaderPrefix(t *testing.T) {
 	dir := t.TempDir()
 	srv, _ := newDurableServer(t, dir, nil)
-	submitDirect(t, srv, JobSpec{W: 8, L: 2, Deadline: 30, Profit: ScalarProfit(2)}, "")
+	submitTo(srv.placer.route(""), JobSpec{W: 8, L: 2, Deadline: 30, Profit: ScalarProfit(2)}, "")
 	srv.Drain()
 	want := headerOf(Config{M: 4, Sched: "s", Eps: 1})
 	h, err := readAnyHeader(dir)

@@ -173,7 +173,7 @@ func TestSchemaCompatRecovery(t *testing.T) {
 		t.Fatalf("recovered %d jobs from the v1 image, want 4", rec.Jobs)
 	}
 	// The keyed verdicts still collapse retries.
-	rep := submitDirect(t, srv, JobSpec{W: 100, L: 2, Deadline: 12, Profit: ScalarProfit(8)}, "fix-reject")
+	rep := submitTo(srv.placer.route("fix-reject"), JobSpec{W: 100, L: 2, Deadline: 12, Profit: ScalarProfit(8)}, "fix-reject")
 	if rep.status != 200 || rep.resp.Decision != DecisionRejected || !rep.resp.Replayed {
 		t.Fatalf("v1 keyed reject did not replay: %+v", rep)
 	}

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -97,8 +98,8 @@ type Config struct {
 	// Checkpoint explicitly).
 	CheckpointInterval time.Duration
 	// MaxBodyBytes caps the POST /v1/jobs body; oversized requests are
-	// answered 413. 0 means 1 MiB. The /v1/jobs:batch body is capped at
-	// MaxBatchItems × MaxBodyBytes.
+	// answered 413. 0 or less means 1 MiB. The /v1/jobs:batch body is capped
+	// at MaxBatchItems × MaxBodyBytes, saturating at math.MaxInt64.
 	MaxBodyBytes int64
 	// MaxBatchItems caps the item count of one POST /v1/jobs:batch request;
 	// larger batches are answered 413. 0 means 1024. Must satisfy
@@ -232,10 +233,11 @@ type admitter interface {
 // Server is one serving session: N shards behind a placer. Create with New,
 // expose Handler over HTTP, stop with Drain.
 type Server struct {
-	cfg    Config
-	policy sim.Commitment // parsed Config.Commitment
-	shards []*shard
-	placer *placer
+	cfg            Config
+	policy         sim.Commitment // parsed Config.Commitment
+	batchBodyLimit int64          // the POST /v1/jobs:batch body cap
+	shards         []*shard
+	placer         *placer
 
 	recovery *RecoveryInfo // aggregated across shards; nil on a fresh start
 
@@ -330,7 +332,7 @@ func newServer(cfg Config) (*Server, error) {
 	if cfg.CheckpointInterval == 0 {
 		cfg.CheckpointInterval = DefaultCheckpointInterval
 	}
-	if cfg.MaxBodyBytes == 0 {
+	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = DefaultMaxBodyBytes
 	}
 	if cfg.MaxBatchItems == 0 {
@@ -356,7 +358,12 @@ func newServer(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 	part := cliflags.PartitionCapacity(cfg.M, cfg.Shards)
-	s := &Server{cfg: cfg, policy: policy, start: time.Now()}
+	s := &Server{cfg: cfg, policy: policy, batchBodyLimit: math.MaxInt64, start: time.Now()}
+	// A batch may carry MaxBatchItems specs, so its body budget scales with
+	// the per-job limit rather than being squeezed into it.
+	if cfg.MaxBodyBytes <= math.MaxInt64/int64(cfg.MaxBatchItems) {
+		s.batchBodyLimit = cfg.MaxBodyBytes * int64(cfg.MaxBatchItems)
+	}
 	s.log = cfg.Logger
 	if s.log == nil {
 		s.log = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -729,13 +736,6 @@ func (s *Server) Advance(to int64) {
 
 // Messages between HTTP handlers and the shard engine goroutines.
 
-type submitMsg struct {
-	spec  JobSpec
-	key   string       // idempotency key; "" means none
-	tr    *submitTrace // request-scoped trace; nil disables per-request stamps
-	reply chan submitReply
-}
-
 // submitTrace threads one submission's request-scoped observability through
 // the mailbox: the request ID, whether durable records should carry it
 // (client-supplied), and the per-stage timestamps. The HTTP handler stamps
@@ -758,26 +758,26 @@ type submitReply struct {
 	reason string // machine-readable error class for the unified envelope
 }
 
-// batchItem is one spec of a batched submission, carrying its position in
-// the client's batch so per-item verdicts come back in order.
+// batchItem is one spec of a submission. The engine writes its verdict into
+// rep.
 type batchItem struct {
 	spec JobSpec
-	key  string // per-item idempotency key; "" means none
-	idx  int    // position in the client's batch
+	key  string // idempotency key; "" means none
+	rep  submitReply
 }
 
-// batchMsg carries one placer group — every item of a batch routed to the
-// same shard, in batch order — over a single mailbox crossing. The engine
-// commits the group under one WAL fsync window and replies with per-item
-// verdicts aligned to items.
+// batchMsg is the one mailbox message that carries submissions: a placer
+// group, the items of a request that routed to one shard, in request order.
+// A POST /v1/jobs submission is a group of one. The engine commits the group
+// under one WAL write, writes each verdict into its item and closes done.
+// The groups of one request share its items, and each engine writes only
+// the items its group selects.
 type batchMsg struct {
 	items []batchItem
-	tr    *submitTrace // group-level trace; nil disables stamps
-	reply chan batchReply
-}
-
-type batchReply struct {
-	replies []submitReply // aligned to batchMsg.items
+	group []int        // indices into items, ascending
+	tr    *submitTrace // request trace; nil disables per-request stamps
+	hist  string       // engine-latency histogram of the endpoint
+	done  chan struct{}
 }
 
 type lookupMsg struct {

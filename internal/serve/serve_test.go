@@ -33,6 +33,17 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return srv, ts
 }
 
+// holdEngine fills the mailbox of a shard built with QueueDepth 1: its
+// engine is held inside a stats reply nobody reads yet and a second message
+// waits behind it, so the next submission finds the mailbox full. release
+// lets the engine go; call it before the server drains.
+func holdEngine(sh *shard) (release func()) {
+	held, queued := make(chan shardStatsReply), make(chan shardStatsReply)
+	sh.reqs <- statsMsg{reply: held}
+	sh.reqs <- statsMsg{reply: queued}
+	return func() { <-held; <-queued }
+}
+
 func postJob(t *testing.T, ts *httptest.Server, spec string) (int, JobResponse) {
 	t.Helper()
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(spec))
@@ -212,16 +223,11 @@ func TestServeFullDAGSubmission(t *testing.T) {
 	}
 }
 
-// TestServeBackpressure fills the mailbox of an engineless server and checks
-// the handler answers 429 without blocking.
+// TestServeBackpressure fills the mailbox of a held engine and checks the
+// handler answers 429 without blocking.
 func TestServeBackpressure(t *testing.T) {
-	s := &Server{cfg: Config{M: 1, QueueDepth: 1}}
-	sh := &shard{srv: s, m: 1, stride: 1, reqs: make(chan any, 1), engineDone: make(chan struct{})}
-	s.shards = []*shard{sh}
-	s.placer = newPlacer(s.shards)
-	sh.reqs <- struct{}{} // engine is "busy"; the mailbox is now full
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	srv, ts := newTestServer(t, Config{M: 1, QueueDepth: 1})
+	defer holdEngine(srv.shards[0])() // engine is "busy"; the mailbox is now full
 
 	code, _ := postJob(t, ts, `{"w":4,"l":2,"deadline":9,"profit":1}`)
 	if code != 429 {
@@ -391,11 +397,12 @@ func TestWALDoesNotChangeSchedule(t *testing.T) {
 					var rep submitReply
 					switch {
 					case i%4 == 1:
-						rep = submitDirect(t, srv, spec, fmt.Sprintf("key-%d", i%12))
+						key := fmt.Sprintf("key-%d", i%12)
+						rep = submitTo(srv.placer.route(key), spec, key)
 					case i%4 == 2:
-						rep = submitDirect(t, srv, spec, "")
+						rep = submitTo(srv.placer.route(""), spec, "")
 					default:
-						rep = submitToShard(t, srv.shards[i%shards], spec, "")
+						rep = submitTo(srv.shards[i%shards], spec, "")
 					}
 					verdicts = append(verdicts, fmt.Sprintf("%d %s %d %d %v", rep.status, rep.resp.Decision, rep.resp.ID, rep.resp.Release, rep.resp.Replayed))
 					if i%5 == 4 {

@@ -167,10 +167,9 @@ func (sh *shard) engineLoop() {
 // should exit (after the drain's finalize phase).
 func (sh *shard) handle(m any) bool {
 	switch msg := m.(type) {
-	case submitMsg:
-		msg.reply <- sh.handleSubmit(msg.spec, msg.key, msg.tr)
 	case batchMsg:
-		msg.reply <- sh.handleBatch(msg.items, msg.tr)
+		sh.handleBatch(msg.items, msg.group, msg.tr, msg.hist)
+		close(msg.done)
 	case lookupMsg:
 		msg.reply <- sh.handleLookup(msg.id)
 	case statsMsg:
@@ -251,42 +250,21 @@ func (sh *shard) degrade(op string, err error) {
 	sh.reg.Inc("serve.degraded_events", 1)
 }
 
-// handleSubmit is processSubmit plus the engine-path observability shell:
-// mailbox queue-wait and total engine latency histograms, and the dequeue/
+// handleBatch commits one placer group — the items a request routed to
+// this shard, in request order, one item for POST /v1/jobs — under a single
+// WAL commit: each item runs the full processSubmit path (idempotency,
+// admission, WAL append, session arrival), and the group's records are
+// written, and under FsyncAlways fsynced, once at the end. They land
+// contiguously in the WAL because this goroutine owns it. No verdict leaves
+// the engine before the commit succeeds, so the on-admission commitment
+// still holds record by record; if it fails, every 200 verdict of the group
+// is downgraded to 503 and the daemon degrades — nothing was promised, so
+// nothing is broken. Around it sits the engine-path observability shell:
+// the mailbox queue-wait and engine latency histograms, and the dequeue and
 // commit stamps of the request trace. Every timer is gated on obsReg — with
 // it nil the shell is two pointer checks, which is what keeps the obs-guard
 // overhead budget honest.
-func (sh *shard) handleSubmit(spec JobSpec, key string, tr *submitTrace) submitReply {
-	if sh.obsReg == nil {
-		return sh.processSubmit(spec, key, tr)
-	}
-	t0 := time.Now()
-	if tr != nil {
-		tr.dequeued = t0
-		if !tr.enqueued.IsZero() {
-			sh.obsReg.Observe("serve.mailbox_wait_us", float64(t0.Sub(tr.enqueued).Microseconds()))
-		}
-	}
-	rep := sh.processSubmit(spec, key, tr)
-	now := time.Now()
-	if tr != nil {
-		tr.committed = now
-	}
-	sh.obsReg.Observe("serve.submit_engine_us", float64(now.Sub(t0).Microseconds()))
-	return rep
-}
-
-// handleBatch commits one placer group — every item a batch routed to this
-// shard, in batch order — under a single WAL group-commit window: each item
-// runs the full processSubmit path (idempotency, admission, WAL append,
-// session arrival), but the per-record fsync of FsyncAlways is suspended
-// until the whole group is written, so the group pays one flush.
-// The records land contiguously in the WAL because this goroutine owns it.
-// No verdict leaves the engine before the group sync succeeds, so the
-// on-admission commitment still holds record by record; if the final sync
-// fails, every acknowledged-in-group verdict is downgraded to 503 and the
-// daemon degrades — nothing was promised, so nothing is broken.
-func (sh *shard) handleBatch(items []batchItem, tr *submitTrace) batchReply {
+func (sh *shard) handleBatch(items []batchItem, group []int, tr *submitTrace, hist string) {
 	var t0 time.Time
 	if sh.obsReg != nil {
 		t0 = time.Now()
@@ -297,19 +275,16 @@ func (sh *shard) handleBatch(items []batchItem, tr *submitTrace) batchReply {
 			}
 		}
 	}
-	replies := make([]submitReply, len(items))
-	if sh.wal != nil {
-		sh.wal.beginBatch()
-	}
-	for k, it := range items {
-		replies[k] = sh.processSubmit(it.spec, it.key, nil)
+	for _, k := range group {
+		it := &items[k]
+		it.rep = sh.processSubmit(it.spec, it.key, tr)
 	}
 	if sh.wal != nil {
-		if err := sh.wal.endBatch(); err != nil {
-			sh.degrade("wal sync", err)
-			for k := range replies {
-				if replies[k].status == 200 {
-					replies[k] = submitReply{status: 503, err: "degraded: " + sh.srv.Degraded(), reason: reasonDegraded}
+		if err := sh.wal.commit(); err != nil {
+			sh.degrade("wal append", err) // the group's write or its fsync
+			for _, k := range group {
+				if rep := &items[k].rep; rep.status == 200 {
+					*rep = submitReply{status: 503, err: "degraded: " + sh.srv.Degraded(), reason: reasonDegraded}
 				}
 			}
 		}
@@ -319,9 +294,8 @@ func (sh *shard) handleBatch(items []batchItem, tr *submitTrace) batchReply {
 		if tr != nil {
 			tr.committed = now
 		}
-		sh.obsReg.Observe("serve.batch_engine_us", float64(now.Sub(t0).Microseconds()))
+		sh.obsReg.Observe(hist, float64(now.Sub(t0).Microseconds()))
 	}
-	return batchReply{replies: replies}
 }
 
 // reqIDOf is the request ID a durable record should carry: the trace's ID
@@ -454,9 +428,9 @@ func (sh *shard) marshalJobWire(e *scalarEntry, job *sim.Job) (json.RawMessage, 
 }
 
 // processSubmit resolves idempotent retries, takes the admit/reject decision,
-// persists it to this shard's WAL (write-ahead: before the session commit,
-// so an acknowledged verdict is never lost to a crash), and commits the
-// arrival to the session.
+// appends it to this shard's WAL group (handleBatch commits the group before
+// any verdict is acknowledged, so an acknowledged verdict is never lost to a
+// crash), and commits the arrival to the session.
 func (sh *shard) processSubmit(spec JobSpec, key string, tr *submitTrace) submitReply {
 	if sh.srv.draining.Load() || sh.quiesced {
 		return submitReply{status: 503, err: "draining", reason: reasonDraining}

@@ -35,7 +35,7 @@ func shardedCrashImage(t *testing.T) string {
 	}
 	for i := 0; i < 32; i++ {
 		spec := JobSpec{W: int64(4 + i%7), L: int64(1 + i%3), Deadline: int64(20 + i%9), Profit: ScalarProfit(float64(1 + i%4))}
-		if rep := submitToShard(t, srv.shards[i%4], spec, fmt.Sprintf("k%d", i)); rep.status != 200 {
+		if rep := submitTo(srv.shards[i%4], spec, fmt.Sprintf("k%d", i)); rep.status != 200 {
 			t.Fatalf("submit %d: %+v", i, rep)
 		}
 		if i == 15 {
@@ -231,7 +231,7 @@ func TestShardedCheckpointFanOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		submitToShard(t, srv.shards[i%4], JobSpec{W: 4, L: 2, Deadline: 30, Profit: ScalarProfit(2)}, "")
+		submitTo(srv.shards[i%4], JobSpec{W: 4, L: 2, Deadline: 30, Profit: ScalarProfit(2)}, "")
 	}
 	if err := srv.Checkpoint(); err != nil {
 		t.Fatal(err)

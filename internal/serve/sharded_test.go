@@ -10,15 +10,6 @@ import (
 	"testing"
 )
 
-// submitToShard pushes a spec through one specific shard's mailbox, bypassing
-// the placer, so tests can pin per-shard effects deterministically.
-func submitToShard(t *testing.T, sh *shard, spec JobSpec, key string) submitReply {
-	t.Helper()
-	msg := submitMsg{spec: spec, key: key, reply: make(chan submitReply, 1)}
-	sh.reqs <- msg
-	return <-msg.reply
-}
-
 func TestShardedConfigValidation(t *testing.T) {
 	if _, err := New(Config{M: 4, Shards: 8, TickInterval: -1}); err == nil ||
 		!strings.Contains(err.Error(), "exceeds") {
@@ -48,7 +39,7 @@ func TestShardedIDStriping(t *testing.T) {
 	spec := JobSpec{W: 8, L: 2, Deadline: 30, Profit: ScalarProfit(2)}
 	for round := 0; round < 3; round++ {
 		for i, sh := range srv.shards {
-			rep := submitToShard(t, sh, spec, "")
+			rep := submitTo(sh, spec, "")
 			want := i + 1 + round*4
 			if rep.status != 200 || rep.resp.ID != want {
 				t.Fatalf("shard %d round %d: %+v, want ID %d", i, round, rep, want)
@@ -85,7 +76,7 @@ func TestShardedDrainMatchesReplay(t *testing.T) {
 			// job, not the loop index, decides where its record lands.
 			sh = srv.placer.route("")
 		}
-		if rep := submitToShard(t, sh, spec, ""); rep.status != 200 {
+		if rep := submitTo(sh, spec, ""); rep.status != 200 {
 			t.Fatalf("submit %d: %+v", i, rep)
 		}
 		if i%5 == 4 {
@@ -138,7 +129,7 @@ func TestShardedStatsBody(t *testing.T) {
 			srv, ts := newTestServer(t, Config{M: tc.m, Shards: tc.shards})
 			// One admitted job per shard, pushed directly so counts are exact.
 			for _, sh := range srv.shards {
-				if rep := submitToShard(t, sh, JobSpec{W: 4, L: 2, Deadline: 30, Profit: ScalarProfit(2)}, ""); rep.status != 200 {
+				if rep := submitTo(sh, JobSpec{W: 4, L: 2, Deadline: 30, Profit: ScalarProfit(2)}, ""); rep.status != 200 {
 					t.Fatalf("shard %d submit: %+v", sh.idx, rep)
 				}
 			}
@@ -211,7 +202,7 @@ func TestShardedStatsWALAggregate(t *testing.T) {
 		M: 4, Shards: 2, WALDir: dir, Fsync: FsyncAlways, CheckpointInterval: -1,
 	})
 	for _, sh := range srv.shards {
-		if rep := submitToShard(t, sh, JobSpec{W: 4, L: 2, Deadline: 30, Profit: ScalarProfit(2)}, ""); rep.status != 200 {
+		if rep := submitTo(sh, JobSpec{W: 4, L: 2, Deadline: 30, Profit: ScalarProfit(2)}, ""); rep.status != 200 {
 			t.Fatalf("shard %d submit: %+v", sh.idx, rep)
 		}
 	}
@@ -250,7 +241,7 @@ func TestShardedQuiesceBlocksLateSubmissions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep := submitToShard(t, srv.shards[0], JobSpec{W: 4, L: 2, Deadline: 30, Profit: ScalarProfit(2)}, ""); rep.status != 200 {
+	if rep := submitTo(srv.shards[0], JobSpec{W: 4, L: 2, Deadline: 30, Profit: ScalarProfit(2)}, ""); rep.status != 200 {
 		t.Fatalf("pre-drain submit: %+v", rep)
 	}
 	walPath := filepath.Join(dir, shardDirName(0), walFileName)
@@ -264,7 +255,7 @@ func TestShardedQuiesceBlocksLateSubmissions(t *testing.T) {
 	q := quiesceMsg{reply: make(chan struct{})}
 	srv.shards[0].reqs <- q
 	<-q.reply
-	rep := submitToShard(t, srv.shards[0], JobSpec{W: 4, L: 2, Deadline: 30, Profit: ScalarProfit(2)}, "late-key")
+	rep := submitTo(srv.shards[0], JobSpec{W: 4, L: 2, Deadline: 30, Profit: ScalarProfit(2)}, "late-key")
 	if rep.status != 503 || rep.err != "draining" {
 		t.Fatalf("post-quiesce submit = %+v, want 503 draining", rep)
 	}
@@ -312,7 +303,7 @@ func TestShardedRecoveryRoundTrip(t *testing.T) {
 	var acked []submitReply
 	for i := 0; i < 10; i++ {
 		spec := JobSpec{W: int64(4 + i%7), L: int64(1 + i%2), Deadline: int64(25 + i%5), Profit: ScalarProfit(float64(1 + i%4))}
-		rep := submitToShard(t, srv.shards[i%2], spec, fmt.Sprintf("key-%d", i))
+		rep := submitTo(srv.shards[i%2], spec, fmt.Sprintf("key-%d", i))
 		if rep.status != 200 {
 			t.Fatalf("submit %d: %+v", i, rep)
 		}
@@ -338,7 +329,7 @@ func TestShardedRecoveryRoundTrip(t *testing.T) {
 	// Every acked verdict replays verbatim on its owning shard (submissions
 	// were pinned to shard i%2, so retries go to the same place).
 	for i, want := range acked {
-		got := submitToShard(t, srv2.shards[i%2], JobSpec{}, fmt.Sprintf("key-%d", i))
+		got := submitTo(srv2.shards[i%2], JobSpec{}, fmt.Sprintf("key-%d", i))
 		if !got.resp.Replayed || got.resp.ID != want.resp.ID || got.resp.Decision != want.resp.Decision {
 			t.Fatalf("key-%d after recovery: %+v, acked %+v", i, got.resp, want.resp)
 		}
@@ -360,7 +351,7 @@ func TestShardedLayoutDrift(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		submitToShard(t, srv.shards[0], JobSpec{W: 4, L: 2, Deadline: 30, Profit: ScalarProfit(2)}, "")
+		submitTo(srv.shards[0], JobSpec{W: 4, L: 2, Deadline: 30, Profit: ScalarProfit(2)}, "")
 		srv.Drain()
 		return dir
 	}
@@ -407,7 +398,7 @@ func TestShardedTamperRefusal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep := submitToShard(t, srv.shards[1], JobSpec{W: 16, L: 4, Deadline: 40, Profit: ScalarProfit(10)}, ""); rep.status != 200 {
+	if rep := submitTo(srv.shards[1], JobSpec{W: 16, L: 4, Deadline: 40, Profit: ScalarProfit(10)}, ""); rep.status != 200 {
 		t.Fatalf("submit: %+v", rep)
 	}
 	snap := snapshotDir(t, dir)

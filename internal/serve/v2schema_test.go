@@ -235,19 +235,19 @@ func TestV2SpecsSurviveRecovery(t *testing.T) {
 	optOut := JobSpec{W: 8, L: 2, Deadline: 25, Profit: ScalarProfit(3), Commitment: CommitmentNone}
 	scalar := JobSpec{W: 6, L: 2, Deadline: 30, Profit: ScalarProfit(2)}
 
-	repS := submitDirect(t, srv, structured, "key-structured")
+	repS := submitTo(srv.placer.route("key-structured"), structured, "key-structured")
 	if repS.status != 200 || repS.resp.Decision != DecisionAdmitted || repS.resp.Commitment != CommitmentDelta {
 		t.Fatalf("structured submit: %+v", repS)
 	}
 	srv.Advance(2)
-	if rep := submitDirect(t, srv, optOut, "key-optout"); rep.status != 200 || rep.resp.Commitment != CommitmentNone {
+	if rep := submitTo(srv.placer.route("key-optout"), optOut, "key-optout"); rep.status != 200 || rep.resp.Commitment != CommitmentNone {
 		t.Fatalf("opt-out submit: %+v", rep)
 	}
 	if err := srv.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	srv.Advance(4)
-	if rep := submitDirect(t, srv, scalar, ""); rep.status != 200 || rep.resp.Commitment != CommitmentDelta {
+	if rep := submitTo(srv.placer.route(""), scalar, ""); rep.status != 200 || rep.resp.Commitment != CommitmentDelta {
 		t.Fatalf("scalar submit: %+v", rep)
 	}
 
@@ -261,11 +261,11 @@ func TestV2SpecsSurviveRecovery(t *testing.T) {
 	}
 	// Idempotent retries collapse onto the stored verdicts, commitment and
 	// profit shape intact.
-	retry := submitDirect(t, srv2, structured, "key-structured")
+	retry := submitTo(srv2.placer.route("key-structured"), structured, "key-structured")
 	if retry.status != 200 || !retry.resp.Replayed || retry.resp.Commitment != CommitmentDelta || retry.resp.ID != repS.resp.ID {
 		t.Fatalf("structured retry: %+v", retry)
 	}
-	if retry := submitDirect(t, srv2, optOut, "key-optout"); !retry.resp.Replayed || retry.resp.Commitment != CommitmentNone {
+	if retry := submitTo(srv2.placer.route("key-optout"), optOut, "key-optout"); !retry.resp.Replayed || retry.resp.Commitment != CommitmentNone {
 		t.Fatalf("opt-out retry: %+v", retry)
 	}
 
@@ -281,7 +281,7 @@ func TestRecoveryRefusesCommitmentDowngrade(t *testing.T) {
 	dir := t.TempDir()
 	delta := func(cfg *Config) { cfg.Commitment = CommitmentDelta }
 	srv, drain := newDurableServer(t, dir, delta)
-	if rep := submitDirect(t, srv, JobSpec{W: 32, L: 4, Deadline: 40, Profit: ScalarProfit(10)}, ""); rep.resp.Commitment != CommitmentDelta {
+	if rep := submitTo(srv.placer.route(""), JobSpec{W: 32, L: 4, Deadline: 40, Profit: ScalarProfit(10)}, ""); rep.resp.Commitment != CommitmentDelta {
 		t.Fatalf("submit: %+v", rep)
 	}
 	snap := snapshotDir(t, dir)

@@ -34,8 +34,8 @@ import (
 type FsyncPolicy string
 
 const (
-	// FsyncAlways flushes after every record, before the submission is
-	// acknowledged: an acked admission survives SIGKILL. The default.
+	// FsyncAlways flushes every submission's records, before any of them
+	// is acknowledged: an acked admission survives SIGKILL. The default.
 	FsyncAlways FsyncPolicy = "always"
 	// FsyncInterval flushes at most every Config.FsyncInterval (piggybacked
 	// on the engine ticker): a crash can lose the last interval's records,
@@ -166,16 +166,12 @@ type wal struct {
 	policy   FsyncPolicy
 	interval time.Duration
 	dirty    bool
-	batch    bool // inside a group-commit window (beginBatch..endBatch)
 	lastSync time.Time
 	records  int64 // records appended by this process
 
 	// scratch and wbuf are engine-goroutine-owned reuse buffers: scratch
-	// holds one record's payload while it is encoded, wbuf accumulates
-	// framed lines. Outside a group-commit window wbuf is written (one
-	// syscall) per record, exactly the old cadence; inside one it
-	// accumulates the whole group and endBatch writes it with a single
-	// syscall before the group's one fsync.
+	// holds one record's payload while it is encoded, wbuf accumulates the
+	// framed lines of one group until commit writes them with one syscall.
 	scratch []byte
 	wbuf    []byte
 
@@ -194,11 +190,9 @@ func openWAL(dir string, policy FsyncPolicy, interval time.Duration) (*wal, erro
 	return &wal{dir: dir, f: f, policy: policy, interval: interval, lastSync: time.Now()}, nil
 }
 
-// append marshals v, frames it, writes it, and flushes per the policy. An
-// error means the record may not be durable; the caller must not
-// acknowledge the submission it covers. Inside a group-commit window the
-// frame is only buffered — durability (and write errors) surface at
-// endBatch, before any record in the window is acknowledged.
+// append marshals v, frames it and buffers it; nothing reaches the file
+// before commit. Every submission is a group (shard.handleBatch), so its
+// records are appended and then committed together.
 func (w *wal) append(v any) error {
 	var payload []byte
 	var err error
@@ -216,43 +210,23 @@ func (w *wal) append(v any) error {
 	}
 	w.wbuf = appendFrame(w.wbuf, payload)
 	w.records++
-	w.dirty = true
-	if w.batch {
-		return nil
-	}
-	if err := w.flushBuf(); err != nil {
-		return err
-	}
-	if w.policy == FsyncAlways {
-		return w.sync()
-	}
 	return nil
 }
 
-// flushBuf writes the accumulated frames with one syscall.
-func (w *wal) flushBuf() error {
+// commit writes the buffered group with one syscall and, under FsyncAlways,
+// makes it durable with one fsync. The interval and off policies keep their
+// own flush cadence. The caller must not acknowledge any record of the group
+// before commit succeeds.
+func (w *wal) commit() error {
 	if len(w.wbuf) == 0 {
 		return nil
 	}
 	_, err := w.f.Write(w.wbuf)
 	w.wbuf = w.wbuf[:0]
-	return err
-}
-
-// beginBatch opens a group-commit window: FsyncAlways's per-record flush is
-// suspended so a batch of appends shares one sync. The caller must not
-// acknowledge any record in the window before endBatch succeeds.
-func (w *wal) beginBatch() { w.batch = true }
-
-// endBatch closes the group-commit window: the buffered frames hit the file
-// with one write syscall and, under FsyncAlways, the whole window becomes
-// durable with one fsync. The interval and off policies keep their usual
-// flush cadence (the window only batches the write).
-func (w *wal) endBatch() error {
-	w.batch = false
-	if err := w.flushBuf(); err != nil {
+	if err != nil {
 		return err
 	}
+	w.dirty = true
 	if w.policy != FsyncAlways {
 		return nil
 	}

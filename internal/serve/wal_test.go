@@ -158,6 +158,9 @@ func TestWALAppendAndReset(t *testing.T) {
 	if err := w.append(WALReject{Type: "reject", Key: "k", Resp: JobResponse{Decision: DecisionRejected}}); err != nil {
 		t.Fatal(err)
 	}
+	if err := w.commit(); err != nil {
+		t.Fatal(err)
+	}
 	if err := w.close(); err != nil {
 		t.Fatal(err)
 	}
@@ -196,8 +199,11 @@ func TestWALMaybeSyncHonorsInterval(t *testing.T) {
 	if err := w.append(map[string]string{"type": "header"}); err != nil {
 		t.Fatal(err)
 	}
+	if err := w.commit(); err != nil {
+		t.Fatal(err)
+	}
 	if !w.dirty {
-		t.Fatal("append under interval policy should leave the log dirty")
+		t.Fatal("commit under interval policy should leave the log dirty")
 	}
 	if err := w.maybeSync(w.lastSync.Add(10 * time.Millisecond)); err != nil {
 		t.Fatal(err)

@@ -53,21 +53,7 @@ func TestWireGuard(t *testing.T) {
 			b.Fatal(err)
 		}
 		defer srv.Drain()
-		parkEngines(b, srv)
-		sh := srv.shards[0]
-		spec := JobSpec{W: 16, L: 2, Deadline: 40, Profit: ScalarProfit(3)}
-		clock := int64(0)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rep := sh.handleSubmit(spec, "", nil)
-			if rep.status != 200 {
-				b.Fatalf("status %d: %s", rep.status, rep.err)
-			}
-			if i%benchAdvanceEvery == benchAdvanceEvery-1 {
-				clock += benchAdvanceTicks
-				sh.advance(clock)
-			}
-		}
+		engineArm(b, srv)
 	})
 	batch := testing.Benchmark(func(b *testing.B) {
 		srv, err := New(Config{M: 8, QueueDepth: 1024, TickInterval: -1})
