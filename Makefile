@@ -79,10 +79,13 @@ wire-guard:
 	SPAA_WIRE_GUARD=1 go test -run TestWireGuard -count=1 ./internal/serve/
 
 # -race across every package; the runner's worker pool and the parallel
-# experiment grids are the concurrency under test.
+# experiment grids are the concurrency under test, and so is the serving
+# engine's one clock: its timer loop races every mailbox message, so its
+# tests run three more times.
 race:
 	go test -race ./...
 	go test -race -count=2 ./internal/runner/ ./internal/experiments/ ./internal/telemetry/
+	go test -race -count=3 -run 'TestClock' ./internal/serve/
 
 # The full benchmark harness: one BenchmarkEXP_* per experiment plus engine
 # micro-benchmarks.

@@ -5,9 +5,10 @@
 // clock. With -wal-dir every accepted arrival is written once to its shard's
 // write-ahead log, which survives a crash and re-simulates bit-identically
 // offline through serve.ReplayDir (-fsync=off keeps it at page-cache cost
-// when only the record is wanted). With an event-safe scheduler the daemon
-// idles on an event-jump timer instead of a fixed ticker (-clock overrides
-// the discipline), so a quiet shard burns no CPU between events.
+// when only the record is wanted). Each shard sleeps on a timer armed to the
+// next tick that can change its session's state, so a quiet shard burns no
+// CPU: with Scheduler S (or any event-safe scheduler) it wakes only at
+// arrivals, completions and expiries, with LLF every tick while work is live.
 //
 // -commitment selects the admission contract: the default on-admission makes
 // verdicts durable but non-binding, while the binding policies (delta,
@@ -85,7 +86,6 @@ func main() {
 		ckptInt   = flag.Duration("checkpoint-interval", serve.DefaultCheckpointInterval, "checkpoint cadence (negative: only at drain)")
 		maxBody   = flag.Int64("max-body", serve.DefaultMaxBodyBytes, "largest POST /v1/jobs body in bytes (413 above)")
 		maxBatch  = flag.Int("max-batch", serve.DefaultMaxBatchItems, "largest POST /v1/jobs:batch item count (413 above)")
-		clockStr  = flag.String("clock", "auto", "idle clock discipline: auto, ticker, or jump")
 		logFormat = flag.String("log-format", "text", "structured log format on stderr: text or json")
 		logLevel  = flag.String("log-level", "info", "log level: debug, info, warn, or error (debug logs every submission)")
 		traceDeep = flag.Int("trace-depth", serve.DefaultTraceDepth, "request traces kept for /debug/requests")
@@ -113,10 +113,6 @@ func main() {
 	if err := cliflags.ValidateMaxBatch(*maxBatch); err != nil {
 		cliflags.FatalUsage("spaa-serve", err)
 	}
-	clock, err := serve.ParseClockMode(*clockStr)
-	if err != nil {
-		cliflags.FatalUsage("spaa-serve", err)
-	}
 	cfg := serve.Config{
 		M:                  *m,
 		Shards:             *shards,
@@ -132,7 +128,6 @@ func main() {
 		CheckpointInterval: *ckptInt,
 		MaxBodyBytes:       *maxBody,
 		MaxBatchItems:      *maxBatch,
-		Clock:              clock,
 		Logger:             logger,
 		TraceDepth:         *traceDeep,
 	}

@@ -291,7 +291,7 @@ func BenchmarkSubmissionsBatchWAL(b *testing.B) {
 }
 
 // parkEngines leaves every shard's engine goroutine idle in its select (one
-// mailbox round trip each); with the ticker disabled it stays there, so
+// mailbox round trip each); with the clock disabled it stays there, so
 // calling handleBatch/advance from the benchmark goroutine is unraced until
 // Drain's channel send orders the exit.
 func parkEngines(b *testing.B, srv *Server) {

@@ -1,76 +1,30 @@
 package serve
 
-import (
-	"fmt"
-	"time"
+import "time"
 
-	"dagsched/internal/sim"
-)
-
-// The event-jump clock. The ticker engine loop wakes every TickInterval to
-// advance its session even when nothing can happen — an idle daemon at the
-// 10ms default burns 100 wakeups/sec per shard doing nothing. When a shard's
-// (scheduler, policy, faults, probe) combination is event-safe under the
-// sim.RunAuto routing rules, the session's evolution depends only on the
+// The engine clock. A shard does not wake every TickInterval: it arms one
+// timer to the earliest instant anything can happen — the session's next
+// event (sim.Session.NextEventHint), the WAL's interval-policy flush
+// deadline, or a due checkpoint — and bursts every deferred tick when it
+// fires. The session decides which tick can next change its state: an
+// event-safe one (sim.Session.EventSafe; Scheduler S, EDF, FIFO) names its
+// next arrival, expiry or completion bound and steps in event intervals, so
+// a burst, a drain fast-forward or a recovery replay costs one step per
+// event rather than per tick; any other (LLF, GP, NC) names the very next
+// tick while work is live, so it steps tick by tick exactly as a fixed
+// ticker would. Either way the session's evolution depends only on the
 // sequence of (Arrive, AdvanceTo) operations and their clock values, never
-// on how many wakeups delivered them. The jump loop exploits that: instead
-// of a ticker it arms one timer to the earliest instant anything can happen
-// — the session's next event (sim.Session.NextEventHint), the WAL's
-// interval-policy flush deadline, or a due checkpoint — and bursts every
-// deferred tick when it fires. Such a session also steps in event intervals
-// (sim.Session.EventSafe), so a burst, a drain fast-forward or a recovery
-// replay costs one step per event rather than per tick. An idle shard arms nothing and burns zero
-// CPU; a busy one advances exactly when state can change. Every mailbox
-// message catches the session up to the current wall tick first, so release
-// stamps and read freshness match the ticker loop and the two disciplines
-// stay bit-identical for the same submission sequence.
+// on how many wakeups delivered them. An idle shard arms nothing and
+// burns zero CPU. Every mailbox message catches the session up to the
+// current wall tick first, so release stamps and reads are as fresh as if
+// the shard had ticked every interval.
 
-// ClockMode selects the engine clock discipline (Config.Clock).
-type ClockMode string
-
-const (
-	// ClockAuto: event-jump when the session is event-safe, ticker
-	// otherwise. The default.
-	ClockAuto ClockMode = "auto"
-	// ClockTicker: always the fixed wall-clock ticker.
-	ClockTicker ClockMode = "ticker"
-	// ClockJump: require event-jump; New refuses configurations that are
-	// not event-safe rather than silently falling back.
-	ClockJump ClockMode = "jump"
-)
-
-// ParseClockMode parses the -clock flag value.
-func ParseClockMode(s string) (ClockMode, error) {
-	switch ClockMode(s) {
-	case ClockAuto, ClockTicker, ClockJump:
-		return ClockMode(s), nil
-	case "":
-		return ClockAuto, nil
-	}
-	return "", fmt.Errorf("serve: unknown clock mode %q (want auto, ticker, or jump)", s)
-}
-
-// resolveClock decides whether a shard runs the event-jump loop. Only
-// meaningful with the ticker enabled; a negative TickInterval has no clock
-// at all (sessions advance on drain or explicit Advance).
-func resolveClock(cfg Config, sess *sim.Session) (jump bool, err error) {
-	switch cfg.Clock {
-	case ClockTicker:
-		return false, nil
-	case ClockJump:
-		if !sess.EventSafe() {
-			return false, fmt.Errorf("serve: clock mode %q requires an event-safe scheduler configuration (sched %q is not)", ClockJump, cfg.Sched)
-		}
-		return true, nil
-	default: // ClockAuto
-		return sess.EventSafe(), nil
-	}
-}
-
-// engineLoopJump is the event-jump variant of engineLoop: same mailbox
-// handling, but the per-tick ticker is replaced by a timer armed to the next
-// instant this shard has anything to do. Idle shards leave the timer unarmed.
-func (sh *shard) engineLoopJump() {
+// engineLoop is the goroutine that owns all of this shard's mutable state.
+// With TickInterval < 0 there is no clock: the timer is never armed and the
+// session moves only on explicit Advance and at drain.
+func (sh *shard) engineLoop() {
+	defer close(sh.engineDone)
+	clocked := sh.srv.cfg.TickInterval > 0
 	timer := time.NewTimer(time.Hour)
 	if !timer.Stop() {
 		<-timer.C
@@ -91,8 +45,8 @@ func (sh *shard) engineLoopJump() {
 			}
 			armed = false
 		}
-		if sh.quiesced {
-			return // the clock is done moving; finalize fast-forwards
+		if !clocked || sh.quiesced {
+			return // no clock, or it is done moving (finalize fast-forwards)
 		}
 		if at, ok := sh.nextWake(); ok {
 			timer.Reset(time.Until(at))
@@ -103,9 +57,9 @@ func (sh *shard) engineLoopJump() {
 	for {
 		select {
 		case m := <-sh.reqs:
-			if !sh.quiesced {
+			if clocked && !sh.quiesced {
 				// Catch up before touching observable state, so release
-				// stamps and lookups are as fresh as the ticker loop's.
+				// stamps and lookups are as fresh as the wall tick.
 				sh.catchUp()
 			}
 			if sh.handle(m) {
@@ -152,10 +106,9 @@ func (sh *shard) nextWake() (time.Time, bool) {
 	return at, ok
 }
 
-// jumpAdvance is the timer-fire body of the jump loop: burst the session up
-// to the current wall tick (bit-identical to having ticked every interval),
-// then run the same WAL flush and checkpoint cadence the ticker loop
-// piggybacks on its ticks.
+// jumpAdvance is the timer-fire body of the engine loop: burst the session
+// up to the current wall tick (bit-identical to having ticked every
+// interval), then run the WAL's interval flush and the checkpoint cadence.
 func (sh *shard) jumpAdvance() {
 	before := sh.sess.Now()
 	sh.catchUp()

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -9,73 +10,9 @@ import (
 	"time"
 )
 
-func TestParseClockMode(t *testing.T) {
-	cases := []struct {
-		in      string
-		want    ClockMode
-		wantErr bool
-	}{
-		{"", ClockAuto, false},
-		{"auto", ClockAuto, false},
-		{"ticker", ClockTicker, false},
-		{"jump", ClockJump, false},
-		{"bogus", "", true},
-		{"Jump", "", true},
-	}
-	for _, tc := range cases {
-		got, err := ParseClockMode(tc.in)
-		if (err != nil) != tc.wantErr || got != tc.want {
-			t.Errorf("ParseClockMode(%q) = %q, %v; want %q, err=%v", tc.in, got, err, tc.want, tc.wantErr)
-		}
-	}
-}
-
-// TestClockResolution: auto picks jump exactly when the session is
-// event-safe, ticker is always honored, and an explicit jump request on an
-// unsafe configuration is a construction error, not a silent fallback.
-func TestClockResolution(t *testing.T) {
-	mk := func(sched string, mode ClockMode) (*Server, error) {
-		return New(Config{M: 4, Sched: sched, Clock: mode, TickInterval: time.Hour})
-	}
-	srv, err := mk("s", ClockAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !srv.shards[0].jump {
-		t.Error("auto + scheduler s: want the jump clock")
-	}
-	srv.Drain()
-
-	srv, err = mk("llf", ClockAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if srv.shards[0].jump {
-		t.Error("auto + llf (not event-safe): want the ticker")
-	}
-	srv.Drain()
-
-	srv, err = mk("s", ClockTicker)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if srv.shards[0].jump {
-		t.Error("explicit ticker must win even when jump is safe")
-	}
-	srv.Drain()
-
-	if _, err := mk("llf", ClockJump); err == nil {
-		t.Error("jump + llf must fail construction")
-	}
-	if _, err := New(Config{M: 1, Clock: "sundial"}); err == nil {
-		t.Error("unknown clock mode must fail construction")
-	}
-}
-
 // TestClockJumpIdleNoWakeups: an idle event-safe daemon performs no clock
-// work at all — no ticker wakeups (it has no ticker) and no jump fires (an
-// idle session has no next event, so no timer is armed). The ticker daemon
-// under the same config burns wakeups just to discover nothing happened.
+// work at all — no timer fires, because an idle session has no next event
+// and no timer is armed.
 func TestClockJumpIdleNoWakeups(t *testing.T) {
 	srv, err := New(Config{M: 2, TickInterval: time.Millisecond})
 	if err != nil {
@@ -84,15 +21,9 @@ func TestClockJumpIdleNoWakeups(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Drain()
-	if !srv.shards[0].jump {
-		t.Fatal("default config must resolve to the jump clock")
-	}
 
 	time.Sleep(50 * time.Millisecond)
 	m := scrapeMetrics(t, ts.URL+"/metrics")
-	if v := m[`serve_ticker_wakeups_total{shard="0"}`]; v != 0 {
-		t.Errorf("idle jump daemon recorded %v ticker wakeups, want 0", v)
-	}
 	if v := m[`serve_clock_jumps_total{shard="0"}`]; v != 0 {
 		t.Errorf("idle jump daemon recorded %v clock jumps, want 0", v)
 	}
@@ -127,49 +58,82 @@ func TestClockJumpIdleNoWakeups(t *testing.T) {
 	if v := m[`serve_clock_jumps_total{shard="0"}`]; v == 0 {
 		t.Error("the engine advanced without a clock jump")
 	}
-	if v := m[`serve_ticker_wakeups_total{shard="0"}`]; v != 0 {
-		t.Errorf("jump daemon recorded %v ticker wakeups under load, want 0", v)
-	}
 }
 
-// TestClockTickerWakeups is the contrast case: the ticker loop wakes every
-// interval even with nothing to do.
-func TestClockTickerWakeups(t *testing.T) {
-	srv, err := New(Config{M: 2, TickInterval: time.Millisecond, Clock: ClockTicker})
+// TestClockLLFIdleNoWakeups: a shard whose scheduler is not event-safe
+// sleeps while idle too. Its session names the next tick as its next event
+// only while work is live, so the timer fires tick by tick for the job's
+// life and stops once the job has left the system.
+func TestClockLLFIdleNoWakeups(t *testing.T) {
+	srv, err := New(Config{M: 2, Sched: "llf", TickInterval: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Drain()
+	jumps := func() float64 {
+		t.Helper()
+		return scrapeMetrics(t, ts.URL+"/metrics")[`serve_clock_jumps_total{shard="0"}`]
+	}
 
+	time.Sleep(50 * time.Millisecond)
+	if v := jumps(); v != 0 {
+		t.Errorf("idle llf daemon recorded %v clock wake-ups, want 0", v)
+	}
+
+	// A 100-tick chain stays live for about 100ms, so the timer fires
+	// between scrapes even though each scrape catches the session up.
+	code, jr := postJob(t, ts, `{"w":100,"l":100,"deadline":300,"profit":2}`)
+	if code != 200 || jr.ID == 0 {
+		t.Fatalf("submit: code=%d resp=%+v", code, jr)
+	}
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		m := scrapeMetrics(t, ts.URL+"/metrics")
-		if m[`serve_ticker_wakeups_total{shard="0"}`] > 0 {
-			if v := m[`serve_clock_jumps_total{shard="0"}`]; v != 0 {
-				t.Errorf("ticker daemon recorded %v clock jumps, want 0", v)
-			}
-			return
-		}
+	for jumps() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("idle ticker daemon recorded no wakeups")
+			t.Fatal("the llf daemon did not wake while a job was live")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	for {
+		var st StatusResponse
+		if code := getJSON(t, fmt.Sprintf("%s/v1/jobs/%d", ts.URL, jr.ID), &st); code != 200 {
+			t.Fatalf("lookup: code=%d", code)
+		}
+		if st.State == "completed" || st.State == "expired" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job still %s after 5s", st.State)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	before := jumps()
+	time.Sleep(50 * time.Millisecond)
+	if after := jumps(); after != before {
+		t.Errorf("llf daemon recorded %v clock wake-ups after its job left, want 0", after-before)
+	}
 }
 
-// TestClockJumpReplayIdentity drives the ticker and jump disciplines through
-// the same submission sequence under a frozen wall tick (interval = 1h, the
-// clock moved only by explicit Advance) and requires byte-identical drained
-// checkpoints: the jump loop's burst catch-up must be indistinguishable from
-// tick-by-tick advance. Each drained Result must also equal ReplayDir of its
-// WAL directory.
+// TestClockJumpReplayIdentity drives the same submission sequence through a
+// daemon whose clock is advanced once per tick and one advanced in 3-tick
+// bursts, under a frozen wall tick (interval = 1h, the clock moved only by
+// explicit Advance), and requires byte-identical drained checkpoints: a
+// burst must be indistinguishable from tick-by-tick advance, both for an
+// event-safe scheduler (s), which steps in event intervals, and for one that
+// is not (llf). Each drained Result must also equal ReplayDir of its WAL
+// directory.
 func TestClockJumpReplayIdentity(t *testing.T) {
-	run := func(mode ClockMode) string {
+	specs := []string{
+		`{"w":32,"l":4,"deadline":40,"profit":10}`,
+		`{"w":16,"l":2,"deadline":30,"profit":3}`,
+		`{"w":100,"l":2,"deadline":12,"profit":8}`,
+		`{"w":8,"l":2,"deadline":25,"profit":2}`,
+	}
+	run := func(t *testing.T, sched string, burst int64) string {
 		dir := t.TempDir()
 		srv, err := New(Config{
-			M: 4, QueueDepth: 64, TickInterval: time.Hour, Clock: mode,
+			M: 4, Sched: sched, QueueDepth: 64, TickInterval: time.Hour,
 			WALDir: dir, Fsync: FsyncOff,
 		})
 		if err != nil {
@@ -177,17 +141,13 @@ func TestClockJumpReplayIdentity(t *testing.T) {
 		}
 		ts := httptest.NewServer(srv.Handler())
 		defer ts.Close()
-		specs := []string{
-			`{"w":32,"l":4,"deadline":40,"profit":10}`,
-			`{"w":16,"l":2,"deadline":30,"profit":3}`,
-			`{"w":100,"l":2,"deadline":12,"profit":8}`,
-			`{"w":8,"l":2,"deadline":25,"profit":2}`,
-		}
 		for i, spec := range specs {
 			if code, _ := postJob(t, ts, spec); code != 200 {
-				t.Fatalf("%s submit %d: code=%d", mode, i, code)
+				t.Fatalf("burst %d submit %d: code=%d", burst, i, code)
 			}
-			srv.Advance(int64((i + 1) * 3))
+			for to := int64(i*3) + burst; to <= int64(i+1)*3; to += burst {
+				srv.Advance(to)
+			}
 		}
 		assertReplayIdentical(t, dir, srv.Drain())
 		cp, err := os.ReadFile(filepath.Join(dir, checkpointFileName))
@@ -196,47 +156,55 @@ func TestClockJumpReplayIdentity(t *testing.T) {
 		}
 		return string(cp)
 	}
-	ticker := run(ClockTicker)
-	jump := run(ClockJump)
-	if ticker != jump {
-		t.Fatalf("drained checkpoints diverge between clock modes\nticker:\n%s\njump:\n%s", ticker, jump)
-	}
-	if !strings.Contains(ticker, `"type":"job"`) {
-		t.Fatalf("drained checkpoint holds no job records: %q", ticker)
+	for _, sched := range []string{"s", "llf"} {
+		t.Run(sched, func(t *testing.T) {
+			perTick := run(t, sched, 1)
+			bursts := run(t, sched, 3)
+			if perTick != bursts {
+				t.Fatalf("drained checkpoints diverge between advance granularities\nper tick:\n%s\n3-tick bursts:\n%s", perTick, bursts)
+			}
+			if !strings.Contains(perTick, `"type":"job"`) {
+				t.Fatalf("drained checkpoint holds no job records: %q", perTick)
+			}
+		})
 	}
 }
 
-// TestClockJumpWALInterval: under the interval fsync policy the jump loop
-// must wake for the flush deadline even when the session itself is idle —
-// otherwise an acknowledged record could sit unflushed until the next
-// submission.
+// TestClockJumpWALInterval: under the interval fsync policy the engine loop
+// must wake for the flush deadline even when the session itself has no event
+// due — otherwise an acknowledged record could sit unflushed until the next
+// submission. Run for an event-safe scheduler and for one that is not.
 func TestClockJumpWALInterval(t *testing.T) {
-	dir := t.TempDir()
-	srv, err := New(Config{
-		M: 2, TickInterval: time.Millisecond, WALDir: dir,
-		Fsync: FsyncInterval, FsyncInterval: 5 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	defer srv.Drain()
+	for _, sched := range []string{"s", "llf"} {
+		t.Run(sched, func(t *testing.T) {
+			dir := t.TempDir()
+			srv, err := New(Config{
+				M: 2, Sched: sched, TickInterval: time.Millisecond, WALDir: dir,
+				Fsync: FsyncInterval, FsyncInterval: 5 * time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			defer srv.Drain()
 
-	if code, _ := postJob(t, ts, `{"w":8,"l":2,"deadline":1000,"profit":2}`); code != 200 {
-		t.Fatal("submit failed")
-	}
-	// The fsync deadline is 5ms out; give the timer room, then check the
-	// shard flushed without any further traffic.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		m := scrapeMetrics(t, ts.URL+"/metrics")
-		if m[`serve_wal_fsync_us_count{shard="0"}`] > 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("interval-policy fsync never fired under the jump clock")
-		}
-		time.Sleep(5 * time.Millisecond)
+			if code, _ := postJob(t, ts, `{"w":8,"l":2,"deadline":1000,"profit":2}`); code != 200 {
+				t.Fatal("submit failed")
+			}
+			// The fsync deadline is 5ms out; give the timer room, then check
+			// the shard flushed without any further traffic.
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				m := scrapeMetrics(t, ts.URL+"/metrics")
+				if m[`serve_wal_fsync_us_count{shard="0"}`] > 0 {
+					return
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("interval-policy fsync never fired under the engine clock")
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		})
 	}
 }

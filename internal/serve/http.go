@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
@@ -326,15 +327,19 @@ func (s *Server) handleJobsPost(w http.ResponseWriter, r *http.Request) {
 		// curve, structured profit, a commitment override, or malformed
 		// input) falls back to encoding/json, which keeps the canonical
 		// behavior and error shapes.
-		spec, _, fastOK := parseJobSpecFast(body, false)
+		// The spec is parsed in place so it does not escape on its own.
+		items := []batchItem{{key: key}}
+		spec := &items[0].spec
+		var fastOK bool
+		*spec, _, fastOK = parseJobSpecFast(body, false)
 		if !fastOK {
 			dec := json.NewDecoder(bytes.NewReader(body))
 			dec.DisallowUnknownFields()
-			if err := dec.Decode(&spec); err != nil {
+			if err := dec.Decode(spec); err != nil {
 				return nil, http.StatusBadRequest, err.Error()
 			}
 		}
-		return []batchItem{{spec: spec, key: key}}, 0, ""
+		return items, 0, ""
 	})
 	if !ok {
 		return
@@ -451,12 +456,14 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, batch bool, key 
 // group as one batchMsg, every group before awaiting any, so the shards work
 // their groups concurrently; the trace rides the first group sent. It awaits
 // the verdicts into items[k].rep and returns the placer route and shard of
-// the last item routed.
+// the last item routed. The groups are runs of one index slice sorted stably
+// by shard and their messages share one slice, so a request allocates those
+// two slices and a done channel per group, however many items it has.
 func (s *Server) dispatch(items []batchItem, tr *submitTrace, hist string) (route string, shardIdx int) {
 	// Keyed items route by key, so duplicate keys within one batch land on
 	// the same shard in order and the later ones collapse onto the stored
 	// verdict.
-	groups := make([][]int, len(s.shards))
+	order := make([]int, 0, len(items))
 	for k := range items {
 		if items[k].rep.status != 0 {
 			continue // failed its parse
@@ -464,35 +471,44 @@ func (s *Server) dispatch(items []batchItem, tr *submitTrace, hist string) (rout
 		var sh *shard
 		sh, route = s.placer.routeTraced(items[k].key)
 		shardIdx = sh.idx
-		groups[sh.idx] = append(groups[sh.idx], k)
+		items[k].shard = sh.idx
+		order = append(order, k)
 	}
-	type sent struct {
-		sh  *shard
-		msg batchMsg
-	}
-	var out []sent
-	for gi, group := range groups {
-		if len(group) == 0 {
-			continue
+	slices.SortStableFunc(order, func(a, b int) int { return items[a].shard - items[b].shard })
+	msgs := make([]batchMsg, 0, min(len(order), len(s.shards)))
+	for lo := 0; lo < len(order); {
+		hi := lo + 1
+		for hi < len(order) && items[order[hi]].shard == items[order[lo]].shard {
+			hi++
 		}
-		msg := batchMsg{items: items, group: group, hist: hist, done: make(chan struct{})}
-		if len(out) == 0 {
+		msgs = append(msgs, batchMsg{items: items, group: order[lo:hi:hi], hist: hist, done: make(chan struct{})})
+		lo = hi
+	}
+	traced := false
+	for i := range msgs {
+		msg := &msgs[i]
+		if !traced {
 			msg.tr = tr
 			tr.enqueued = time.Now()
 		}
 		select {
-		case s.shards[gi].reqs <- msg:
-			out = append(out, sent{s.shards[gi], msg})
+		case s.shards[items[msg.group[0]].shard].reqs <- msg:
+			traced = true
 		default:
 			// The shard is behind: backpressure its items, don't block.
-			for _, k := range group {
+			for _, k := range msg.group {
 				items[k].rep = submitReply{status: http.StatusTooManyRequests, err: "submission queue full", reason: reasonQueueFull}
 			}
+			msg.done = nil // never sent, nothing to await
 		}
 	}
-	for _, o := range out {
-		_, ok := await(o.sh, o.msg.done)
-		for _, k := range o.msg.group {
+	for i := range msgs {
+		msg := &msgs[i]
+		if msg.done == nil {
+			continue
+		}
+		_, ok := await(s.shards[items[msg.group[0]].shard], msg.done)
+		for _, k := range msg.group {
 			switch rep := &items[k].rep; {
 			case !ok:
 				// Enqueued but never dequeued: the engine drained first, so
@@ -514,11 +530,11 @@ func readItems(w http.ResponseWriter, r *http.Request, limit int64,
 	defer putWireBuf(rb)
 	var err error
 	rb.b, err = readAllInto(rb.b, http.MaxBytesReader(w, r.Body, limit))
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		return nil, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)
-	}
 	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return nil, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)
+		}
 		return nil, http.StatusBadRequest, err.Error()
 	}
 	return parse(rb.b)

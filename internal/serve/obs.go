@@ -85,14 +85,13 @@ var (
 	descPending   = obs.Desc{Name: "serve_pending_jobs", Help: "Committed jobs not yet completed or expired.", Kind: obs.Gauge}
 	descWALRecs   = obs.Desc{Name: "serve_wal_records", Help: "WAL records appended by this process, by shard.", Kind: obs.Gauge}
 
-	descTickerWakes = obs.Desc{Name: "serve_ticker_wakeups_total", Help: "Engine ticker wakeups, by shard (zero under the event-jump clock).", Kind: obs.Counter}
-	descClockJumps  = obs.Desc{Name: "serve_clock_jumps_total", Help: "Event-jump timer fires, by shard (zero under the ticker clock).", Kind: obs.Counter}
-	descJumpTicks   = obs.Desc{Name: "serve_clock_jump_ticks", Help: "Simulated ticks advanced per event-jump timer fire.", Kind: obs.Histogram}
+	descClockJumps = obs.Desc{Name: "serve_clock_jumps_total", Help: "Engine clock timer fires, by shard.", Kind: obs.Counter}
+	descJumpTicks  = obs.Desc{Name: "serve_clock_jump_ticks", Help: "Simulated ticks advanced per engine clock timer fire.", Kind: obs.Histogram}
 
 	descSubmitUs = obs.Desc{Name: "serve_submit_engine_us", Help: "Engine-path submission latency (dequeue to commit), in microseconds.", Kind: obs.Histogram}
 	descBatchUs  = obs.Desc{Name: "serve_batch_engine_us", Help: "Engine-path latency of one batch group (dequeue to group commit), in microseconds.", Kind: obs.Histogram}
 	descWaitUs   = obs.Desc{Name: "serve_mailbox_wait_us", Help: "Mailbox queue wait (handler enqueue to engine dequeue), in microseconds.", Kind: obs.Histogram}
-	descAppendUs = obs.Desc{Name: "serve_wal_append_us", Help: "WAL append latency including any per-record fsync, in microseconds.", Kind: obs.Histogram}
+	descAppendUs = obs.Desc{Name: "serve_wal_append_us", Help: "WAL record encode-and-buffer latency, in microseconds (the group is written and fsynced at commit; serve_wal_fsync_us times the fsync).", Kind: obs.Histogram}
 	descFsyncUs  = obs.Desc{Name: "serve_wal_fsync_us", Help: "WAL fsync latency, in microseconds.", Kind: obs.Histogram}
 	descCkptUs   = obs.Desc{Name: "serve_checkpoint_us", Help: "Checkpoint duration (fold, atomic replace, WAL reset), in microseconds.", Kind: obs.Histogram}
 	descRecovUs  = obs.Desc{Name: "serve_recovery_duration_us", Help: "Crash-recovery replay duration at start, in microseconds.", Kind: obs.Histogram}
@@ -161,7 +160,6 @@ func (s *Server) buildExposition(replies []shardStatsReply) *obs.Exposition {
 		e.AddInt(descRecoveries, c["serve.recoveries"], "shard", shard)
 		e.AddInt(descDrains, c["serve.drains"], "shard", shard)
 		e.AddInt(descReplayed, rep.obs.Counter("serve.recovery_replayed"), "shard", shard)
-		e.AddInt(descTickerWakes, rep.obs.Counter("serve.ticker_wakeups"), "shard", shard)
 		e.AddInt(descClockJumps, rep.obs.Counter("serve.clock_jumps"), "shard", shard)
 
 		st := rep.stats

@@ -35,7 +35,7 @@ func newDurableServer(t *testing.T, dir string, mutate func(*Config)) (*Server, 
 // HTTP: sh is srv.placer.route(key) for the placer's choice, or any shard to
 // pin per-shard effects.
 func submitTo(sh *shard, spec JobSpec, key string) submitReply {
-	msg := batchMsg{items: []batchItem{{spec: spec, key: key}}, group: []int{0}, hist: "serve.submit_engine_us", done: make(chan struct{})}
+	msg := &batchMsg{items: []batchItem{{spec: spec, key: key}}, group: []int{0}, hist: "serve.submit_engine_us", done: make(chan struct{})}
 	sh.reqs <- msg
 	<-msg.done
 	return msg.items[0].rep

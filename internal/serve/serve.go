@@ -11,8 +11,9 @@
 // second-choice spill when the best shard's band is full) and the handler
 // sends a typed message over that shard's bounded mailbox. A full mailbox is
 // backpressure (429 without blocking); a draining server answers 503. A
-// wall-clock ticker inside each shard advances its session, so simulated
-// ticks track real time while the ordering of submissions against ticks stays
+// wall-clock timer inside each shard, armed to the next tick that can change
+// its session's state (clock.go), advances the session, so simulated ticks
+// track real time while the ordering of submissions against ticks stays
 // whatever each mailbox serialized.
 //
 // With Config.WALDir set, every accepted arrival is written once, to its
@@ -66,8 +67,9 @@ type Config struct {
 	// Speed is the machine speed; the zero value means 1.
 	Speed rational.Rat
 	// TickInterval is the wall time one simulated tick spans. 0 means the
-	// 10ms default; negative disables the ticker entirely (the session then
-	// advances only on drain — deterministic tests use this).
+	// 10ms default; negative disables the engine clock entirely (the session
+	// then advances only on Advance and drain — deterministic tests use
+	// this).
 	TickInterval time.Duration
 	// QueueDepth bounds each shard's request mailbox; a full mailbox is
 	// answered with 429. 0 means 64. The depth is per shard, so a sharded
@@ -88,13 +90,13 @@ type Config struct {
 	// Fsync selects the WAL flush policy; zero means FsyncAlways.
 	Fsync FsyncPolicy
 	// FsyncInterval is the flush cadence under FsyncInterval; 0 means
-	// 100ms. Flushes piggyback on the engine ticker, so with the ticker
+	// 100ms. Flushes are armed on the engine clock, so with the clock
 	// disabled the interval policy only flushes at checkpoints and drain.
 	FsyncInterval time.Duration
 	// CheckpointInterval is the wall-time cadence of engine-state
 	// checkpoints (which also truncate the WAL). 0 means 30s; negative
-	// checkpoints only at drain. Checkpoints ride the engine ticker, so a
-	// disabled ticker also disables periodic checkpoints (tests drive
+	// checkpoints only at drain. Checkpoints are armed on the engine clock,
+	// so a disabled clock also disables periodic checkpoints (tests drive
 	// Checkpoint explicitly).
 	CheckpointInterval time.Duration
 	// MaxBodyBytes caps the POST /v1/jobs body; oversized requests are
@@ -105,17 +107,6 @@ type Config struct {
 	// larger batches are answered 413. 0 means 1024. Must satisfy
 	// cliflags.ValidateMaxBatch.
 	MaxBatchItems int
-	// Clock selects how a shard advances simulated time when the ticker is
-	// enabled (TickInterval > 0). ClockAuto — the default — uses event-jump
-	// advancement when the shard's session is event-safe under the
-	// sim.RunAuto routing rules (no faults, no probes, an event-safe
-	// scheduler and policy) and the fixed wall-clock ticker otherwise.
-	// ClockTicker forces the ticker; ClockJump requires event safety and
-	// New refuses to start without it. Both modes produce bit-identical
-	// session state for the same submission sequence — the jump loop bursts
-	// every deferred tick before any observable state is touched — so the
-	// choice is purely about idle CPU. Ignored when TickInterval < 0.
-	Clock ClockMode
 	// Logger receives the daemon's structured serving-path records (request
 	// IDs and shard indices on every one). nil discards them, which keeps
 	// embedded and test servers quiet; cmd/spaa-serve wires a handler per its
@@ -341,12 +332,6 @@ func newServer(cfg Config) (*Server, error) {
 	if err := cliflags.ValidateMaxBatch(cfg.MaxBatchItems); err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	if cfg.Clock == "" {
-		cfg.Clock = ClockAuto
-	}
-	if _, err := ParseClockMode(string(cfg.Clock)); err != nil {
-		return nil, err
-	}
 	if cfg.TraceDepth == 0 {
 		cfg.TraceDepth = DefaultTraceDepth
 	}
@@ -388,12 +373,7 @@ func newServer(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		jump, err := resolveClock(cfg, sess)
-		if err != nil {
-			return nil, err
-		}
 		sh := &shard{
-			jump:       jump,
 			srv:        s,
 			idx:        i,
 			m:          part[i],
@@ -716,8 +696,8 @@ func (s *Server) Drain() *sim.Result {
 
 // Advance drives every shard's session clock to the given tick through its
 // engine mailbox, returning once all shards have processed it. It exists for
-// deterministic-time embeddings and tests running with the ticker disabled
-// (TickInterval < 0); with a live ticker the wall clock usually outruns it
+// deterministic-time embeddings and tests running with the clock disabled
+// (TickInterval < 0); with a live clock the wall clock usually outruns it
 // and the call degenerates to a no-op. Advancing a drained server is a no-op.
 func (s *Server) Advance(to int64) {
 	for _, sh := range s.shards {
@@ -761,9 +741,10 @@ type submitReply struct {
 // batchItem is one spec of a submission. The engine writes its verdict into
 // rep.
 type batchItem struct {
-	spec JobSpec
-	key  string // idempotency key; "" means none
-	rep  submitReply
+	spec  JobSpec
+	key   string // idempotency key; "" means none
+	shard int    // the placer's shard; set by dispatch before any send
+	rep   submitReply
 }
 
 // batchMsg is the one mailbox message that carries submissions: a placer

@@ -16,8 +16,8 @@ import (
 	"dagsched/internal/sim"
 )
 
-// newTestServer builds a deterministic-clock server (ticker disabled) and an
-// httptest front end.
+// newTestServer builds a deterministic-clock server (engine clock disabled)
+// and an httptest front end.
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	if cfg.TickInterval == 0 {

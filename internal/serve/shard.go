@@ -50,9 +50,8 @@ const pressureAlpha = 0.2
 type shard struct {
 	srv    *Server
 	idx    int
-	m      int  // this shard's processors (PartitionCapacity slice)
-	stride int  // total shard count; the ID stripe step
-	jump   bool // event-jump clock (resolveClock); false runs the ticker
+	m      int // this shard's processors (PartitionCapacity slice)
+	stride int // total shard count; the ID stripe step
 
 	sched     sim.Scheduler
 	adm       admitter // nil when the scheduler has no admission query
@@ -123,51 +122,11 @@ type shard struct {
 // its first ID, so the first assignment lands on idx+1.
 func (sh *shard) baseID() int { return sh.idx + 1 - sh.stride }
 
-// engineLoop is the goroutine that owns all of this shard's mutable state.
-// With the ticker enabled it runs one of two clock disciplines: the fixed
-// wall-clock ticker below, or the event-jump loop (clock.go) when the
-// shard's session is event-safe.
-func (sh *shard) engineLoop() {
-	defer close(sh.engineDone)
-	if sh.srv.cfg.TickInterval > 0 && sh.jump {
-		sh.engineLoopJump()
-		return
-	}
-	var tickC <-chan time.Time
-	if sh.srv.cfg.TickInterval > 0 {
-		ticker := time.NewTicker(sh.srv.cfg.TickInterval)
-		defer ticker.Stop()
-		tickC = ticker.C
-	}
-	for {
-		select {
-		case m := <-sh.reqs:
-			if sh.handle(m) {
-				return
-			}
-		case now := <-tickC:
-			if sh.obsReg != nil {
-				sh.obsReg.Inc("serve.ticker_wakeups", 1)
-			}
-			if sh.quiesced {
-				continue // the clock is done moving; finalize fast-forwards
-			}
-			sh.advance(int64(time.Since(sh.srv.start) / sh.srv.cfg.TickInterval))
-			if sh.wal != nil {
-				if err := sh.wal.maybeSync(now); err != nil {
-					sh.degrade("wal sync", err)
-				}
-				sh.maybeCheckpoint(now)
-			}
-		}
-	}
-}
-
 // handle dispatches one mailbox message; it reports whether the engine
 // should exit (after the drain's finalize phase).
 func (sh *shard) handle(m any) bool {
 	switch msg := m.(type) {
-	case batchMsg:
+	case *batchMsg:
 		sh.handleBatch(msg.items, msg.group, msg.tr, msg.hist)
 		close(msg.done)
 	case lookupMsg:

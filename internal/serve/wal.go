@@ -37,9 +37,9 @@ const (
 	// FsyncAlways flushes every submission's records, before any of them
 	// is acknowledged: an acked admission survives SIGKILL. The default.
 	FsyncAlways FsyncPolicy = "always"
-	// FsyncInterval flushes at most every Config.FsyncInterval (piggybacked
-	// on the engine ticker): a crash can lose the last interval's records,
-	// never a torn prefix of them.
+	// FsyncInterval flushes at most every Config.FsyncInterval (the engine
+	// clock's timer is armed to the deadline): a crash can lose the last
+	// interval's records, never a torn prefix of them.
 	FsyncInterval FsyncPolicy = "interval"
 	// FsyncOff never flushes explicitly; the OS page cache decides. A crash
 	// of the process alone loses nothing (the kernel holds the writes); a
@@ -234,8 +234,8 @@ func (w *wal) commit() error {
 }
 
 // syncDeadline is the wall instant maybeSync would next flush — meaningful
-// only under the interval policy with unflushed records. The event-jump
-// engine loop arms its timer with it; the ticker loop just polls maybeSync.
+// only under the interval policy with unflushed records. The engine loop
+// arms its timer with it.
 func (w *wal) syncDeadline() (time.Time, bool) {
 	if w.policy != FsyncInterval || !w.dirty {
 		return time.Time{}, false
@@ -266,7 +266,7 @@ func (w *wal) sync() error {
 }
 
 // maybeSync flushes when the interval policy's deadline has passed; called
-// from the engine ticker.
+// when the engine clock's timer fires.
 func (w *wal) maybeSync(now time.Time) error {
 	if w.policy != FsyncInterval || !w.dirty || now.Sub(w.lastSync) < w.interval {
 		return nil

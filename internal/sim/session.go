@@ -614,19 +614,19 @@ func (s *Session) step(now int64) error {
 // discipline, which NewSession picks exactly when the (scheduler, policy,
 // faults, probe) combination is event-stationary under the RunAuto routing
 // rules: nothing observable changes between arrivals, expiries, and
-// completions. A serving loop may then replace its fixed per-tick wakeup
-// with a timer armed to NextEventHint — the session's evolution depends only
-// on the sequence of (Arrive, AdvanceTo) operations and their clock values,
-// never on how many AdvanceTo calls delivered them, so bursting deferred
-// ticks at the next event stays bit-identical to ticking every interval.
+// completions, so NextEventHint can look past the ticks in between.
 func (s *Session) EventSafe() bool { return s.res.Engine == EngineEvented }
 
 // NextEventHint returns a lower bound on the next tick whose simulation can
-// change observable state: the earliest pending release, the earliest live
-// expiry (lastUseful+1), or the earliest tick any live job could complete
-// (critical path shrinks by at most the per-tick rate). ok is false when
-// nothing is scheduled — the session is finished, idle, or past its horizon
-// — so an event-driven caller can sleep unarmed. The hint may be early
+// change observable state, so an event-driven caller may sleep until the
+// clock passes it and then burst every deferred tick in one AdvanceTo. For
+// an event-safe session (EventSafe) that is the earliest pending release,
+// the earliest live expiry (lastUseful+1), or the earliest tick any live
+// job could complete (critical path shrinks by at most the per-tick rate).
+// Any other session's scheduler may change its decisions on any tick while
+// work is live, so with live jobs the hint is the very next tick, Now(). ok
+// is false when nothing is scheduled — the session is finished, idle, or
+// past its horizon — so the caller can sleep unarmed. The hint may be early
 // (a job rarely completes at its lower bound; callers re-arm after
 // advancing) but never late: no arrival, expiry, or completion is
 // observable before the clock passes the hint.
@@ -636,6 +636,9 @@ func (s *Session) NextEventHint() (int64, bool) {
 	}
 	if s.cfg.Horizon > 0 && s.t >= s.cfg.Horizon {
 		return 0, false
+	}
+	if len(s.e.live) > 0 && !s.EventSafe() {
+		return s.t, true
 	}
 	next := int64(math.MaxInt64)
 	if s.next < len(s.pending) {

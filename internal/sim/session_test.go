@@ -430,10 +430,13 @@ func TestSessionEventSafe(t *testing.T) {
 }
 
 // TestSessionNextEventHint pins the hint against each event source: pending
-// releases, completion lower bounds, expiries, idleness, and the horizon.
+// releases, completion lower bounds, expiries, idleness, and the horizon;
+// then a session that is not event-safe, whose hint is the next tick while
+// work is live.
 func TestSessionNextEventHint(t *testing.T) {
+	safe := func() Scheduler { return &markedSched{safe: true} }
 	// Idle session: nothing scheduled.
-	s, err := NewSession(Config{M: 2}, nil, &fifoSched{})
+	s, err := NewSession(Config{M: 2}, nil, safe())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +447,7 @@ func TestSessionNextEventHint(t *testing.T) {
 	// Scheduled arrival at tick 5: the hint is its release.
 	s, err = NewSession(Config{M: 2}, []*Job{
 		{ID: 1, Graph: dag.Chain(3, 1), Release: 5, Profit: step(t, 4, 10)},
-	}, &fifoSched{})
+	}, safe())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +476,7 @@ func TestSessionNextEventHint(t *testing.T) {
 	// out, so the expiry tick bounds the hint.
 	s, err = NewSession(Config{M: 1}, []*Job{
 		{ID: 1, Graph: dag.Chain(40, 1), Release: 0, Profit: step(t, 4, 3)},
-	}, &fifoSched{})
+	}, safe())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +490,7 @@ func TestSessionNextEventHint(t *testing.T) {
 	// Past the horizon the clock can never move again.
 	s, err = NewSession(Config{M: 1, Horizon: 5}, []*Job{
 		{ID: 1, Graph: dag.Chain(20, 1), Release: 0, Profit: step(t, 5, 100)},
-	}, &fifoSched{})
+	}, safe())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,6 +499,36 @@ func TestSessionNextEventHint(t *testing.T) {
 	}
 	if _, ok := s.NextEventHint(); ok {
 		t.Error("horizon-stopped session returned a hint")
+	}
+
+	// Not event-safe: a pending release is still the hint and an idle
+	// session still has none, but a live job pins the hint to the next tick
+	// even when its completion bound and expiry are far out.
+	s, err = NewSession(Config{M: 1}, []*Job{
+		{ID: 1, Graph: dag.Chain(40, 1), Release: 5, Profit: step(t, 3, 60)},
+	}, &fifoSched{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.EventSafe() {
+		t.Fatal("fifoSched session reports event safety")
+	}
+	if hint, ok := s.NextEventHint(); !ok || hint != 5 {
+		t.Errorf("unsafe, pending arrival: hint = %d, %v; want 5, true", hint, ok)
+	}
+	for _, now := range []int64{6, 7, 20} {
+		if err := s.AdvanceTo(now); err != nil {
+			t.Fatal(err)
+		}
+		if hint, ok := s.NextEventHint(); !ok || hint != now {
+			t.Errorf("unsafe, live chain at %d: hint = %d, %v; want %d, true", now, hint, ok, now)
+		}
+	}
+	if err := s.RunToEnd(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.NextEventHint(); ok {
+		t.Error("unsafe completed session returned a hint")
 	}
 }
 
