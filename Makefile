@@ -80,8 +80,8 @@ wire-guard:
 
 # -race across every package; the runner's worker pool and the parallel
 # experiment grids are the concurrency under test, and so is the serving
-# engine's one clock: its timer loop races every mailbox message, so its
-# tests run three more times.
+# engine's one clock: its timer callback races every caller for the shard's
+# lock, so its tests run three more times.
 race:
 	go test -race ./...
 	go test -race -count=2 ./internal/runner/ ./internal/experiments/ ./internal/telemetry/

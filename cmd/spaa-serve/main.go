@@ -79,7 +79,7 @@ func main() {
 		eps       = flag.Float64("eps", 1.0, "epsilon for the paper schedulers")
 		speedStr  = flag.String("speed", "1", "machine speed (int, p/q, or float)")
 		tick      = flag.Duration("tick", serve.DefaultTickInterval, "wall-clock duration of one simulated tick")
-		queue     = flag.Int("queue", 64, "submission mailbox depth (full queue answers 429)")
+		queue     = flag.Int("queue", 64, "submissions waiting per shard (a full queue answers 429)")
 		walDir    = flag.String("wal-dir", "", "write-ahead log directory; enables durable commitment and crash recovery")
 		fsyncStr  = flag.String("fsync", "always", "WAL fsync policy: always, interval, or off")
 		fsyncInt  = flag.Duration("fsync-interval", serve.DefaultFsyncInterval, "flush cadence under -fsync=interval")

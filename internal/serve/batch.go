@@ -13,14 +13,14 @@ import (
 // POST /v1/jobs:batch amortizes the wire overhead the single-job endpoint
 // pays per submission: one HTTP request and one body parse carry up to
 // Config.MaxBatchItems specs, the placer groups them per shard, and each
-// shard group crosses its engine mailbox as ONE message. The engine then
-// commits the group with one WAL write — under FsyncAlways the whole group
+// shard group is committed under ONE hold of the shard's lock, with one
+// WAL write — under FsyncAlways the whole group
 // shares one fsync instead of one per submission — and the per-item
 // verdicts come back in request order, byte-identical to what the same
 // specs submitted sequentially would have received: a single submission
 // takes the same path as a group of one (Server.submit). Items fail
-// individually: a malformed spec 400s its slot, a full shard mailbox 429s
-// its group, and the rest of the batch proceeds.
+// individually: a malformed spec 400s its slot, a shard with a full queue
+// 429s its group, and the rest of the batch proceeds.
 
 // BatchItem is one element of the POST /v1/jobs:batch request array: a job
 // spec plus an optional per-item idempotency key (the array-body analogue of

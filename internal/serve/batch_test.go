@@ -95,11 +95,11 @@ func TestBatchPartialFailure(t *testing.T) {
 	}
 }
 
-// TestBatchBackpressurePerItem: a full shard mailbox 429s the items routed to
+// TestBatchBackpressurePerItem: a shard with a full queue 429s the items routed to
 // it inside a 200 envelope — batch backpressure is per item, not per request.
 func TestBatchBackpressurePerItem(t *testing.T) {
 	srv, ts := newTestServer(t, Config{M: 1, QueueDepth: 1, MaxBatchItems: 8})
-	defer holdEngine(srv.shards[0])() // engine is "busy"; the mailbox is now full
+	defer holdEngine(srv.shards[0])() // the shard is busy and its queue full
 
 	code, items, _ := postBatch(t, ts, `[{"w":4,"l":2,"deadline":9,"profit":1},{"w":4,"l":2,"deadline":9,"profit":1}]`)
 	if code != 200 {
@@ -243,8 +243,7 @@ func TestBatchMatchesSequentialBytes(t *testing.T) {
 
 // TestBatchWALGroupContiguous: a batch's WAL records land contiguously in the
 // shard's log even with other submissions racing, because the whole group
-// crosses the mailbox as one message and is processed atomically by the
-// engine goroutine.
+// is committed under one hold of the shard's lock.
 func TestBatchWALGroupContiguous(t *testing.T) {
 	dir := t.TempDir()
 	_, ts := newTestServer(t, Config{M: 4, WALDir: dir, Fsync: FsyncAlways})
@@ -283,8 +282,8 @@ func TestBatchWALGroupContiguous(t *testing.T) {
 		}
 	}
 	// Scan before draining: the drain's final checkpoint folds the log away.
-	// Replies received imply the records are written (engine goroutine
-	// appends before acknowledging).
+	// Replies received imply the records are written (the shard appends
+	// before its lock lets the verdict out).
 	payloads, _, err := scanWAL(dir + "/wal.log")
 	if err != nil {
 		t.Fatal(err)

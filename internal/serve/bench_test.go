@@ -30,7 +30,7 @@ const (
 )
 
 // BenchmarkSubmissionsHTTP measures end-to-end submissions/sec through the
-// full stack: HTTP round trip, placer, mailbox, admission test, session
+// full stack: HTTP round trip, placer, shard lock, admission test, session
 // arrival.
 func BenchmarkSubmissionsHTTP(b *testing.B) {
 	srv, err := New(Config{M: 8, QueueDepth: 1024, TickInterval: -1})
@@ -72,7 +72,7 @@ func BenchmarkSubmissionsHTTP(b *testing.B) {
 // batch benchmarks replay. The spec matches BenchmarkSubmissionsEngine's
 // exactly so the engine-side work (admission test, session arrival,
 // schedule churn) is identical and the batch-vs-engine ratio isolates the
-// wire: parse, placer, mailbox, WAL framing, response encode.
+// wire: parse, placer, shard lock, WAL framing, response encode.
 func benchBatchBody(n int) string {
 	var sb strings.Builder
 	sb.WriteByte('[')
@@ -223,32 +223,13 @@ func postBenchBatch(b *testing.B, bc *benchHTTPConn, req []byte, n int) {
 }
 
 // BenchmarkSubmissionsBatchHTTP measures end-to-end submissions/sec through
-// POST /v1/jobs:batch: one HTTP round trip, one parse pass, and one mailbox
-// crossing per shard group carry `size` specs. ns/op is per batch; the
+// POST /v1/jobs:batch: one HTTP round trip, one parse pass, and one locked
+// commit per shard group carry `size` specs. ns/op is per batch; the
 // items/s metric is the end-to-end submission rate.
 func BenchmarkSubmissionsBatchHTTP(b *testing.B) {
 	for _, size := range []int{16, 64, 256} {
 		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
-			srv, err := New(Config{M: 8, QueueDepth: 1024, TickInterval: -1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer srv.Drain()
-			ts := httptest.NewServer(srv.Handler())
-			defer ts.Close()
-			req := benchRequest("/v1/jobs:batch", benchBatchBody(size))
-			bc := dialBenchConn(b, ts.URL)
-			items := 0
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				postBenchBatch(b, bc, req, size)
-				items += size
-				if items%benchAdvanceEvery < size {
-					srv.Advance(int64(items / benchAdvanceEvery * benchAdvanceTicks))
-				}
-			}
-			b.ReportMetric(float64(items)/b.Elapsed().Seconds(), "items/s")
+			runArm(b, Config{M: 8, QueueDepth: 1024, TickInterval: -1}, batchArm(size))
 		})
 	}
 }
@@ -261,95 +242,89 @@ func BenchmarkSubmissionsBatchWAL(b *testing.B) {
 	for _, policy := range []FsyncPolicy{FsyncInterval, FsyncAlways} {
 		for _, size := range []int{64, 256} {
 			b.Run(fmt.Sprintf("%s/size=%d", policy, size), func(b *testing.B) {
-				srv, err := New(Config{
+				runArm(b, Config{
 					M: 8, QueueDepth: 1024, TickInterval: -1,
 					WALDir: b.TempDir(), Fsync: policy,
 					CheckpointInterval: -1,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer srv.Drain()
-				ts := httptest.NewServer(srv.Handler())
-				defer ts.Close()
-				req := benchRequest("/v1/jobs:batch", benchBatchBody(size))
-				bc := dialBenchConn(b, ts.URL)
-				items := 0
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					postBenchBatch(b, bc, req, size)
-					items += size
-					if items%benchAdvanceEvery < size {
-						srv.Advance(int64(items / benchAdvanceEvery * benchAdvanceTicks))
-					}
-				}
-				b.ReportMetric(float64(items)/b.Elapsed().Seconds(), "items/s")
+				}, batchArm(size))
 			})
 		}
 	}
 }
 
-// parkEngines leaves every shard's engine goroutine idle in its select (one
-// mailbox round trip each); with the clock disabled it stays there, so
-// calling handleBatch/advance from the benchmark goroutine is unraced until
-// Drain's channel send orders the exit.
-func parkEngines(b *testing.B, srv *Server) {
-	b.Helper()
-	for _, sh := range srv.shards {
-		sync := advanceMsg{to: 0, reply: make(chan struct{})}
-		sh.reqs <- sync
-		<-sync.reply
+// batchArm posts b.N batches of size copies of the engine arm's spec to
+// srv's POST /v1/jobs:batch over one persistent connection, advancing every
+// shard at the engine arm's cadence (benchAdvanceEvery/benchAdvanceTicks),
+// and reports the end-to-end items/s: the batch side of the wire guard and
+// of the batch benchmarks.
+func batchArm(size int) func(b *testing.B, srv *Server) {
+	return func(b *testing.B, srv *Server) {
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		req := benchRequest("/v1/jobs:batch", benchBatchBody(size))
+		bc := dialBenchConn(b, ts.URL)
+		items := 0
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			postBenchBatch(b, bc, req, size)
+			items += size
+			if items%benchAdvanceEvery < size {
+				srv.Advance(int64(items / benchAdvanceEvery * benchAdvanceTicks))
+			}
+		}
+		b.ReportMetric(float64(items)/b.Elapsed().Seconds(), "items/s")
 	}
 }
 
-// submitEngine runs one submission through sh's engine path on the calling
-// goroutine, as the group of one a POST /v1/jobs submission is: no HTTP, no
-// mailbox hop. The shard's engine must be parked (parkEngines).
-func submitEngine(sh *shard, spec JobSpec, key string) submitReply {
-	items, group := [1]batchItem{{spec: spec, key: key}}, [1]int{0}
-	sh.handleBatch(items[:], group[:], nil, "serve.submit_engine_us")
-	return items[0].rep
+// runArm runs arm over a fresh daemon built from cfg and drains it after.
+func runArm(b *testing.B, cfg Config, arm func(b *testing.B, srv *Server)) {
+	srv, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Drain()
+	arm(b, srv)
 }
 
-// engineArm parks srv's engines and drives b.N submissions round-robin
-// across its shards from the benchmark goroutine, reporting the
-// per-submission engine-path cost: spec build, admission query, session
-// arrival, and the WAL when srv has one. Every shard advances
+// armCost is runArm as one testing.Benchmark, in ns/op: the one measurement
+// the perf guards (TestWireGuard, TestObsOverheadGuard,
+// TestShardedEnginePathGuard) compare.
+func armCost(cfg Config, arm func(b *testing.B, srv *Server)) float64 {
+	return float64(testing.Benchmark(func(b *testing.B) { runArm(b, cfg, arm) }).NsPerOp())
+}
+
+// engineArm drives b.N submissions round-robin across srv's shards from the
+// benchmark goroutine through the locked entry the HTTP path takes
+// (submitTo), reporting the per-submission engine-path cost: the shard lock,
+// spec build, admission query, session arrival, and the WAL when srv has
+// one. Every shard advances
 // benchAdvanceTicks per benchAdvanceEvery submissions, so the live set stays
 // at a steady size instead of growing with b.N. The round-robin mirrors what
 // the placer converges to under a uniform stream: equal load per shard. It
 // is the engine arm of the serving benchmarks and of the perf guards.
 func engineArm(b *testing.B, srv *Server) {
 	b.Helper()
-	parkEngines(b, srv)
 	spec := JobSpec{W: 16, L: 2, Deadline: 40, Profit: ScalarProfit(3)}
 	clock := int64(0)
 	n := len(srv.shards)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if rep := submitEngine(srv.shards[i%n], spec, ""); rep.status != http.StatusOK {
+		if rep := submitTo(srv.shards[i%n], spec, ""); rep.status != http.StatusOK {
 			b.Fatalf("status %d: %s", rep.status, rep.err)
 		}
 		if i%benchAdvanceEvery == benchAdvanceEvery-1 {
 			clock += benchAdvanceTicks
-			for _, sh := range srv.shards {
-				sh.advance(clock)
-			}
+			srv.Advance(clock)
 		}
 	}
 }
 
 // BenchmarkSubmissionsEngine measures the engine-side cost alone: spec
-// build, admission query, session arrival — no HTTP, no mailbox hop.
+// build, admission query, session arrival — no HTTP.
 func BenchmarkSubmissionsEngine(b *testing.B) {
-	srv, err := New(Config{M: 8, QueueDepth: 1, TickInterval: -1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Drain()
-	engineArm(b, srv)
+	runArm(b, Config{M: 8, QueueDepth: 1, TickInterval: -1}, engineArm)
 }
 
 // BenchmarkSubmissionsEngineSharded measures the per-submission engine cost
@@ -361,12 +336,7 @@ func BenchmarkSubmissionsEngine(b *testing.B) {
 func BenchmarkSubmissionsEngineSharded(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			srv, err := New(Config{M: 8, Shards: shards, QueueDepth: 1, TickInterval: -1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer srv.Drain()
-			engineArm(b, srv)
+			runArm(b, Config{M: 8, Shards: shards, QueueDepth: 1, TickInterval: -1}, engineArm)
 		})
 	}
 }
@@ -377,22 +347,17 @@ func BenchmarkSubmissionsEngineSharded(b *testing.B) {
 func BenchmarkSubmissionsWAL(b *testing.B) {
 	for _, policy := range []FsyncPolicy{FsyncOff, FsyncInterval, FsyncAlways} {
 		b.Run(string(policy), func(b *testing.B) {
-			srv, err := New(Config{
+			runArm(b, Config{
 				M: 8, QueueDepth: 1, TickInterval: -1,
 				WALDir: b.TempDir(), Fsync: policy,
 				CheckpointInterval: -1, // isolate append cost from checkpoint cost
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer srv.Drain()
-			engineArm(b, srv)
+			}, engineArm)
 		})
 	}
 }
 
 // BenchmarkSubmissionsWALSharded measures wall-clock durable throughput with
-// one driver goroutine per shard pushing through the live mailboxes under
+// one driver goroutine per shard pushing through the shard locks under
 // fsync=always: the per-shard WALs are independent files, so their syncs can
 // overlap. How much they actually overlap is hardware-bound (independent
 // flush streams; see BENCH_PR7.json for measured overlap on a virtio disk).
@@ -449,15 +414,7 @@ func TestShardedEnginePathGuard(t *testing.T) {
 		t.Skip("set SPAA_BENCH_GUARD=1 to run the sharded throughput gate")
 	}
 	measure := func(shards int) float64 {
-		r := testing.Benchmark(func(b *testing.B) {
-			srv, err := New(Config{M: 8, Shards: shards, QueueDepth: 1, TickInterval: -1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer srv.Drain()
-			engineArm(b, srv)
-		})
-		return float64(r.NsPerOp())
+		return armCost(Config{M: 8, Shards: shards, QueueDepth: 1, TickInterval: -1}, engineArm)
 	}
 	cost1 := measure(1)
 	cost4 := measure(4)
@@ -487,24 +444,23 @@ func BenchmarkCheckpoint(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		parkEngines(b, srv)
 		sh := srv.shards[0]
 		spec := JobSpec{W: 16, L: 2, Deadline: 40, Profit: ScalarProfit(3)}
 		clock := int64(0)
 		for i := 0; sh.histLen() < n; i++ {
-			if rep := submitEngine(sh, spec, ""); rep.status != http.StatusOK {
+			if rep := submitTo(sh, spec, ""); rep.status != http.StatusOK {
 				b.Fatalf("status %d: %s", rep.status, rep.err)
 			}
 			if i%64 == 63 {
 				clock += 8
-				sh.advance(clock)
+				srv.Advance(clock)
 			}
 		}
 		b.Run(fmt.Sprintf("jobs=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := sh.checkpointNow(); err != nil {
+				if err := sh.forceCheckpoint(); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -162,3 +162,45 @@ func TestCoveredWALRecordsNormalize(t *testing.T) {
 		t.Fatalf("checkpoint holds %d jobs, want 4", len(cp.Jobs))
 	}
 }
+
+// TestCheckpointUnchangedByScrape: a read must not change durable state. Two
+// daemons take the same submissions and checkpoint; one is scraped through
+// GET /v1/stats and GET /metrics first. Their checkpoint.json bytes must be
+// equal, and the scraped /v1/stats still reports the queue-depth gauge.
+func TestCheckpointUnchangedByScrape(t *testing.T) {
+	checkpoint := func(scrape bool) []byte {
+		t.Helper()
+		dir := t.TempDir()
+		srv, drain := newDurableServer(t, dir, nil)
+		defer drain()
+		for i := 0; i < 3; i++ {
+			if rep := submitTo(srv.shards[0], JobSpec{W: 8, L: 2, Deadline: 30, Profit: ScalarProfit(2)}, ""); rep.status != http.StatusOK {
+				t.Fatalf("submission %d: %+v", i, rep)
+			}
+		}
+		if scrape {
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			var st StatsResponse
+			if code := getJSON(t, ts.URL+"/v1/stats", &st); code != http.StatusOK {
+				t.Fatalf("stats: code=%d", code)
+			}
+			if v, ok := st.Telemetry.Gauges["serve.queue_depth"]; !ok || v != 0 {
+				t.Fatalf("stats telemetry gauges = %v, want serve.queue_depth 0", st.Telemetry.Gauges)
+			}
+			scrapeMetrics(t, ts.URL+"/metrics")
+		}
+		if err := srv.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(dir, checkpointFileName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	quiet, scraped := checkpoint(false), checkpoint(true)
+	if !bytes.Equal(quiet, scraped) {
+		t.Fatalf("a scrape changed the checkpoint\nwithout: %s\nwith:    %s", quiet, scraped)
+	}
+}

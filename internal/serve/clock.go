@@ -2,86 +2,86 @@ package serve
 
 import "time"
 
-// The engine clock. A shard does not wake every TickInterval: it arms one
-// timer to the earliest instant anything can happen — the session's next
-// event (sim.Session.NextEventHint), the WAL's interval-policy flush
-// deadline, or a due checkpoint — and bursts every deferred tick when it
-// fires. The session decides which tick can next change its state: an
-// event-safe one (sim.Session.EventSafe; Scheduler S, EDF, FIFO) names its
-// next arrival, expiry or completion bound and steps in event intervals, so
-// a burst, a drain fast-forward or a recovery replay costs one step per
-// event rather than per tick; any other (LLF, GP, NC) names the very next
-// tick while work is live, so it steps tick by tick exactly as a fixed
-// ticker would. Either way the session's evolution depends only on the
+// The shard lock and the engine clock. A shard runs no goroutine of its own:
+// every caller — a submission, a lookup, a stats read, Advance, Checkpoint,
+// the drain, the clock's timer — runs the shard's code on its own goroutine
+// between lock and unlock, and sh.mu is the one point that serializes them.
+// Scheduler S's guarantee depends only on the order of arrivals and ticks its
+// session sees, and the WAL holds every verdict before unlock lets it out,
+// so one mutex is all the ordering needs.
+//
+// A shard does not wake every TickInterval: unlock arms one timer to the
+// earliest instant anything can happen — the session's next event
+// (sim.Session.NextEventHint), the WAL's interval-policy flush deadline, or
+// a due checkpoint — and the timer's callback takes the lock and bursts
+// every deferred tick. The session decides which tick can next change its
+// state: an event-safe one (sim.Session.EventSafe; Scheduler S, EDF, FIFO)
+// names its next arrival, expiry or completion bound and steps in event
+// intervals, so a burst, a drain fast-forward or a recovery replay costs one
+// step per event rather than per tick; any other (LLF, GP, NC) names the
+// very next tick while work is live, so it steps tick by tick exactly as a
+// fixed ticker would. Either way the session's evolution depends only on the
 // sequence of (Arrive, AdvanceTo) operations and their clock values, never
-// on how many wakeups delivered them. An idle shard arms nothing and
-// burns zero CPU. Every mailbox message catches the session up to the
-// current wall tick first, so release stamps and reads are as fresh as if
-// the shard had ticked every interval.
+// on how many wakeups delivered them. An idle shard arms nothing and burns
+// zero CPU. lock catches the session up to the current wall tick first, so
+// release stamps and reads are as fresh as if the shard had ticked every
+// interval. With TickInterval < 0 there is no clock: the timer is never
+// armed and the session moves only on explicit Advance and at drain.
 
-// engineLoop is the goroutine that owns all of this shard's mutable state.
-// With TickInterval < 0 there is no clock: the timer is never armed and the
-// session moves only on explicit Advance and at drain.
-func (sh *shard) engineLoop() {
-	defer close(sh.engineDone)
-	clocked := sh.srv.cfg.TickInterval > 0
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
+// lock takes the shard for one caller and, when the shard is clocked and not
+// quiesced, catches its session up to the wall tick.
+func (sh *shard) lock() {
+	sh.mu.Lock()
+	if sh.srv.cfg.TickInterval > 0 && !sh.quiesced {
+		sh.catchUp()
 	}
-	defer timer.Stop()
-	armed := false
-	rearm := func() {
-		if armed {
-			if !timer.Stop() {
-				// Fired while we were handling a message; drain the stale
-				// value so Reset arms cleanly. Non-blocking: under the
-				// unbuffered timer semantics Stop already guarantees an
-				// empty channel.
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-			armed = false
-		}
-		if !clocked || sh.quiesced {
-			return // no clock, or it is done moving (finalize fast-forwards)
-		}
-		if at, ok := sh.nextWake(); ok {
-			timer.Reset(time.Until(at))
-			armed = true
-		}
+}
+
+// unlock re-arms the engine clock from nextWake and releases the shard.
+func (sh *shard) unlock() {
+	sh.rearm()
+	sh.mu.Unlock()
+}
+
+// rearm points the shard's timer at nextWake, or disarms it when the shard
+// has no clock, has quiesced (finalize fast-forwards), or has nothing due.
+func (sh *shard) rearm() {
+	sh.wake = time.Time{}
+	if sh.srv.cfg.TickInterval > 0 && !sh.quiesced {
+		sh.wake, _ = sh.nextWake()
 	}
-	rearm()
-	for {
-		select {
-		case m := <-sh.reqs:
-			if clocked && !sh.quiesced {
-				// Catch up before touching observable state, so release
-				// stamps and lookups are as fresh as the wall tick.
-				sh.catchUp()
-			}
-			if sh.handle(m) {
-				return
-			}
-			rearm()
-		case <-timer.C:
-			armed = false
-			if sh.quiesced {
-				continue
-			}
-			sh.jumpAdvance()
-			rearm()
+	switch {
+	case sh.wake.IsZero():
+		if sh.timer != nil {
+			sh.timer.Stop()
 		}
+	case sh.timer == nil:
+		sh.timer = time.AfterFunc(time.Until(sh.wake), sh.tick)
+	default:
+		sh.timer.Reset(time.Until(sh.wake))
 	}
+}
+
+// tick is the timer's callback. One that fired while another caller held the
+// lock finds the wake that caller re-armed: moved later, or disarmed, it has
+// nothing to do and leaves, so serve_clock_jumps_total counts real wakeups
+// only. (Running anyway would be harmless: catching up and the cadence
+// checks are idempotent.)
+func (sh *shard) tick() {
+	sh.mu.Lock()
+	if sh.quiesced || sh.wake.IsZero() || time.Now().Before(sh.wake) {
+		sh.mu.Unlock()
+		return
+	}
+	sh.jumpAdvance()
+	sh.unlock()
 }
 
 // nextWake computes the earliest wall-clock instant this shard must wake
 // itself: the wall time of the tick after the session's next event hint
 // (tick h is simulatable once the wall tick reaches h+1), the WAL's
 // interval-policy flush deadline, or the next due checkpoint. ok=false
-// means the shard may sleep until the next mailbox message.
+// means the shard may sleep until its next caller.
 func (sh *shard) nextWake() (time.Time, bool) {
 	var (
 		at time.Time
@@ -106,9 +106,9 @@ func (sh *shard) nextWake() (time.Time, bool) {
 	return at, ok
 }
 
-// jumpAdvance is the timer-fire body of the engine loop: burst the session
-// up to the current wall tick (bit-identical to having ticked every
-// interval), then run the WAL's interval flush and the checkpoint cadence.
+// jumpAdvance is the timer's work: burst the session up to the current wall
+// tick (bit-identical to having ticked every interval), then run the WAL's
+// interval flush and the checkpoint cadence.
 func (sh *shard) jumpAdvance() {
 	before := sh.sess.Now()
 	sh.catchUp()

@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -31,7 +34,7 @@ func TestClockJumpIdleNoWakeups(t *testing.T) {
 	// A submission gives the session a next event; now the timer arms and
 	// the clock starts jumping — and once the job's deadline passes, the
 	// shard goes quiet again instead of ticking forever. The wait must not
-	// reach the engine: a /metrics scrape is a mailbox message whose
+	// reach the engine: a /metrics scrape takes the shard's lock, whose
 	// catch-up would run the job's events itself, leaving the timer nothing
 	// to do. So it watches the pressure signal the engine publishes on
 	// every advance, an atomic read, and scrapes once a jump has moved it.
@@ -207,4 +210,166 @@ func TestClockJumpWALInterval(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestClockTimerUnderContention: a clocked shard's timer fires while
+// concurrent submissions and reads hold its lock — every few submissions a
+// worker holds the lock across a wall tick, so a due timer must wait for it.
+// Whatever the interleaving, the lock serializes arrivals against ticks: the
+// drained Result must equal ReplayDir of the WAL directory, and a restart
+// over the drained directory must verify and reproduce the sealed session's
+// Fingerprint. Run for an event-safe scheduler and for one that is not.
+func TestClockTimerUnderContention(t *testing.T) {
+	for _, sched := range []string{"s", "llf"} {
+		t.Run(sched, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := Config{M: 4, Sched: sched, QueueDepth: 256, TickInterval: time.Millisecond, WALDir: dir, Fsync: FsyncOff}
+			srv, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sh := srv.shards[0]
+			const workers, perWorker = 4, 40
+			var wg sync.WaitGroup
+			for w := range workers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := range perWorker {
+						spec := JobSpec{W: int64(4 + (w+i)%13), L: 2, Deadline: int64(8 + i%20), Profit: ScalarProfit(float64(1 + i%5))}
+						if rep := submitTo(sh, spec, ""); rep.status != http.StatusOK {
+							t.Errorf("worker %d submission %d: %+v", w, i, rep)
+							return
+						}
+						switch i % 8 {
+						case 3:
+							sh.lookup(1)
+							sh.snapshot()
+						case 7:
+							sh.lock()
+							time.Sleep(2 * time.Millisecond)
+							sh.unlock()
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			// A short job whose completion or expiry is due within a few
+			// ticks, then a pause in which nothing but the timer takes the
+			// lock: the clock must have been live.
+			if rep := submitTo(sh, JobSpec{W: 4, L: 2, Deadline: 8, Profit: ScalarProfit(1)}, ""); rep.status != http.StatusOK {
+				t.Fatalf("trailing submission: %+v", rep)
+			}
+			time.Sleep(50 * time.Millisecond)
+			if jumps := sh.snapshot().obs.Counter("serve.clock_jumps"); jumps == 0 {
+				t.Fatal("the engine clock never fired")
+			}
+			res := srv.Drain()
+			if msg := srv.engineError(); msg != "" {
+				t.Fatalf("engine error: %s", msg)
+			}
+			assertReplayIdentical(t, dir, res)
+			sh.lock()
+			sealed := sh.sess.Fingerprint()
+			sh.unlock()
+
+			cfg.TickInterval = -1
+			srv2, err := New(cfg) // recovery verifies the checkpoint's fingerprint
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv2.Drain()
+			sh2 := srv2.shards[0]
+			sh2.lock()
+			recovered := sh2.sess.Fingerprint()
+			sh2.unlock()
+			if recovered != sealed {
+				t.Fatalf("restart fingerprint %016x, sealed session %016x", recovered, sealed)
+			}
+		})
+	}
+}
+
+// TestClockTimerAfterDrain: a timer callback that lost the race with the
+// drain — it fired before quiesce disarmed the clock and took the lock after
+// finalize — must find the sealed shard and leave it alone: no AdvanceTo on
+// the finished session (which would surface as an engine error), no write to
+// the closed WAL, no clock jump, and the same Result. Reads, Advance and a
+// late submission after the drain must not move the session either, while
+// wall ticks pass.
+func TestClockTimerAfterDrain(t *testing.T) {
+	dir := t.TempDir()
+	srv, err := New(Config{
+		M: 2, TickInterval: time.Millisecond, WALDir: dir,
+		Fsync: FsyncInterval, FsyncInterval: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	code, jr := postJob(t, ts, `{"w":64,"l":64,"deadline":200,"profit":2}`)
+	if code != 200 || jr.ID == 0 {
+		t.Fatalf("submit: code=%d resp=%+v", code, jr)
+	}
+	sh := srv.shards[0]
+	res := srv.Drain()
+	want := resultJSON(t, res)
+	readFiles := func() []byte {
+		t.Helper()
+		var all []byte
+		for _, name := range []string{walFileName, checkpointFileName} {
+			b, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, b...)
+		}
+		return all
+	}
+	files := readFiles()
+	jumps := func() int64 {
+		sh.lock()
+		defer sh.unlock()
+		return sh.obsReg.Counter("serve.clock_jumps")
+	}
+	jumpsBefore := jumps()
+
+	// The callback of a wake that was due as the drain began.
+	sh.mu.Lock()
+	sh.wake = time.Now().Add(-time.Millisecond)
+	sh.mu.Unlock()
+	sh.tick()
+	time.Sleep(5 * time.Millisecond)
+	srv.Advance(1 << 20)
+	// A submission that passed the handler's draining check before the
+	// drain began and takes the lock only after finalize.
+	if rep := submitTo(sh, JobSpec{W: 4, L: 2, Deadline: 30, Profit: ScalarProfit(1)}, ""); rep.status != http.StatusServiceUnavailable || rep.reason != reasonDraining {
+		t.Fatalf("submission after the drain = %+v, want 503 draining", rep)
+	}
+	var st StatusResponse
+	if code := getJSON(t, fmt.Sprintf("%s/v1/jobs/%d", ts.URL, jr.ID), &st); code != 200 {
+		t.Fatalf("lookup after drain: code=%d", code)
+	}
+	scrapeMetrics(t, ts.URL+"/metrics")
+
+	if msg := srv.engineError(); msg != "" {
+		t.Fatalf("the sealed session was touched: %s", msg)
+	}
+	if got := jumps(); got != jumpsBefore {
+		t.Fatalf("clock jumps %d after the drain, %d before", got, jumpsBefore)
+	}
+	if !bytes.Equal(readFiles(), files) {
+		t.Fatal("the durable files changed after the drain")
+	}
+	if got := resultJSON(t, srv.Drain()); !bytes.Equal(got, want) {
+		t.Fatalf("Result changed after the drain:\nbefore: %s\nafter:  %s", want, got)
+	}
+	sh.lock()
+	armed := !sh.wake.IsZero()
+	sh.unlock()
+	if armed {
+		t.Fatal("a drained shard re-armed its clock")
+	}
+	assertReplayIdentical(t, dir, res)
 }

@@ -220,7 +220,7 @@ type WALStats struct {
 }
 
 // ShardStats is one shard's block in GET /v1/stats: its capacity slice,
-// session clock, verdict counters, the band/parked/mailbox pressure inputs
+// session clock, verdict counters, the band/parked/waiting pressure inputs
 // the placer routes on, and its durable position.
 type ShardStats struct {
 	Shard         int           `json:"shard"`
@@ -277,7 +277,7 @@ func writeError(w http.ResponseWriter, status int, reason, msg string) {
 // Handler returns the daemon's HTTP routes:
 //
 //	POST /v1/jobs      submit a JobSpec → JobResponse (400 bad spec,
-//	                   413 oversized body, 429 mailbox full,
+//	                   413 oversized body, 429 queue full,
 //	                   503 draining or degraded); an Idempotency-Key
 //	                   header makes retries return the stored verdict
 //	POST /v1/jobs:batch
@@ -357,7 +357,7 @@ func (s *Server) handleJobsPost(w http.ResponseWriter, r *http.Request) {
 // has parse turn the body into items. A failure up to here is answered 400
 // or 413 and not traced. Every request that reaches the draining check is
 // traced, whatever its answer: 503 draining, or the verdicts dispatch
-// awaits. ok = false means the answer is written; otherwise the caller
+// collects. ok = false means the answer is written; otherwise the caller
 // renders items.
 func (s *Server) submit(w http.ResponseWriter, r *http.Request, batch bool, key string,
 	parse func(body []byte) (items []batchItem, status int, msg string)) ([]batchItem, bool) {
@@ -452,13 +452,12 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, batch bool, key 
 	return items, true
 }
 
-// dispatch routes each item that has no verdict yet and sends each shard its
-// group as one batchMsg, every group before awaiting any, so the shards work
-// their groups concurrently; the trace rides the first group sent. It awaits
-// the verdicts into items[k].rep and returns the placer route and shard of
-// the last item routed. The groups are runs of one index slice sorted stably
-// by shard and their messages share one slice, so a request allocates those
-// two slices and a done channel per group, however many items it has.
+// dispatch routes each item that has no verdict yet and submits each shard
+// its group, one group after another on the request's goroutine; the trace
+// rides the first group that gets its shard. The verdicts land in
+// items[k].rep, and dispatch returns the placer route and shard of the last
+// item routed. The groups are runs of one index slice sorted stably by
+// shard, so a request allocates that one slice however many items it has.
 func (s *Server) dispatch(items []batchItem, tr *submitTrace, hist string) (route string, shardIdx int) {
 	// Keyed items route by key, so duplicate keys within one batch land on
 	// the same shard in order and the later ones collapse onto the stored
@@ -475,46 +474,29 @@ func (s *Server) dispatch(items []batchItem, tr *submitTrace, hist string) (rout
 		order = append(order, k)
 	}
 	slices.SortStableFunc(order, func(a, b int) int { return items[a].shard - items[b].shard })
-	msgs := make([]batchMsg, 0, min(len(order), len(s.shards)))
+	traced := false
 	for lo := 0; lo < len(order); {
 		hi := lo + 1
 		for hi < len(order) && items[order[hi]].shard == items[order[lo]].shard {
 			hi++
 		}
-		msgs = append(msgs, batchMsg{items: items, group: order[lo:hi:hi], hist: hist, done: make(chan struct{})})
+		group := order[lo:hi:hi]
 		lo = hi
-	}
-	traced := false
-	for i := range msgs {
-		msg := &msgs[i]
+		var gtr *submitTrace
 		if !traced {
-			msg.tr = tr
+			gtr = tr
 			tr.enqueued = time.Now()
 		}
-		select {
-		case s.shards[items[msg.group[0]].shard].reqs <- msg:
-			traced = true
-		default:
+		if !s.shards[items[group[0]].shard].submit(items, group, gtr, hist) {
 			// The shard is behind: backpressure its items, don't block.
-			for _, k := range msg.group {
+			for _, k := range group {
 				items[k].rep = submitReply{status: http.StatusTooManyRequests, err: "submission queue full", reason: reasonQueueFull}
 			}
-			msg.done = nil // never sent, nothing to await
-		}
-	}
-	for i := range msgs {
-		msg := &msgs[i]
-		if msg.done == nil {
 			continue
 		}
-		_, ok := await(s.shards[items[msg.group[0]].shard], msg.done)
-		for _, k := range msg.group {
-			switch rep := &items[k].rep; {
-			case !ok:
-				// Enqueued but never dequeued: the engine drained first, so
-				// nothing was committed.
-				*rep = submitReply{status: http.StatusServiceUnavailable, err: "draining", reason: reasonDraining}
-			case rep.status != http.StatusOK:
+		traced = true
+		for _, k := range group {
+			if rep := &items[k].rep; rep.status != http.StatusOK {
 				rep.reason = cmp.Or(rep.reason, reasonInternal)
 			}
 		}
@@ -563,25 +545,12 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, reasonBadRequest, "bad job id")
 		return
 	}
-	sh := s.placer.shardFor(id)
-	msg := lookupMsg{id: id, reply: make(chan lookupReply, 1)}
-	rep, ok := ask(sh, msg.reply, msg)
-	if !ok {
-		// Engine gone: answer from the sealed session (engine goroutine has
-		// exited, so reading is safe).
-		stat, state := sh.sess.Lookup(id)
-		if state == sim.JobStateUnknown {
-			writeError(w, http.StatusNotFound, reasonNotFound, "unknown job")
-			return
-		}
-		writeJSON(w, http.StatusOK, statusResponse(id, stat, state))
-		return
-	}
-	if !rep.found {
+	resp, found := s.placer.shardFor(id).lookup(id)
+	if !found {
 		writeError(w, http.StatusNotFound, reasonNotFound, "unknown job")
 		return
 	}
-	writeJSON(w, http.StatusOK, rep.resp)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleStatsGet(w http.ResponseWriter, r *http.Request) {
@@ -593,7 +562,7 @@ func (s *Server) handleStatsGet(w http.ResponseWriter, r *http.Request) {
 // and telemetry sum, and WAL positions aggregate under the daemon's top
 // directory. With one shard everything passes through unchanged, so the
 // unsharded stats body is stable.
-func (s *Server) aggregateStats(replies []shardStatsReply) StatsResponse {
+func (s *Server) aggregateStats(replies []shardSnapshot) StatsResponse {
 	rep := StatsResponse{
 		Scheduler: s.Scheduler(),
 		M:         s.cfg.M,
@@ -679,35 +648,4 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDrainPost(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Drain())
-}
-
-// ask sends msg to a shard's engine and waits for a reply, giving up when
-// the engine goroutine has exited (reported as ok = false).
-func ask[T any](sh *shard, reply chan T, msg any) (T, bool) {
-	select {
-	case sh.reqs <- msg:
-	case <-sh.engineDone:
-		var zero T
-		return zero, false
-	}
-	return await(sh, reply)
-}
-
-// await waits for a mailbox reply. The engine replies to every message it
-// dequeues before engineDone closes, so when both cases are ready the
-// buffered reply must win — select alone picks randomly, which would turn an
-// accepted submission into a spurious 503 during a drain.
-func await[T any](sh *shard, reply chan T) (T, bool) {
-	select {
-	case rep := <-reply:
-		return rep, true
-	case <-sh.engineDone:
-		select {
-		case rep := <-reply:
-			return rep, true
-		default:
-			var zero T
-			return zero, false
-		}
-	}
 }

@@ -167,7 +167,7 @@ func TestErrorEnvelopeEverySurface(t *testing.T) {
 // TestHTTPBackpressureBody asserts the 429 body shape, not just the code.
 func TestHTTPBackpressureBody(t *testing.T) {
 	srv, ts := newTestServer(t, Config{M: 1, QueueDepth: 1})
-	defer holdEngine(srv.shards[0])() // mailbox full, engine "busy"
+	defer holdEngine(srv.shards[0])() // queue full, shard "busy"
 
 	code, er := postRaw(t, ts, `{"w":4,"l":2,"deadline":9,"profit":1}`, nil)
 	if code != 429 {

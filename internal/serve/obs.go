@@ -14,8 +14,8 @@ import (
 
 // serverObs holds the HTTP-layer observability state: request latency
 // histograms, not-ready counters, and drain-phase timings. Unlike the
-// per-shard registries (engine goroutine only), handlers hit this from many
-// goroutines, so a mutex guards the registry. All methods are nil-safe.
+// per-shard registries (under their shard's lock), it is shared by every
+// handler, so a mutex of its own guards the registry. All methods are nil-safe.
 type serverObs struct {
 	mu  sync.Mutex
 	reg telemetry.Registry
@@ -78,7 +78,7 @@ var (
 
 	descBandOcc   = obs.Desc{Name: "serve_band_occupancy", Help: "Scheduler S band occupancy of the shard's capacity slice (0..1+).", Kind: obs.Gauge}
 	descParkedDep = obs.Desc{Name: "serve_parked_depth", Help: "Jobs parked in P awaiting band capacity.", Kind: obs.Gauge}
-	descMailbox   = obs.Desc{Name: "serve_mailbox_depth", Help: "Requests queued in the shard's mailbox.", Kind: obs.Gauge}
+	descMailbox   = obs.Desc{Name: "serve_mailbox_depth", Help: "Submissions waiting for the shard.", Kind: obs.Gauge}
 	descPressure  = obs.Desc{Name: "serve_pressure_ewma", Help: "The EWMA pressure signal the placer routes on.", Kind: obs.Gauge}
 	descClock     = obs.Desc{Name: "serve_session_clock", Help: "The shard's simulated-time clock, in ticks.", Kind: obs.Gauge}
 	descLive      = obs.Desc{Name: "serve_live_jobs", Help: "Jobs currently live in the shard's session.", Kind: obs.Gauge}
@@ -90,7 +90,7 @@ var (
 
 	descSubmitUs = obs.Desc{Name: "serve_submit_engine_us", Help: "Engine-path submission latency (dequeue to commit), in microseconds.", Kind: obs.Histogram}
 	descBatchUs  = obs.Desc{Name: "serve_batch_engine_us", Help: "Engine-path latency of one batch group (dequeue to group commit), in microseconds.", Kind: obs.Histogram}
-	descWaitUs   = obs.Desc{Name: "serve_mailbox_wait_us", Help: "Mailbox queue wait (handler enqueue to engine dequeue), in microseconds.", Kind: obs.Histogram}
+	descWaitUs   = obs.Desc{Name: "serve_mailbox_wait_us", Help: "Wait for the shard (handler enqueue to shard lock acquired), in microseconds.", Kind: obs.Histogram}
 	descAppendUs = obs.Desc{Name: "serve_wal_append_us", Help: "WAL record encode-and-buffer latency, in microseconds (the group is written and fsynced at commit; serve_wal_fsync_us times the fsync).", Kind: obs.Histogram}
 	descFsyncUs  = obs.Desc{Name: "serve_wal_fsync_us", Help: "WAL fsync latency, in microseconds.", Kind: obs.Histogram}
 	descCkptUs   = obs.Desc{Name: "serve_checkpoint_us", Help: "Checkpoint duration (fold, atomic replace, WAL reset), in microseconds.", Kind: obs.Histogram}
@@ -119,11 +119,11 @@ func boolGauge(b bool) int64 {
 	return 0
 }
 
-// buildExposition renders the whole scrape from the per-shard stats replies
-// (each carrying a cloned observability registry taken on its engine
-// goroutine) plus the server-level state. Per-shard families carry a
+// buildExposition renders the whole scrape from the per-shard snapshots
+// (each carrying an observability registry cloned under its shard's lock)
+// plus the server-level state. Per-shard families carry a
 // shard="<i>" label; server-level families carry none.
-func (s *Server) buildExposition(replies []shardStatsReply) *obs.Exposition {
+func (s *Server) buildExposition(replies []shardSnapshot) *obs.Exposition {
 	e := obs.NewExposition()
 
 	e.AddInt(descReady, boolGauge(s.Ready()))
@@ -188,20 +188,14 @@ func (s *Server) buildExposition(replies []shardStatsReply) *obs.Exposition {
 	return e
 }
 
-// gatherShardStats collects every shard's stats reply through its mailbox
-// (falling back to a direct read once an engine has exited and its state is
-// sealed). Shared by /v1/stats and /metrics.
-func (s *Server) gatherShardStats() []shardStatsReply {
-	replies := make([]shardStatsReply, len(s.shards))
+// gatherShardStats takes every shard's snapshot, one shard after another.
+// Shared by /v1/stats and /metrics.
+func (s *Server) gatherShardStats() []shardSnapshot {
+	snaps := make([]shardSnapshot, len(s.shards))
 	for i, sh := range s.shards {
-		msg := statsMsg{reply: make(chan shardStatsReply, 1)}
-		rep, ok := ask(sh, msg.reply, msg)
-		if !ok {
-			rep = sh.handleStats() // engine exited; state is sealed and safe to read
-		}
-		replies[i] = rep
+		snaps[i] = sh.snapshot()
 	}
-	return replies
+	return snaps
 }
 
 // handleMetrics serves GET /metrics in the Prometheus text exposition format.
@@ -223,8 +217,8 @@ func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
 // DebugHandler returns the diagnostics mux for Config/-debug-addr: /metrics,
 // /debug/requests, and net/http/pprof. It is meant for a second listener so
 // profile captures never compete with serving traffic, but every route is
-// safe to mount anywhere (scrapes go through the shard mailboxes like any
-// other read).
+// safe to mount anywhere (a scrape takes each shard's lock like any other
+// read).
 func (s *Server) DebugHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /metrics", s.handleMetrics)

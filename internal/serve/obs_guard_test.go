@@ -9,21 +9,13 @@ import (
 // single-shard daemon, with the shard's observability registry either live
 // (the instrumented path: stage timers + histogram observes) or nil (the
 // zero-cost idiom: every timer is gated behind one pointer check).
-func engineCost(b2 *testing.T, instrumented bool) float64 {
-	r := testing.Benchmark(func(b *testing.B) {
-		srv, err := New(Config{M: 8, QueueDepth: 1, TickInterval: -1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer srv.Drain()
+func engineCost(instrumented bool) float64 {
+	return armCost(Config{M: 8, QueueDepth: 1, TickInterval: -1}, func(b *testing.B, srv *Server) {
 		if !instrumented {
-			// Set before engineArm's mailbox round trip, which orders it
-			// before anything the engine goroutine does next.
-			srv.shards[0].obsReg = nil
+			srv.shards[0].obsReg = nil // before the first submission takes the lock
 		}
 		engineArm(b, srv)
 	})
-	return float64(r.NsPerOp())
 }
 
 // TestObsOverheadGuard is the PR 8 observability cost gate, run by
@@ -60,8 +52,8 @@ func TestObsOverheadGuard(t *testing.T) {
 	}
 	var on, off []float64
 	for i := 0; i < rounds; i++ {
-		off = append(off, engineCost(t, false))
-		on = append(on, engineCost(t, true))
+		off = append(off, engineCost(false))
+		on = append(on, engineCost(true))
 	}
 	onNs, offNs := best(on), best(off)
 	ratio := onNs / offNs

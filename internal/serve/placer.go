@@ -6,7 +6,7 @@ import (
 )
 
 // The placer is the front door of the sharded serving tier: every POST
-// /v1/jobs picks exactly one shard before touching any engine mailbox.
+// /v1/jobs picks exactly one shard before taking any shard's lock.
 //
 // Routing policy:
 //
@@ -16,8 +16,8 @@ import (
 //     load-dependent placement for keys.
 //   - Unkeyed submissions go to the shard with the lowest pressure score:
 //     the engine-published EWMA of band occupancy plus parked-queue depth
-//     (see shard.publishPressure), plus the instantaneous mailbox backlog
-//     fraction. Ties break toward the lower index, so routing is
+//     (see shard.publishPressure), plus the fraction of the QueueDepth
+//     bound already waiting for the shard. Ties break toward the lower index, so routing is
 //     deterministic for a given pressure snapshot.
 //   - Second-choice spill: when the best shard's band is full (its last
 //     verdict parked, or occupancy ≥ 1) and the runner-up's is not, the

@@ -8,11 +8,12 @@ import (
 )
 
 // testPlacer builds an engineless placer over n bare shards with the given
-// EWMA pressures (mailbox empty, so pressureScore equals the EWMA term).
+// EWMA pressures (nothing waiting, so pressureScore equals the EWMA term).
 func testPlacer(n int, pressures []float64) *placer {
+	srv := &Server{cfg: Config{QueueDepth: 4}}
 	shards := make([]*shard, n)
 	for i := range shards {
-		shards[i] = &shard{idx: i, m: 2, stride: n, reqs: make(chan any, 4)}
+		shards[i] = &shard{srv: srv, idx: i, m: 2, stride: n}
 		if pressures != nil {
 			shards[i].pressure.Store(math.Float64bits(pressures[i]))
 		}
@@ -66,12 +67,12 @@ func TestPlacerLowestPressureWins(t *testing.T) {
 	}
 }
 
-// TestPlacerMailboxBacklogCounts: the instantaneous mailbox fraction is part
-// of the score, so a backed-up mailbox loses to an idle one at equal EWMA.
+// TestPlacerMailboxBacklogCounts: the fraction of the queue bound waiting
+// for a shard is part of the score, so a shard with submissions waiting loses
+// to an idle one at equal EWMA.
 func TestPlacerMailboxBacklogCounts(t *testing.T) {
 	p := testPlacer(2, []float64{0.3, 0.3})
-	p.shards[0].reqs <- struct{}{}
-	p.shards[0].reqs <- struct{}{}
+	p.shards[0].waiting.Add(2)
 	if got := p.route(""); got != p.shards[1] {
 		t.Fatalf("routed to backlogged shard %d, want 1", got.idx)
 	}

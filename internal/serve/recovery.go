@@ -494,7 +494,7 @@ func (rs *recoveredState) info() *RecoveryInfo {
 // engine and returns the Result. A sharded directory (shard-<i>/ subdirs) is
 // replayed shard by shard over the same capacity partition and merged.
 // Because each shard stamps releases from its own clock and assigns
-// ascending IDs on its stripe inside its engine goroutine, the batch run
+// ascending IDs on its stripe under its lock, the batch run
 // over each shard's history reproduces that shard's Result bit-identically,
 // so ReplayDir of a drained directory equals the drained Result (modulo the
 // Result.Engine label, which names the engine that executed). The chaos

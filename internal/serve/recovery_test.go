@@ -31,14 +31,15 @@ func newDurableServer(t *testing.T, dir string, mutate func(*Config)) (*Server, 
 	return srv, func() { srv.Drain() }
 }
 
-// submitTo pushes a spec through sh's mailbox as a group of one, without
-// HTTP: sh is srv.placer.route(key) for the placer's choice, or any shard to
-// pin per-shard effects.
+// submitTo commits a spec on sh as a group of one through the locked entry
+// the HTTP path takes, without HTTP: sh is srv.placer.route(key) for the
+// placer's choice, or any shard to pin per-shard effects.
 func submitTo(sh *shard, spec JobSpec, key string) submitReply {
-	msg := &batchMsg{items: []batchItem{{spec: spec, key: key}}, group: []int{0}, hist: "serve.submit_engine_us", done: make(chan struct{})}
-	sh.reqs <- msg
-	<-msg.done
-	return msg.items[0].rep
+	items, group := [1]batchItem{{spec: spec, key: key}}, [1]int{0}
+	if !sh.submit(items[:], group[:], nil, "serve.submit_engine_us") {
+		return submitReply{status: http.StatusTooManyRequests, err: "submission queue full", reason: reasonQueueFull}
+	}
+	return items[0].rep
 }
 
 // snapshotDir copies the WAL directory (including per-shard subdirectories)
@@ -116,16 +117,9 @@ func TestRecoveryRoundTrip(t *testing.T) {
 	}
 	// Both committed jobs are live again with their stats intact.
 	for _, id := range []int{1, 2} {
-		stat, state := func() (StatusResponse, bool) {
-			msg := lookupMsg{id: id, reply: make(chan lookupReply, 1)}
-			srv2.placer.shardFor(id).reqs <- msg
-			rep := <-msg.reply
-			return rep.resp, rep.found
-		}()
-		if !state {
+		if _, found := srv2.placer.shardFor(id).lookup(id); !found {
 			t.Fatalf("job %d lost in recovery", id)
 		}
-		_ = stat
 	}
 	// The next ID continues the pre-crash sequence.
 	rep := submitTo(srv2.placer.route(""), JobSpec{W: 4, L: 2, Deadline: 30, Profit: ScalarProfit(1)}, "")
@@ -371,9 +365,7 @@ func TestStatsExposeWALAndRecovery(t *testing.T) {
 
 	srv2, drain2 := newDurableServer(t, snap, nil)
 	defer drain2()
-	msg := statsMsg{reply: make(chan shardStatsReply, 1)}
-	srv2.shards[0].reqs <- msg
-	stats := srv2.aggregateStats([]shardStatsReply{<-msg.reply})
+	stats := srv2.aggregateStats([]shardSnapshot{srv2.shards[0].snapshot()})
 	if stats.WAL == nil || stats.WAL.Dir != snap || stats.WAL.Fsync != "always" {
 		t.Fatalf("stats.WAL = %+v", stats.WAL)
 	}

@@ -14,8 +14,8 @@ import (
 
 // The single-endpoint response golden: the status, Content-Type and body
 // POST /v1/jobs answers for each verdict (admitted, parked, rejected, keyed
-// and its replay), for every submitErrorCases body, and for 429 (mailbox
-// full), 503 draining and 503 degraded. Regenerating it with
+// and its replay), for every submitErrorCases body, and for 429 (queue
+// full, recorded as "mailbox full"), 503 draining and 503 degraded. Regenerating it with
 // -update-response-golden declares a change to the wire contract.
 
 var updateResponseGolden = flag.Bool("update-response-golden", false,
@@ -74,7 +74,7 @@ func TestSingleResponseGolden(t *testing.T) {
 	srv.Drain()
 	recordPost(t, &out, ts, "draining", clone, nil, "")
 
-	// 429: the engine is held and its one-slot mailbox is full.
+	// 429: the shard is held and its one-slot queue is full.
 	busy, bts := newTestServer(t, Config{M: 2, QueueDepth: 1})
 	release := holdEngine(busy.shards[0])
 	recordPost(t, &out, bts, "mailbox full", clone, nil, "")

@@ -1,20 +1,21 @@
 // Package serve is the scheduler-as-a-service layer: a long-running daemon
 // that wraps the simulation engine's step-driven Session in a concurrent-safe,
-// clock-driven loop behind an HTTP/JSON API.
+// clock-driven shell behind an HTTP/JSON API.
 //
 // Architecture: the daemon is N engine shards behind a pressure-aware placer
-// (N = Config.Shards; 1 by default). Each shard is a goroutine that owns its
-// own sim.Session over a partitioned slice of the capacity, its own Scheduler
-// S instance, telemetry registry, and — when durable — its own WAL and
-// checkpoint. HTTP handlers never touch shard state: the placer picks a shard
-// (by idempotency-key hash, or by the lowest published pressure with a
-// second-choice spill when the best shard's band is full) and the handler
-// sends a typed message over that shard's bounded mailbox. A full mailbox is
-// backpressure (429 without blocking); a draining server answers 503. A
-// wall-clock timer inside each shard, armed to the next tick that can change
-// its session's state (clock.go), advances the session, so simulated ticks
-// track real time while the ordering of submissions against ticks stays
-// whatever each mailbox serialized.
+// (N = Config.Shards; 1 by default). Each shard owns its own sim.Session over
+// a partitioned slice of the capacity, its own Scheduler S instance,
+// telemetry registry, and — when durable — its own WAL and checkpoint, all
+// behind one mutex. A handler runs the shard's code on its own goroutine
+// under that lock: the placer picks a shard (by idempotency-key hash, or by
+// the lowest published pressure with a second-choice spill when the best
+// shard's band is full) and the handler submits to it. Config.QueueDepth
+// submissions already waiting for a shard is backpressure (429 without
+// blocking); a draining server answers 503. A wall-clock timer per shard,
+// armed to the next tick that can change its session's state (clock.go),
+// advances the session under the same lock, so simulated ticks track real
+// time while the ordering of submissions against ticks stays whatever each
+// shard's lock serialized.
 //
 // With Config.WALDir set, every accepted arrival is written once, to its
 // shard's WAL (a header record, then one framed record per arrival; shard i
@@ -71,9 +72,10 @@ type Config struct {
 	// then advances only on Advance and drain — deterministic tests use
 	// this).
 	TickInterval time.Duration
-	// QueueDepth bounds each shard's request mailbox; a full mailbox is
-	// answered with 429. 0 means 64. The depth is per shard, so a sharded
-	// daemon holds Shards×QueueDepth queued submissions at most.
+	// QueueDepth bounds the submissions waiting per shard; a submission that
+	// finds that many already waiting is answered with 429. 0 means 64. The
+	// depth is per shard, so a sharded daemon holds Shards×QueueDepth waiting
+	// submissions at most.
 	QueueDepth int
 	// WALDir, when non-empty, makes the daemon crash-safe: every
 	// acknowledged submission is framed, checksummed, and appended to a
@@ -259,7 +261,7 @@ func (s *Server) logger() *slog.Logger {
 
 // New validates the configuration, builds the shards and their schedulers —
 // recovering each shard's pre-crash session from Config.WALDir when one is
-// there, several shards at once — and starts the engine goroutines.
+// there, several shards at once — and opens the server for work.
 // With a WAL directory, New returns only once every shard's recovery has
 // replayed its durable history and verified it against the checkpoint
 // fingerprint and every acknowledged admission verdict; a daemon that cannot
@@ -374,19 +376,17 @@ func newServer(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		sh := &shard{
-			srv:        s,
-			idx:        i,
-			m:          part[i],
-			stride:     cfg.Shards,
-			sched:      sched,
-			sess:       sess,
-			reg:        &telemetry.Registry{},
-			obsReg:     &telemetry.Registry{},
-			lastID:     i + 1 - cfg.Shards, // first assigned ID is i+1
-			header:     shardHeaderOf(cfg, i, part[i]),
-			idem:       make(map[string]StoredResponse),
-			reqs:       make(chan any, cfg.QueueDepth),
-			engineDone: make(chan struct{}),
+			srv:    s,
+			idx:    i,
+			m:      part[i],
+			stride: cfg.Shards,
+			sched:  sched,
+			sess:   sess,
+			reg:    &telemetry.Registry{},
+			obsReg: &telemetry.Registry{},
+			lastID: i + 1 - cfg.Shards, // first assigned ID is i+1
+			header: shardHeaderOf(cfg, i, part[i]),
+			idem:   make(map[string]StoredResponse),
 		}
 		sh.adm, _ = sched.(admitter)
 		_, sh.canCommit = sched.(sim.Committer)
@@ -396,12 +396,13 @@ func newServer(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// startEngines starts the engine goroutines: the part of New after
-// recovery.
+// startEngines opens the server for work and arms every shard's engine
+// clock: the part of New after recovery.
 func (s *Server) startEngines() {
 	s.ready.Store(true)
 	for _, sh := range s.shards {
-		go sh.engineLoop()
+		sh.lock()
+		sh.unlock()
 	}
 }
 
@@ -579,7 +580,7 @@ func (s *Server) Degraded() string {
 }
 
 // degrade records the first durability failure at the server level; called
-// from shard engine goroutines. The log record always carries the shard
+// under a shard's lock. The log record always carries the shard
 // index, so an operator can tell which shard-<i>/ directory is sick even on
 // a single-shard daemon (whose degraded message keeps its unprefixed form).
 func (s *Server) degrade(shardIdx int, op string, err error) {
@@ -606,43 +607,16 @@ func (s *Server) engineError() string {
 // Per-shard reports are in /v1/stats.
 func (s *Server) Recovery() *RecoveryInfo { return s.recovery }
 
-// Checkpoint forces an engine-state checkpoint on every shard through its
-// mailbox, all shards at once, and returns the failure of the lowest-index
-// shard that failed. It errors when the server has no WAL directory, is
-// degraded, or has drained. Deterministic-time embeddings and tests use it;
-// a live daemon checkpoints on its own cadence (Config.CheckpointInterval).
+// Checkpoint forces an engine-state checkpoint on every shard, shards in
+// parallel (eachShard), and returns the failure of the lowest-index shard
+// that failed. It errors when the server has no WAL directory, is degraded,
+// or has drained. Deterministic-time embeddings and tests use it; a live
+// daemon checkpoints on its own cadence (Config.CheckpointInterval).
 func (s *Server) Checkpoint() error {
 	if s.cfg.WALDir == "" {
 		return fmt.Errorf("serve: no WAL directory configured")
 	}
-	// Post to every mailbox before waiting on any reply, so each shard
-	// checkpoints on its own engine goroutine while the others do.
-	replies := make([]chan error, len(s.shards))
-	for i, sh := range s.shards {
-		replies[i] = make(chan error, 1)
-		select {
-		case sh.reqs <- checkpointMsg{reply: replies[i]}:
-		case <-sh.engineDone:
-			replies[i] <- errCheckpointDrained
-		}
-	}
-	var first error
-	for i, sh := range s.shards {
-		var err error
-		select {
-		case err = <-replies[i]:
-		case <-sh.engineDone:
-			select {
-			case err = <-replies[i]:
-			default:
-				err = errCheckpointDrained
-			}
-		}
-		if first == nil {
-			first = err
-		}
-	}
-	return first
+	return eachShard(len(s.shards), func(i int) error { return s.shards[i].forceCheckpoint() })
 }
 
 var errCheckpointDrained = errors.New("serve: checkpoint after drain")
@@ -653,11 +627,11 @@ var errCheckpointDrained = errors.New("serve: checkpoint after drain")
 // finish at their simulated ticks immediately rather than in real time.
 //
 // The drain is two-phase so a signal mid-drain can never interleave a late
-// submission into a finalized log. Phase 1 quiesces: every shard acknowledges
-// that it has stopped committing (submissions already in its mailbox are
-// behind the quiesce message and get 503). Only after every shard has
-// quiesced does phase 2 finalize each shard — run to end, seal the WAL,
-// return its Result. Between the phases shards keep serving reads.
+// submission into a finalized log. Phase 1 quiesces: each shard in turn, under
+// its lock, stops committing (a submission that takes the lock after it gets
+// 503). Only after every shard has quiesced does phase 2 finalize the shards,
+// in parallel (eachShard) — run to end, seal the WAL, return its Result.
+// Between the phases shards keep serving reads.
 //
 // Drain is idempotent and safe from any goroutine; later calls return the
 // same Result.
@@ -666,25 +640,16 @@ func (s *Server) Drain() *sim.Result {
 		s.draining.Store(true)
 		s.logger().Info("drain started", "shards", len(s.shards))
 		t0 := time.Now()
-		quiesced := make([]chan struct{}, len(s.shards))
-		for i, sh := range s.shards {
-			quiesced[i] = make(chan struct{})
-			sh.reqs <- quiesceMsg{reply: quiesced[i]}
-		}
-		for _, c := range quiesced {
-			<-c
+		for _, sh := range s.shards {
+			sh.quiesce()
 		}
 		t1 := time.Now()
 		s.metrics.observe("serve.drain.quiesce_us", float64(t1.Sub(t0).Microseconds()))
-		finals := make([]chan *sim.Result, len(s.shards))
-		for i, sh := range s.shards {
-			finals[i] = make(chan *sim.Result, 1)
-			sh.reqs <- finalizeMsg{reply: finals[i]}
-		}
 		results := make([]*sim.Result, len(s.shards))
-		for i := range finals {
-			results[i] = <-finals[i]
-		}
+		_ = eachShard(len(s.shards), func(i int) error {
+			results[i] = s.shards[i].finalize()
+			return nil
+		})
 		s.result = mergeResults(results)
 		s.metrics.observe("serve.drain.finalize_us", float64(time.Since(t1).Microseconds()))
 		s.logger().Info("drain finished",
@@ -694,39 +659,31 @@ func (s *Server) Drain() *sim.Result {
 	return s.result
 }
 
-// Advance drives every shard's session clock to the given tick through its
-// engine mailbox, returning once all shards have processed it. It exists for
+// Advance drives every shard's session clock to the given tick, one shard
+// after another, returning once all shards have reached it. It exists for
 // deterministic-time embeddings and tests running with the clock disabled
 // (TickInterval < 0); with a live clock the wall clock usually outruns it
 // and the call degenerates to a no-op. Advancing a drained server is a no-op.
 func (s *Server) Advance(to int64) {
 	for _, sh := range s.shards {
-		msg := advanceMsg{to: to, reply: make(chan struct{})}
-		select {
-		case sh.reqs <- msg:
-		case <-sh.engineDone:
-			continue
+		sh.lock()
+		if !sh.quiesced {
+			sh.advance(to)
 		}
-		select {
-		case <-msg.reply:
-		case <-sh.engineDone:
-		}
+		sh.unlock()
 	}
 }
 
-// Messages between HTTP handlers and the shard engine goroutines.
-
-// submitTrace threads one submission's request-scoped observability through
-// the mailbox: the request ID, whether durable records should carry it
-// (client-supplied), and the per-stage timestamps. The HTTP handler stamps
-// enqueued before the mailbox send; the engine stamps the rest before the
-// reply; the handler reads them after receiving it — the reply channel
-// orders every access, so no lock is needed.
+// submitTrace carries one submission's request-scoped observability: the
+// request ID, whether durable records should carry it (client-supplied), and
+// the per-stage timestamps. The handler stamps enqueued before it waits for
+// the shard; the shard stamps the rest under its lock; the handler reads them
+// once the shard is released — the lock orders every access.
 type submitTrace struct {
 	reqID       string
 	persist     bool // client-supplied X-Request-Id: record in the WAL
 	enqueued    time.Time
-	dequeued    time.Time
+	dequeued    time.Time // the shard's lock acquired
 	walAppended time.Time
 	committed   time.Time
 }
@@ -738,68 +695,20 @@ type submitReply struct {
 	reason string // machine-readable error class for the unified envelope
 }
 
-// batchItem is one spec of a submission. The engine writes its verdict into
+// batchItem is one spec of a submission. The shard writes its verdict into
 // rep.
 type batchItem struct {
 	spec  JobSpec
 	key   string // idempotency key; "" means none
-	shard int    // the placer's shard; set by dispatch before any send
+	shard int    // the placer's shard; set by dispatch before any submit
 	rep   submitReply
 }
 
-// batchMsg is the one mailbox message that carries submissions: a placer
-// group, the items of a request that routed to one shard, in request order.
-// A POST /v1/jobs submission is a group of one. The engine commits the group
-// under one WAL write, writes each verdict into its item and closes done.
-// The groups of one request share its items, and each engine writes only
-// the items its group selects.
-type batchMsg struct {
-	items []batchItem
-	group []int        // indices into items, ascending
-	tr    *submitTrace // request trace; nil disables per-request stamps
-	hist  string       // engine-latency histogram of the endpoint
-	done  chan struct{}
-}
-
-type lookupMsg struct {
-	id    int
-	reply chan lookupReply
-}
-
-type lookupReply struct {
-	found bool
-	resp  StatusResponse
-}
-
-type statsMsg struct {
-	reply chan shardStatsReply
-}
-
-type shardStatsReply struct {
+// shardSnapshot is one shard's read for /v1/stats and /metrics.
+type shardSnapshot struct {
 	stats   ShardStats
 	summary telemetry.Summary
 	obs     *telemetry.Registry // clone of the shard's obsReg; nil when disabled
-}
-
-type advanceMsg struct {
-	to    int64
-	reply chan struct{}
-}
-
-type checkpointMsg struct {
-	reply chan error
-}
-
-// quiesceMsg is the drain's first phase: the shard stops committing
-// submissions and acknowledges by closing reply.
-type quiesceMsg struct {
-	reply chan struct{}
-}
-
-// finalizeMsg is the drain's second phase: the shard runs to end, seals its
-// durable state, replies with its Result, and exits its engine loop.
-type finalizeMsg struct {
-	reply chan *sim.Result
 }
 
 // decideAdmission runs the serving admission query for a prospective job:

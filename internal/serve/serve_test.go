@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"dagsched/internal/sim"
 )
@@ -33,15 +34,24 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return srv, ts
 }
 
-// holdEngine fills the mailbox of a shard built with QueueDepth 1: its
-// engine is held inside a stats reply nobody reads yet and a second message
-// waits behind it, so the next submission finds the mailbox full. release
-// lets the engine go; call it before the server drains.
+// holdEngine makes a shard busy with a full queue: the caller holds its lock
+// and QueueDepth submissions wait for it, so the next submission finds the
+// queue full. release lets the shard go and waits until the held submissions
+// have committed; call it before the server drains.
 func holdEngine(sh *shard) (release func()) {
-	held, queued := make(chan shardStatsReply), make(chan shardStatsReply)
-	sh.reqs <- statsMsg{reply: held}
-	sh.reqs <- statsMsg{reply: queued}
-	return func() { <-held; <-queued }
+	sh.lock()
+	var wg sync.WaitGroup
+	for range sh.srv.cfg.QueueDepth {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			submitTo(sh, JobSpec{W: 1, L: 1, Deadline: 9, Profit: ScalarProfit(1)}, "")
+		}()
+	}
+	for sh.waiting.Load() < int64(sh.srv.cfg.QueueDepth) {
+		time.Sleep(time.Millisecond)
+	}
+	return func() { sh.unlock(); wg.Wait() }
 }
 
 func postJob(t *testing.T, ts *httptest.Server, spec string) (int, JobResponse) {
@@ -223,15 +233,15 @@ func TestServeFullDAGSubmission(t *testing.T) {
 	}
 }
 
-// TestServeBackpressure fills the mailbox of a held engine and checks the
+// TestServeBackpressure fills the queue of a held shard and checks the
 // handler answers 429 without blocking.
 func TestServeBackpressure(t *testing.T) {
 	srv, ts := newTestServer(t, Config{M: 1, QueueDepth: 1})
-	defer holdEngine(srv.shards[0])() // engine is "busy"; the mailbox is now full
+	defer holdEngine(srv.shards[0])() // the shard is busy and its queue full
 
 	code, _ := postJob(t, ts, `{"w":4,"l":2,"deadline":9,"profit":1}`)
 	if code != 429 {
-		t.Fatalf("full mailbox: code=%d, want 429", code)
+		t.Fatalf("full queue: code=%d, want 429", code)
 	}
 }
 
@@ -285,7 +295,7 @@ func TestServeConcurrentSubmissions(t *testing.T) {
 				default:
 					t.Errorf("submit: unexpected status %d", resp.StatusCode)
 				}
-				// Interleave reads to exercise the mailbox under contention
+				// Interleave reads to exercise the shard lock under contention
 				// (plain Get: test helpers must not Fatal off the test goroutine).
 				if i%5 == 0 {
 					if sr, err := http.Get(ts.URL + "/v1/stats"); err == nil {

@@ -7,6 +7,7 @@ import (
 	"math"
 	"path/filepath"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -18,13 +19,14 @@ import (
 	"dagsched/internal/workload"
 )
 
-// A shard is one engine of the serving tier: a goroutine that owns a
-// sim.Session over its slice of the capacity, a Scheduler S instance whose
-// (1+ε) band condition is evaluated against that slice, a telemetry
-// registry, and (when durable) its own WAL and checkpoint. Shards share
-// nothing mutable — the front door routes each submission to exactly one
-// shard and every per-job effect stays inside it — so N shards scale the
-// engine path without a lock anywhere on it.
+// A shard is one engine of the serving tier: a sim.Session over its slice of
+// the capacity, a Scheduler S instance whose (1+ε) band condition is
+// evaluated against that slice, a telemetry registry, and (when durable) its
+// own WAL and checkpoint, all under the shard's one mutex (sh.mu, taken
+// through lock/unlock in clock.go). Shards share nothing mutable — the front
+// door routes each submission to exactly one shard and every per-job effect
+// stays inside it — so N shards scale the engine path with no lock shared
+// between them.
 //
 // Job IDs are striped: shard i of N assigns i+1, i+1+N, i+2N, …, so IDs are
 // globally unique, ascend within each shard (which sim.Session requires),
@@ -57,20 +59,25 @@ type shard struct {
 	adm       admitter // nil when the scheduler has no admission query
 	canCommit bool     // scheduler implements sim.Committer (binding levels OK)
 
-	sess   *sim.Session        // engine goroutine only
-	reg    *telemetry.Registry // engine goroutine only
-	lastID int                 // engine goroutine only; last ID this shard assigned
+	// mu serializes every caller of the shard: submissions, reads, Advance,
+	// Checkpoint, the drain and the clock's timer. Every field marked
+	// "under sh.mu" is touched only while it is held.
+	mu sync.Mutex
+
+	sess   *sim.Session        // under sh.mu
+	reg    *telemetry.Registry // under sh.mu
+	lastID int                 // under sh.mu; last ID this shard assigned
 
 	// obsReg holds this shard's serving-path latency histograms and
-	// observability-only counters (engine goroutine only; /metrics scrapes a
-	// Clone taken through the mailbox). It is deliberately separate from reg:
+	// observability-only counters (under sh.mu; /metrics scrapes a Clone
+	// taken under it). It is deliberately separate from reg:
 	// reg's summary is part of every checkpoint and the /v1/stats body, both
 	// byte-stable formats, while obsReg is process-local and never persisted.
 	// nil disables every timer and observation on the engine path — the
 	// zero-cost-when-nil idiom the obs-guard benchmark pins.
 	obsReg *telemetry.Registry
 
-	// Durability state, engine goroutine only (nil/empty without WALDir).
+	// Durability state, under sh.mu (nil/empty without WALDir).
 	// The accepted job records are on disk only: the jobs array of
 	// checkpoint.json (ckpt locates it), then the walJobs job records the
 	// WAL holds behind its header. A checkpoint streams both (checkpoint.go).
@@ -92,23 +99,30 @@ type shard struct {
 	// form (`,"graph":…,"profit":…}`), so the submit hot path skips DAG
 	// synthesis entirely and the WAL path assembles a record by prefixing
 	// two integers instead of re-marshaling a W-node graph per accepted
-	// job. Engine goroutine only; bounded (wireCacheMax) and never
-	// persisted — a miss just rebuilds.
+	// job. Under sh.mu; bounded (wireCacheMax) and never persisted — a miss
+	// just rebuilds.
 	wireCache map[scalarSpec]*scalarEntry
 	wireBuf   []byte // marshalJobWire's output for a cached shape, reused
 
 	// graphs shares one synthesized DAG per (w, l) among all specs of that
 	// (w, l), whatever their deadline, profit or commitment, so a wireCache
-	// miss on a known (w, l) builds no graph. Engine goroutine only;
-	// bounded by wireCacheMax like wireCache, and never persisted.
+	// miss on a known (w, l) builds no graph. Under sh.mu; bounded by
+	// wireCacheMax like wireCache, and never persisted.
 	graphs map[[2]int64]*dag.DAG
 
 	recovery *RecoveryInfo // fixed at New; nil on a fresh start
 
-	reqs       chan any
-	engineDone chan struct{}
-	engineErr  atomic.Pointer[string]
-	quiesced   bool // engine goroutine only; set by the drain's first phase
+	// The engine clock (clock.go): one timer, armed by unlock to wake, the
+	// zero time while disarmed. Under sh.mu; timer is nil until first armed.
+	timer *time.Timer
+	wake  time.Time
+
+	// waiting counts the submissions blocked on sh.mu: the backpressure
+	// bound (Config.QueueDepth) and the placer's backlog term.
+	waiting atomic.Int64
+
+	engineErr atomic.Pointer[string]
+	quiesced  bool // under sh.mu; set by the drain's first phase
 
 	// Pressure signals published by the engine for the placer. pressure is
 	// the float64 bits of the EWMA of band occupancy + parked fraction;
@@ -121,50 +135,6 @@ type shard struct {
 // baseID is lastID before the shard has assigned anything: one stride below
 // its first ID, so the first assignment lands on idx+1.
 func (sh *shard) baseID() int { return sh.idx + 1 - sh.stride }
-
-// handle dispatches one mailbox message; it reports whether the engine
-// should exit (after the drain's finalize phase).
-func (sh *shard) handle(m any) bool {
-	switch msg := m.(type) {
-	case *batchMsg:
-		sh.handleBatch(msg.items, msg.group, msg.tr, msg.hist)
-		close(msg.done)
-	case lookupMsg:
-		msg.reply <- sh.handleLookup(msg.id)
-	case statsMsg:
-		msg.reply <- sh.handleStats()
-	case advanceMsg:
-		if !sh.quiesced {
-			sh.advance(msg.to)
-		}
-		close(msg.reply)
-	case checkpointMsg:
-		switch {
-		case sh.quiesced:
-			msg.reply <- errCheckpointDrained
-		case sh.srv.degraded.Load() != nil:
-			msg.reply <- fmt.Errorf("serve: degraded: %s", sh.srv.Degraded())
-		default:
-			err := sh.checkpointNow()
-			if err != nil {
-				sh.degrade("checkpoint", err)
-			}
-			msg.reply <- err
-		}
-	case quiesceMsg:
-		// Drain phase 1: from here on this shard commits nothing new. Any
-		// submission already in the mailbox is behind this message and will
-		// be answered 503; reads keep working until finalize.
-		sh.quiesced = true
-		close(msg.reply)
-	case finalizeMsg:
-		// Drain phase 2: every shard has quiesced, so no late submission
-		// can interleave into the log this shard is about to seal.
-		msg.reply <- sh.finalize()
-		return true
-	}
-	return false
-}
 
 // advance pushes the session to the given tick. A session error here is
 // terminal for the shard (a scheduler broke its allocation contract); it is
@@ -179,7 +149,7 @@ func (sh *shard) advance(now int64) {
 
 // publishPressure refreshes the signals the placer reads: an EWMA of band
 // occupancy plus the parked-per-processor fraction, and the band-full flag.
-// Engine goroutine only; the placer reads the atomics.
+// Under sh.mu; the placer reads the atomics.
 func (sh *shard) publishPressure() {
 	occ, parked := 0.0, 0
 	if o, ok := sh.sched.(occupier); ok {
@@ -195,10 +165,11 @@ func (sh *shard) publishPressure() {
 }
 
 // pressureScore is the placer's routing key: the engine-published EWMA plus
-// the instantaneous mailbox backlog fraction. Safe from any goroutine.
+// the fraction of the QueueDepth bound already waiting for the shard. Safe
+// from any goroutine.
 func (sh *shard) pressureScore() float64 {
 	return math.Float64frombits(sh.pressure.Load()) +
-		float64(len(sh.reqs))/float64(cap(sh.reqs))
+		float64(sh.waiting.Load())/float64(sh.srv.cfg.QueueDepth)
 }
 
 // degrade records the first durability failure at the server level (one
@@ -209,20 +180,36 @@ func (sh *shard) degrade(op string, err error) {
 	sh.reg.Inc("serve.degraded_events", 1)
 }
 
+// submit commits one placer group from the caller's goroutine under the
+// shard's lock: the one locked entry of both submit endpoints. It reports
+// false, touching nothing, when QueueDepth submissions are already waiting
+// for the shard: backpressure the handler answers 429 without blocking.
+func (sh *shard) submit(items []batchItem, group []int, tr *submitTrace, hist string) bool {
+	if sh.waiting.Add(1) > int64(sh.srv.cfg.QueueDepth) {
+		sh.waiting.Add(-1)
+		return false
+	}
+	sh.lock()
+	sh.waiting.Add(-1)
+	sh.handleBatch(items, group, tr, hist)
+	sh.unlock()
+	return true
+}
+
 // handleBatch commits one placer group — the items a request routed to
 // this shard, in request order, one item for POST /v1/jobs — under a single
 // WAL commit: each item runs the full processSubmit path (idempotency,
 // admission, WAL append, session arrival), and the group's records are
 // written, and under FsyncAlways fsynced, once at the end. They land
-// contiguously in the WAL because this goroutine owns it. No verdict leaves
-// the engine before the commit succeeds, so the on-admission commitment
+// contiguously in the WAL because the caller holds sh.mu. No verdict leaves
+// the shard before the commit succeeds, so the on-admission commitment
 // still holds record by record; if it fails, every 200 verdict of the group
 // is downgraded to 503 and the daemon degrades — nothing was promised, so
 // nothing is broken. Around it sits the engine-path observability shell:
-// the mailbox queue-wait and engine latency histograms, and the dequeue and
-// commit stamps of the request trace. Every timer is gated on obsReg — with
-// it nil the shell is two pointer checks, which is what keeps the obs-guard
-// overhead budget honest.
+// the wait-for-the-shard and engine latency histograms, and the dequeue
+// (lock acquired) and commit stamps of the request trace. Every timer is
+// gated on obsReg — with it nil the shell is two pointer checks, which is
+// what keeps the obs-guard overhead budget honest.
 func (sh *shard) handleBatch(items []batchItem, group []int, tr *submitTrace, hist string) {
 	var t0 time.Time
 	if sh.obsReg != nil {
@@ -282,7 +269,7 @@ type scalarSpec struct {
 // scalarEntry is one cached scalar-spec shape. The DAG is immutable after
 // Build (per-job runtime progress lives in dag.State), and profit.Step is a
 // value, so sharing one graph and function across every job with the same
-// spec is safe on the engine goroutine. tail is filled lazily by
+// spec is safe under sh.mu. tail is filled lazily by
 // marshalJobWire on the first durable admission of the shape.
 type scalarEntry struct {
 	g         *dag.DAG
@@ -504,21 +491,33 @@ func (sh *shard) processSubmit(spec JobSpec, key string, tr *submitTrace) submit
 	return submitReply{status: 200, resp: resp}
 }
 
-func (sh *shard) handleLookup(id int) lookupReply {
+// lookup answers GET /v1/jobs/{id} for a job this shard owns; found is
+// false for an ID it never committed.
+func (sh *shard) lookup(id int) (resp StatusResponse, found bool) {
+	sh.lock()
+	defer sh.unlock()
 	stat, state := sh.sess.Lookup(id)
 	if state == sim.JobStateUnknown {
-		return lookupReply{}
+		return StatusResponse{}, false
 	}
-	return lookupReply{found: true, resp: statusResponse(id, stat, state)}
+	return statusResponse(id, stat, state), true
 }
 
-// handleStats renders this shard's /v1/stats block plus its raw telemetry
-// summary (for the server-level aggregate). It runs on the engine goroutine,
-// or directly from a handler once the engine has exited and the state is
-// sealed.
-func (sh *shard) handleStats() shardStatsReply {
-	sh.reg.SetGauge("serve.queue_depth", float64(len(sh.reqs)))
+// snapshot renders this shard's /v1/stats block plus its raw telemetry
+// summary (for the server-level aggregate) and a clone of its observability
+// registry, all read under one lock: the /metrics scrape walks histogram
+// buckets, which submissions mutate.
+func (sh *shard) snapshot() shardSnapshot {
+	sh.lock()
+	defer sh.unlock()
+	waiting := int(sh.waiting.Load())
+	// The gauge goes on this copy only: reg's summary is part of every
+	// checkpoint, and a read must not change what the next one writes.
 	summary := sh.reg.Summary()
+	if summary.Gauges == nil {
+		summary.Gauges = make(map[string]float64, 1)
+	}
+	summary.Gauges["serve.queue_depth"] = float64(waiting)
 	occ, parked := 0.0, 0
 	if o, ok := sh.sched.(occupier); ok {
 		occ = o.Occupancy()
@@ -538,7 +537,7 @@ func (sh *shard) handleStats() shardStatsReply {
 		Rejected:      summary.Counters["serve.rejected"],
 		BandOccupancy: occ,
 		ParkedDepth:   parked,
-		MailboxDepth:  len(sh.reqs),
+		MailboxDepth:  waiting,
 		Pressure:      math.Float64frombits(sh.pressure.Load()),
 		Recovery:      sh.recovery,
 	}
@@ -554,9 +553,24 @@ func (sh *shard) handleStats() shardStatsReply {
 			LastCheckpointClock: sh.lastCkptClock,
 		}
 	}
-	// The /metrics scrape walks histogram buckets, which the engine mutates;
-	// hand it an independent clone taken on this goroutine.
-	return shardStatsReply{stats: st, summary: summary, obs: sh.obsReg.Clone()}
+	return shardSnapshot{stats: st, summary: summary, obs: sh.obsReg.Clone()}
+}
+
+// forceCheckpoint is Server.Checkpoint for this shard.
+func (sh *shard) forceCheckpoint() error {
+	sh.lock()
+	defer sh.unlock()
+	switch {
+	case sh.quiesced:
+		return errCheckpointDrained
+	case sh.srv.degraded.Load() != nil:
+		return fmt.Errorf("serve: degraded: %s", sh.srv.Degraded())
+	}
+	err := sh.checkpointNow()
+	if err != nil {
+		sh.degrade("checkpoint", err)
+	}
+	return err
 }
 
 // maybeCheckpoint takes a checkpoint when the cadence has elapsed and the
@@ -579,7 +593,7 @@ func (sh *shard) maybeCheckpoint(now time.Time) {
 // checkpoint.json in the shard's WAL directory, then truncates its WAL back
 // to the header. The history is streamed from the current checkpoint.json
 // and the WAL as it is on disk; only the head and tail around it are
-// encoded. Engine goroutine only (or before it starts).
+// encoded. Under sh.mu (or before the server opens).
 func (sh *shard) checkpointNow() error { return sh.checkpoint(sh.histLen(), sh.copyHistory) }
 
 // checkpoint writes a checkpoint whose jobs array is the n records body
@@ -648,8 +662,8 @@ func (sh *shard) copyHistory(c *ckptStream) error {
 // checkpoint at start, which leaves it normalized: a fresh one, and a
 // recovered one whose history the stream cannot copy as it is (see
 // recoveredState.verbatim), which is encoded from the decoded records. Runs
-// before the engine goroutine starts, concurrently with the other shards'
-// recovery: they share nothing it touches.
+// before the server opens, concurrently with the other shards' recovery:
+// they share nothing it touches.
 func (sh *shard) openDurable(dir string) error {
 	sh.walDir = dir
 	var t0 time.Time
@@ -720,11 +734,23 @@ var (
 	checkpointHook func(sh *shard)
 )
 
+// quiesce is the drain's first phase for this shard: from here on it commits
+// nothing new. A submission that takes the lock after it is answered 503;
+// reads keep working. unlock disarms the clock: finalize fast-forwards.
+func (sh *shard) quiesce() {
+	sh.lock()
+	sh.quiesced = true
+	sh.unlock()
+}
+
 // finalize is the drain's second phase for this shard: fast-forward the
 // session until every committed job has completed or expired, seal the
 // durable state, and return the shard Result. The caller guarantees every
-// shard has quiesced first, so nothing can append behind the seal.
+// shard has quiesced first, so no late submission can interleave into the
+// log this shard seals.
 func (sh *shard) finalize() *sim.Result {
+	sh.lock()
+	defer sh.unlock()
 	if err := sh.sess.RunToEnd(); err != nil {
 		msg := err.Error()
 		sh.engineErr.Store(&msg)

@@ -252,9 +252,7 @@ func TestShardedQuiesceBlocksLateSubmissions(t *testing.T) {
 
 	// Drain phase 1 only: quiesce shard 0 the way Drain does, then model the
 	// mid-drain race — a submission arriving while other shards finalize.
-	q := quiesceMsg{reply: make(chan struct{})}
-	srv.shards[0].reqs <- q
-	<-q.reply
+	srv.shards[0].quiesce()
 	rep := submitTo(srv.shards[0], JobSpec{W: 4, L: 2, Deadline: 30, Profit: ScalarProfit(2)}, "late-key")
 	if rep.status != 503 || rep.err != "draining" {
 		t.Fatalf("post-quiesce submit = %+v, want 503 draining", rep)
@@ -263,9 +261,7 @@ func TestShardedQuiesceBlocksLateSubmissions(t *testing.T) {
 		t.Fatalf("WAL changed after quiesce (%v):\nbefore: %s\nafter:  %s", err, before, mid)
 	}
 	// Reads still work between the phases.
-	look := lookupMsg{id: 1, reply: make(chan lookupReply, 1)}
-	srv.shards[0].reqs <- look
-	if rep := <-look.reply; !rep.found {
+	if _, found := srv.shards[0].lookup(1); !found {
 		t.Fatal("quiesced shard stopped serving reads")
 	}
 

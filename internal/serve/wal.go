@@ -15,7 +15,7 @@ import (
 // The write-ahead log turns the serving daemon's replay convenience into a
 // durability guarantee: every record the daemon acknowledges is framed with a
 // checksum and (under the default fsync policy) flushed to stable storage
-// before the HTTP response leaves the engine goroutine, so an acknowledged
+// before the shard's lock lets the HTTP response out, so an acknowledged
 // admission survives SIGKILL. The on-disk layout is one directory holding
 //
 //	wal.log          framed records since the last checkpoint
@@ -158,8 +158,8 @@ func scanWAL(path string) (payloads [][]byte, torn int64, err error) {
 	return payloads, torn, nil
 }
 
-// wal is the append side of the log. All methods run on the engine goroutine
-// (or before it starts).
+// wal is the append side of the log. All methods run under the shard's lock
+// (or before the server opens).
 type wal struct {
 	dir      string
 	f        *os.File
@@ -169,14 +169,14 @@ type wal struct {
 	lastSync time.Time
 	records  int64 // records appended by this process
 
-	// scratch and wbuf are engine-goroutine-owned reuse buffers: scratch
+	// scratch and wbuf are reuse buffers, under the shard's lock: scratch
 	// holds one record's payload while it is encoded, wbuf accumulates the
 	// framed lines of one group until commit writes them with one syscall.
 	scratch []byte
 	wbuf    []byte
 
 	// obs, when non-nil, receives fsync latency samples
-	// (serve.wal_fsync_us). Owned by the same engine goroutine as the wal;
+	// (serve.wal_fsync_us). Under the same lock as the wal;
 	// nil disables the timing entirely (the zero-cost-when-nil idiom).
 	obs *telemetry.Registry
 }
@@ -234,8 +234,8 @@ func (w *wal) commit() error {
 }
 
 // syncDeadline is the wall instant maybeSync would next flush — meaningful
-// only under the interval policy with unflushed records. The engine loop
-// arms its timer with it.
+// only under the interval policy with unflushed records. The shard's engine
+// clock arms its timer with it.
 func (w *wal) syncDeadline() (time.Time, bool) {
 	if w.policy != FsyncInterval || !w.dirty {
 		return time.Time{}, false

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"net/http/httptest"
 	"os"
 	"testing"
 )
@@ -17,7 +16,7 @@ import (
 //     before it shows up in throughput numbers.
 //  2. The per-item cost of a 64-spec batch over real HTTP stays within 1.5×
 //     the bare engine-path cost measured in the same process, i.e. the wire
-//     — parse, placer, mailbox, WAL framing, response encode — adds at most
+//     — parse, placer, shard lock, WAL framing, response encode — adds at most
 //     half an engine's worth of work per submission. Both sides replay the
 //     identical spec and advance cadence (benchAdvanceEvery /
 //     benchAdvanceTicks), so the ratio is workload-independent and holds on
@@ -47,37 +46,8 @@ func TestWireGuard(t *testing.T) {
 	}
 
 	const batchSize = 64
-	engine := testing.Benchmark(func(b *testing.B) {
-		srv, err := New(Config{M: 8, QueueDepth: 1, TickInterval: -1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer srv.Drain()
-		engineArm(b, srv)
-	})
-	batch := testing.Benchmark(func(b *testing.B) {
-		srv, err := New(Config{M: 8, QueueDepth: 1024, TickInterval: -1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer srv.Drain()
-		ts := httptest.NewServer(srv.Handler())
-		defer ts.Close()
-		req := benchRequest("/v1/jobs:batch", benchBatchBody(batchSize))
-		bc := dialBenchConn(b, ts.URL)
-		items := 0
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			postBenchBatch(b, bc, req, batchSize)
-			items += batchSize
-			if items%benchAdvanceEvery < batchSize {
-				srv.Advance(int64(items / benchAdvanceEvery * benchAdvanceTicks))
-			}
-		}
-	})
-
-	engineNs := float64(engine.NsPerOp())
-	itemNs := float64(batch.NsPerOp()) / batchSize
+	engineNs := armCost(Config{M: 8, QueueDepth: 1, TickInterval: -1}, engineArm)
+	itemNs := armCost(Config{M: 8, QueueDepth: 1024, TickInterval: -1}, batchArm(batchSize)) / batchSize
 	ratio := itemNs / engineNs
 	t.Logf("wire guard: engine %.0f ns/item, batch HTTP %.0f ns/item (ratio %.2f), batch path %.0f items/s",
 		engineNs, itemNs, ratio, 1e9/itemNs)

@@ -15,9 +15,9 @@ const perfettoPIDRequests = 3
 // RequestSpans renders a serving daemon's request-trace ring as a Chrome
 // trace-event document. Each trace becomes a thread (tid = snapshot index)
 // whose spans cover the gaps between consecutive stage stamps — received →
-// dequeued is the wire + mailbox cost, dequeued → committed the engine cost,
-// and so on — so one slow submission can be dissected stage by stage in
-// Perfetto. Wall-clock timestamps are rebased to the earliest stage across
+// dequeued is the wire cost plus the wait for the shard's lock, dequeued →
+// committed the engine cost, and so on — so one slow submission can be
+// dissected stage by stage in Perfetto. Wall-clock timestamps are rebased to the earliest stage across
 // the snapshot and expressed in microseconds.
 func RequestSpans(traces []obs.ReqTrace) *telemetry.ChromeTrace {
 	ct := telemetry.NewChromeTrace()
